@@ -7,16 +7,20 @@ integral W(Q) over |b_i| <= Q at unit scale.  Everything here computes
 W(Q) and friends at unit scale; the only place P reappears is the final
 P^(s-5) factor and the v values themselves.
 
-Quadrature is plain Gauss-Legendre on panels sized so each panel sees at
-most a fixed number of turns of the local phase, which for polynomial
-phases keeps the per-panel error far below the panel budget's tolerance.
+Quadrature is plain Gauss-Legendre on equal panels.  The first pass sizes
+each grid so a panel sees at most a fixed number of turns of the local phase;
+every later pass doubles the panel count of every grid exactly, and the
+refinement stops at the first pass that agrees with the one before it to
+the requested tolerance.  That difference is the reported error estimate.
+A pass that would need more than `_MAX_PANELS` panels on one grid raises
+`QuadratureError` instead of returning an unconverged value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +31,13 @@ from .systems import DiagonalSystem
 TWO_PI = 2.0 * math.pi
 _GL_NODES = 12
 _MAX_PANELS = 65536
+# phase turns per panel on the first pass; later passes halve it exactly.
+# v starts fine because its tolerance is loose; W starts coarse because it
+# converges to rounding level within a few doublings from there
+_V_START_TURNS = 1.0
+_W_START_TURNS = 8.0
+# W(Q) stops when two passes agree to this fraction of |W|
+_W_RTOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -55,8 +66,28 @@ def _phase_rate(c3: float, c2: float, lo: float, hi: float) -> float:
     return max(abs(3.0 * c3 * g * g + 2.0 * c2 * g) for g in cands)
 
 
-def _panels_for(rate: float, length: float, turns: float) -> int:
-    return max(1, math.ceil(rate * length / turns) + 1)
+def _panels_for(rate: float, length: float, per_panel: float) -> int:
+    """First-pass panel count: at most `per_panel` phase turns per panel."""
+    return max(1, math.ceil(rate * length / per_panel) + 1)
+
+
+def _refine(integrate: Callable[[int], complex], tol: float, floor: float) -> tuple[complex, float, int]:
+    """Refine by exact panel doubling until two successive passes agree.
+
+    `integrate(m)` integrates with every grid at m times its first-pass panel
+    count.  Passes run at m = 1, 2, 4, ... and stop at the first one with
+    |I_m - I_(m/2)| <= tol * max(floor, |I_m|).  Returns (I_m, that
+    difference, number of passes).  The loop ends either there or when a
+    grid exceeds `_MAX_PANELS` and `_gl_grid` raises `QuadratureError`.
+    """
+    prev = integrate(1)
+    m = 2
+    while True:
+        cur = integrate(m)
+        err = abs(cur - prev)
+        if err <= tol * max(floor, abs(cur)):
+            return cur, err, m.bit_length()
+        prev, m = cur, 2 * m
 
 
 def _kind_coeffs(kind: str, coeffs) -> tuple[int, int]:
@@ -92,12 +123,11 @@ def oscillatory_v(
     theta_i: float,
     coeffs,
     tol: float = 1e-9,
-    turns: float = 1.0,
 ) -> OscillatoryValue:
     """Integral of e(A3 beta3 g^3 + A2 beta2 g^2) over (theta_i P/2, 2 theta_i P).
 
-    Panel count doubles until two successive refinements agree within tol
-    relative; the disagreement is reported as the error estimate.
+    Panel count doubles until two successive passes agree within
+    tol * max(1, |v|); the disagreement is reported as the error estimate.
     """
     A3, A2 = _kind_coeffs(kind, coeffs)
     lo, hi = theta_i * P / 2.0, 2.0 * theta_i * P
@@ -106,20 +136,15 @@ def oscillatory_v(
     c3 = A3 * beta3
     c2 = A2 * beta2
 
-    def integrate(n_panels: int) -> complex:
-        nodes, wts = _gl_grid(lo, hi, n_panels)
+    n = _panels_for(_phase_rate(c3, c2, lo, hi), hi - lo, _V_START_TURNS)
+
+    def integrate(m: int) -> complex:
+        nodes, wts = _gl_grid(lo, hi, n * m)
         phase = TWO_PI * (c3 * nodes**3 + c2 * nodes * nodes)
         return complex(np.dot(wts, np.exp(1j * phase)))
 
-    n = _panels_for(_phase_rate(c3, c2, lo, hi), hi - lo, turns)
-    prev = integrate(n)
-    while True:
-        n *= 2
-        cur = integrate(n)
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
-            return OscillatoryValue(kind, beta2, beta3, P, theta_i, cur, err)
-        prev = cur
+    value, err, _ = _refine(integrate, tol, 1.0)
+    return OscillatoryValue(kind, beta2, beta3, P, theta_i, value, err)
 
 
 def _theta_blocks(sys: DiagonalSystem, theta: Sequence[float]) -> list[tuple[int, int, float]]:
@@ -134,35 +159,43 @@ def unit_singular_integral(
     sys: DiagonalSystem,
     theta: Sequence[float],
     Q: float,
-    turns: float = 1.0,
 ) -> tuple[float, dict]:
     """W(Q): the P-free double integral of the unit-scale product V over |b_i| <= Q.
 
-    Each component grid is a single matrix product of unit phase factors;
-    a second pass at doubled panel density supplies the error estimate.
+    Each component grid is a single matrix product of unit phase factors.
+    The b2, b3 and gamma grids start at `_W_START_TURNS` phase turns per panel
+    and every pass doubles all of their panel counts; the passes stop when
+    two in a row agree to `_W_RTOL` * |W|, and that difference is the
+    `error_estimate`.  The diagnostics also give the number of passes and
+    the b2 and b3 node counts of the last one.
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
     blocks = _theta_blocks(sys, theta)
+    rate2 = sum(abs(A2) * (2 * th) ** 2 for _, A2, th in blocks)
+    rate3 = sum(abs(A3) * (2 * th) ** 3 for A3, _, th in blocks)
+    n2 = _panels_for(rate2, 2 * Q, _W_START_TURNS)
+    n3 = _panels_for(rate3, 2 * Q, _W_START_TURNS)
+    # first-pass gamma panel counts, one per distinct coefficient pair up to sign
+    n_gamma: dict = {}
+    for A3, A2, th in blocks:
+        if (A3, A2, th) in n_gamma or (-A3, -A2, th) in n_gamma:
+            continue
+        lo, hi = th / 2.0, 2.0 * th
+        rate_g = _phase_rate(A3 * Q, A2 * Q, lo, hi) + _phase_rate(-A3 * Q, -A2 * Q, lo, hi)
+        n_gamma[(A3, A2, th)] = _panels_for(rate_g, hi - lo, _W_START_TURNS)
 
-    def compute(turn_budget: float) -> complex:
-        rate2 = sum(abs(A2) * (2 * th) ** 2 for _, A2, th in blocks)
-        rate3 = sum(abs(A3) * (2 * th) ** 3 for A3, _, th in blocks)
-        b2, w2 = _gl_grid(-Q, Q, _panels_for(rate2, 2 * Q, turn_budget))
-        b3, w3 = _gl_grid(-Q, Q, _panels_for(rate3, 2 * Q, turn_budget))
-        # gamma grids and the gamma->b3 factor are small; build them once per
-        # distinct coefficient pair, then stream b2 in row chunks so peak
-        # memory stays bounded as Q grows.
+    def compute(m: int) -> complex:
+        b2, w2 = _gl_grid(-Q, Q, n2 * m)
+        b3, w3 = _gl_grid(-Q, Q, n3 * m)
+        # the gamma grids and their gamma->b3 factors are built once per pass;
+        # only the gamma->b2 factor E2 is streamed in b2 row chunks, so E2
+        # stays bounded while the E3g tables grow with Q
         grids: dict = {}
-        for A3, A2, th in blocks:
-            key = (A3, A2, th)
-            if key in grids or (-A3, -A2, th) in grids:
-                continue
-            lo, hi = th / 2.0, 2.0 * th
-            rate_g = _phase_rate(A3 * Q, A2 * Q, lo, hi) + _phase_rate(-A3 * Q, -A2 * Q, lo, hi)
-            g, wg = _gl_grid(lo, hi, _panels_for(rate_g, hi - lo, turn_budget))
+        for (A3, A2, th), n_g in n_gamma.items():
+            g, wg = _gl_grid(th / 2.0, 2.0 * th, n_g * m)
             E3g = wg[:, None] * np.exp(TWO_PI * 1j * A3 * np.outer(g**3, b3))
-            grids[key] = (g, E3g)
+            grids[(A3, A2, th)] = (g, E3g)
         # each live chunk array is chunk*b3 complex entries and the per-chunk
         # cache holds one per distinct coefficient pair
         chunk = max(1, int(1_500_000 / max(1, b3.size)))
@@ -188,11 +221,17 @@ def unit_singular_integral(
             acc += w2[rows] @ Vc
         return complex(acc @ w3)
 
-    coarse = compute(turns)
-    fine = compute(turns / 2.0)
-    err = abs(fine - coarse)
-    diag = {"error_estimate": err, "imag_residue": fine.imag, "Q": Q}
-    return fine.real, diag
+    W, err, passes = _refine(compute, _W_RTOL, 0.0)
+    m = 2 ** (passes - 1)
+    diag = {
+        "error_estimate": err,
+        "imag_residue": W.imag,
+        "Q": Q,
+        "passes": passes,
+        "nodes_b2": n2 * m * _GL_NODES,
+        "nodes_b3": n3 * m * _GL_NODES,
+    }
+    return W.real, diag
 
 
 def extrapolate_ladder(values: Sequence[float]) -> tuple[float, float]:
@@ -215,13 +254,13 @@ def singular_integral(
     P: float,
     theta: Optional[Sequence[float]] = None,
     heights: Optional[Sequence[float]] = None,
-    turns: float = 1.0,
 ) -> tuple[float, dict]:
     """Truncated singular integral J(Q) = P^(s-5) W(Q), with a dyadic ladder.
 
     The returned diagnostics carry W at each requested height, consecutive
     tail differences, and their ratios, which is what the Q^(-1/2)-style
-    convergence checks consume.
+    convergence checks consume, plus per height the quadrature error
+    estimate and the work the refinement did (passes, final b2/b3 nodes).
     """
     if theta is None:
         from .solver import find_real_anchor
@@ -236,11 +275,13 @@ def singular_integral(
         heights = heights[::-1]
     ladder = {}
     errs = {}
+    work = {}
     imag_residue = 0.0
     for h in [*heights, Q] if Q not in heights else heights:
-        W, diag = unit_singular_integral(sys, theta, h, turns=turns)
+        W, diag = unit_singular_integral(sys, theta, h)
         ladder[h] = W
         errs[h] = diag["error_estimate"]
+        work[h] = {k: diag[k] for k in ("passes", "nodes_b2", "nodes_b3")}
         if h == Q:
             imag_residue = diag["imag_residue"]
     W_Q = ladder[Q]
@@ -251,6 +292,7 @@ def singular_integral(
         "W": W_Q,
         "ladder": ladder,
         "quadrature_errors": errs,
+        "quadrature_work": work,
         "tails": tails,
         "tail_ratios": ratios,
         "imag_residue": imag_residue,

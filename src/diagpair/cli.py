@@ -151,11 +151,11 @@ def _cmd_moments(args, cfg: RunConfig):
     elif kind == "T-shifted":
         value = int(moment_T_shifted(args.s, args.x, args.hmax, budget=cfg.budget))
     elif kind == "I":
-        value = int(moment_I(args.s, args.y, args.h))
+        value = int(moment_I(args.s, args.y, args.h, budget=cfg.budget))
     elif kind == "J":
-        value = int(moment_J(args.s, args.x))
+        value = int(moment_J(args.s, args.x, budget=cfg.budget))
     elif kind == "J1":
-        value = int(count_J1(args.y, args.h))
+        value = int(count_J1(args.y, args.h, budget=cfg.budget))
     elif kind == "mixed":
         factors, exps = [], []
         for text in args.factor or []:
@@ -217,6 +217,7 @@ def _cmd_arch(args, cfg: RunConfig):
         "W": diag["W"],
         "ladder": {str(k): v for k, v in sorted(diag["ladder"].items())},
         "tail_ratios": diag["tail_ratios"],
+        "quadrature_work": {str(k): v for k, v in sorted(diag["quadrature_work"].items())},
         "imag_residue": diag["imag_residue"],
         "theta": diag["theta"],
     }

@@ -8,12 +8,15 @@ from scipy.integrate import quad
 from diagpair import (
     ArcFamily,
     extrapolate_ladder,
+    find_real_anchor,
     oscillatory_v,
     singular_integral,
     star_approx,
     unit_singular_integral,
     volume_constant,
 )
+from diagpair import archimedean
+from diagpair.archimedean import QuadratureError
 
 THETA6 = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 THETA4 = (0.3, 0.3, 0.3, 0.3)
@@ -21,6 +24,32 @@ THETA4 = (0.3, 0.3, 0.3, 0.3)
 # regression value for the height-8 unit integral of the separable
 # six-variable system, frozen from the panel-doubling quadrature
 LADDER6_W8 = 0.07791007449977659
+# height-8 unit integral of sample5 at its Newton anchor, frozen from a
+# two-pass quadrature at a quarter turn per panel and checked at an eighth
+SAMPLE5_W8 = 0.10086349548726883
+
+
+def _v_abs2(theta, p, b):
+    """|v(b)|^2 for v(b) = integral of e(b g^p) over (theta/2, 2 theta), by scipy quad."""
+    lo, hi = theta / 2, 2 * theta
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    re, _ = quad(lambda g: math.cos(2 * math.pi * b * g**p), lo, hi, **opts)
+    im, _ = quad(lambda g: math.sin(2 * math.pi * b * g**p), lo, hi, **opts)
+    return re * re + im * im
+
+
+def _ladder6_w_by_quad(Q):
+    """W(Q) of ladder6 at THETA6 from its separable form, independent of the package.
+
+    The cubic pair y1^3 - y2^3 contributes |v_(0.3,cubic)(b3)|^2 and the
+    quadratic pairs z1^2 - z2^2, z3^2 - z4^2 contribute
+    |v_(0.25,sq)(b2)|^2 |v_(0.35,sq)(b2)|^2, so W(Q) is the product of two
+    one-dimensional integrals over |b| <= Q, each of an even integrand.
+    """
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    cubic, _ = quad(lambda b: _v_abs2(0.3, 3, b), 0.0, Q, **opts)
+    square, _ = quad(lambda b: _v_abs2(0.25, 2, b) * _v_abs2(0.35, 2, b), 0.0, Q, **opts)
+    return (2 * cubic) * (2 * square)
 
 
 def test_v_at_zero_is_box_length():
@@ -62,6 +91,32 @@ def test_unit_integral_regression(ladder6):
     assert W == pytest.approx(LADDER6_W8, abs=1e-10)
     assert abs(diag["imag_residue"]) <= 1e-12
     assert diag["error_estimate"] <= 1e-6
+    assert diag["Q"] == 8.0
+    assert diag["passes"] >= 2
+    assert diag["nodes_b2"] > 0 and diag["nodes_b3"] > 0
+
+
+@pytest.mark.parametrize("Q", [8.0, 16.0, 32.0])
+def test_unit_integral_matches_separable_quad(ladder6, Q):
+    W, diag = unit_singular_integral(ladder6, THETA6, Q)
+    assert W == pytest.approx(_ladder6_w_by_quad(Q), abs=1e-12)
+    assert diag["error_estimate"] <= 1e-13 * W
+
+
+def test_unit_integral_refines_every_grid(sample5):
+    # halving a turns-per-panel budget instead of doubling panel counts leaves
+    # the small grids unrefined; two such passes agree to 5.8e-14 on
+    # 0.1008634965820, which is 1.1e-9 off
+    theta = find_real_anchor(sample5).theta
+    W, diag = unit_singular_integral(sample5, theta, 8.0)
+    assert W == pytest.approx(SAMPLE5_W8, abs=1e-13)
+    assert diag["error_estimate"] <= 1e-13 * W
+
+
+def test_unit_integral_refuses_past_panel_cap(ladder6, monkeypatch):
+    monkeypatch.setattr(archimedean, "_MAX_PANELS", 8)
+    with pytest.raises(QuadratureError):
+        unit_singular_integral(ladder6, THETA6, 16.0)
 
 
 def test_unit_integral_grows_with_height(ladder6):
@@ -92,6 +147,10 @@ def test_singular_integral_scaling(ladder6):
     assert I == pytest.approx(diag["W"] * P ** (ladder6.s - 5), rel=1e-12)
     assert set(diag) >= {"W", "ladder", "tails", "tail_ratios", "imag_residue"}
     assert all(r > 0 for r in diag["tail_ratios"])
+    assert set(diag["quadrature_work"]) == set(diag["ladder"]) == {4.0, 8.0, 16.0}
+    for work in diag["quadrature_work"].values():
+        assert set(work) == {"passes", "nodes_b2", "nodes_b3"}
+        assert work["passes"] >= 2
 
 
 def test_volume_matches_separable_closed_form(ladder4, rng):

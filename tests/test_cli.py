@@ -107,8 +107,18 @@ def test_config_error_exit_code(capsys):
     assert "config error" in err
 
 
-def test_budget_error_exit_code(capsys):
-    code, _, err = run(capsys, "moments", "--kind", "T", "--s", "6", "--x", "200", "--budget", "100000")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "T", "--s", "6", "--x", "200", "--budget", "100000"),
+        ("--kind", "I", "--s", "2", "--y", "8", "--h", "8", "--budget", "5"),
+        ("--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
+        ("--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
+    ],
+    ids=["T", "I", "J", "J1"],
+)
+def test_budget_error_exit_code(capsys, argv):
+    code, _, err = run(capsys, "moments", *argv)
     assert code == cli.EXIT_BUDGET
     payload = json.loads(err)
     assert payload["error"] == "budget"
