@@ -19,7 +19,7 @@ from diagpair import (
     unit_singular_integral,
     volume_constant,
 )
-from diagpair.cli import BUILTIN_SYSTEMS
+from diagpair.systems import BUILTIN_SYSTEMS
 
 ANCHORS = {
     "ladder6": (0.3, 0.3, 0.25, 0.25, 0.35, 0.35),

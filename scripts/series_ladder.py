@@ -10,7 +10,7 @@ Run: python3 scripts/series_ladder.py [--builtin balanced11] [--height 400]
 import argparse
 
 from diagpair import load_system, singular_series
-from diagpair.cli import BUILTIN_SYSTEMS
+from diagpair.systems import BUILTIN_SYSTEMS
 
 
 def main() -> None:

@@ -25,10 +25,10 @@ from .expsums import (
     vinogradov_sum,
     weyl_sum,
 )
+from .ledger import Ledger
 from .moments import (
     I2Classification,
     MomentResult,
-    RepLedger,
     classify_I2,
     count_J1,
     fit_exponent,

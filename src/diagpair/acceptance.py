@@ -46,11 +46,11 @@ from .oracles import (
 )
 from .smooth import dickman_rho, smooth_set
 from .solver import count_solutions, verify_solution
-from .systems import DiagonalSystem
+from .systems import BUILTIN_SYSTEMS, DiagonalSystem
 
-BALANCED11 = DiagonalSystem(a=(1, 1, 1, 1, 1, 1), b=(1, 1, 1, -1, -1, -1), c=(1, -1, 2), d=(1, -2))
-SAMPLE5 = DiagonalSystem(a=(1, -1), b=(1, 1), c=(1,), d=(1, -1))
-LADDER6 = DiagonalSystem(a=(), b=(), c=(1, -1), d=(1, -1, 1, -1))
+BALANCED11 = BUILTIN_SYSTEMS["balanced11"]
+SAMPLE5 = BUILTIN_SYSTEMS["sample5"]
+LADDER6 = BUILTIN_SYSTEMS["ladder6"]
 LADDER6_THETA = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 
 # frozen empirical ceilings; regenerate with scripts/ if the sweeps change
@@ -108,7 +108,7 @@ def criterion_2(profile: str = "desk") -> CriterionResult:
     return _run(2, "T_4 growth exponent", body)
 
 
-_TINY2 = DiagonalSystem(a=(1, -1), b=(1, -1), c=(), d=())
+_TINY2 = BUILTIN_SYSTEMS["tiny2"]
 _SMALL4 = DiagonalSystem(a=(1, -1), b=(1, -1), c=(), d=(1, -1))
 _SMALL3 = DiagonalSystem(a=(1, 1), b=(1, -1), c=(1,), d=())
 

@@ -34,20 +34,12 @@ from .local import chi_p_partial, count_congruences, padic_witness, singular_ser
 from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
 from .smooth import c_eta, dickman_rho, smooth_set
 from .solver import count_solutions, find_real_anchor, predict_and_compare, search_witness
-from .systems import DiagonalSystem, check_conditions, classify, format_system, load_system
+from .systems import BUILTIN_SYSTEMS, DiagonalSystem, check_conditions, classify, format_system, load_system
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-BUILTIN_SYSTEMS = {
-    "balanced11": DiagonalSystem(a=(1, 1, 1, 1, 1, 1), b=(1, 1, 1, -1, -1, -1), c=(1, -1, 2), d=(1, -2)),
-    "sample5": DiagonalSystem(a=(1, -1), b=(1, 1), c=(1,), d=(1, -1)),
-    "ladder6": DiagonalSystem(a=(), b=(), c=(1, -1), d=(1, -1, 1, -1)),
-    "tiny2": DiagonalSystem(a=(1, -1), b=(1, -1), c=(), d=()),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -295,7 +287,8 @@ def _cmd_solve(args, cfg: RunConfig):
     if args.b is not None:
         res = count_solutions(sysd, args.b, restriction=args.restriction, R=args.r, budget=cfg.budget)
         out["count"] = {"B": args.b, "N": res.count, "restriction": res.restriction,
-                        "witnesses": [list(w) for w in res.witnesses]}
+                        "witnesses": [list(w) for w in res.witnesses],
+                        "witnesses_truncated": res.witnesses_truncated}
     if args.witness_bound is not None:
         out["witness"] = search_witness(sysd, args.witness_bound)
     if args.predict is not None:

@@ -2,82 +2,23 @@
 
 By orthogonality, every even moment here equals the number of integer
 solutions of a system of diagonal equations, so it is computed exactly:
-build the multiplicity map ("ledger") of form-value vectors for half of the
-generators by repeated sparse convolution, then match complementary keys.
-All counts are exact Python integers; nothing is accumulated in floats.
-
-Hot paths pack key vectors into single integers (field sizes are chosen so
-that s-fold sums never carry between fields); the public RepLedger type
-keeps tuple keys for inspection.
+fold the generators of one side into a `Ledger` of form-value vectors by
+repeated convolution, then match keys (equal keys, negated keys, or keys
+within a window of the linear field).  All counts are exact integers;
+nothing is accumulated in floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .expsums import BoxSumSpec
-
-
-@dataclass
-class RepLedger:
-    """Sparse map from integer form-value vectors to exact multiplicities."""
-
-    counts: dict
-    arity: int
-    generators: int  # number of single-generator choices
-
-    @classmethod
-    def from_generators(cls, vectors) -> "RepLedger":
-        counts: dict = {}
-        n = 0
-        for v in vectors:
-            key = tuple(v)
-            counts[key] = counts.get(key, 0) + 1
-            n += 1
-        return cls(counts, 1, n)
-
-    @property
-    def total_mass(self) -> int:
-        return sum(self.counts.values())
-
-    def convolve(self, other: "RepLedger") -> "RepLedger":
-        if self.generators != other.generators:
-            raise ValueError("ledgers fold different generator sets")
-        out: dict = {}
-        for k1, c1 in self.counts.items():
-            for k2, c2 in other.counts.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return RepLedger(out, self.arity + other.arity, self.generators)
-
-    def power(self, e: int) -> "RepLedger":
-        """e-fold self-convolution by binary splitting."""
-        if e < 1:
-            raise ValueError("power needs e >= 1")
-        if e == 1:
-            return self
-        half = self.power(e // 2)
-        out = half.convolve(half)
-        if e % 2:
-            out = out.convolve(self)
-        return out
-
-    def matched_with(self, other: "RepLedger", negate: bool = False) -> int:
-        """Sum of count products over matching keys (negated keys of `other`)."""
-        total = 0
-        get = other.counts.get
-        for k, c in self.counts.items():
-            kk = tuple(-v for v in k) if negate else k
-            c2 = get(kk)
-            if c2:
-                total += c * c2
-        return total
+from .ledger import Ledger, exact_dot
 
 
 @dataclass(frozen=True)
@@ -90,59 +31,18 @@ class MomentResult:
         return self.value
 
 
-# -- packed-key internals ------------------------------------------------
-
-def _packed_single(values_fn, X: int, moduli) -> dict:
-    # moduli[j] is the field size for component j; component order is the
-    # packing order, lowest field last.
-    counts: dict = {}
-    for x in range(1, X + 1):
-        key = 0
-        for v, mod in zip(values_fn(x), moduli):
-            key = key * mod + v
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _packed_convolve(L1: dict, L2: dict) -> dict:
-    out: dict = {}
-    for k1, c1 in L1.items():
-        for k2, c2 in L2.items():
-            k = k1 + k2
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
-def _packed_power(L: dict, e: int) -> dict:
-    if e == 1:
-        return L
-    half = _packed_power(L, e // 2)
-    out = _packed_convolve(half, half)
-    if e % 2:
-        out = _packed_convolve(out, L)
-    return out
-
-
-def _sum_of_squares(L: dict) -> int:
-    return sum(c * c for c in L.values())
-
-
-# -- the moment operations ----------------------------------------------
-
 def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
     """Exact count of 1 <= x_i, y_i <= X with sum x^3 = sum y^3, sum x^2 = sum y^2.
 
     Equals the 2s-th power mean of the cubic-quadratic Weyl sum.  Computed
     as sum_k c_s(k)^2 where c_s is the s-fold convolution of the
-    single-variable ledger over keys (x^3, x^2).
+    single-variable ledger over keys (x^2, x^3).
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
     check_budget(min(X**s, (s * X**3 + 1) * (s * X**2 + 1)), budget)
-    M2 = s * X * X + 1
-    single = _packed_single(lambda x: (x**3, x * x), X, (0, M2))
-    c_s = _packed_power(single, s)
-    return MomentResult(_sum_of_squares(c_s), {"s": s, "X": X})
+    single = Ledger.from_vectors([(x * x, x**3) for x in range(1, X + 1)], (s * X * X, s * X**3), X**s)
+    return MomentResult(single.power(s).sum_of_squares(), {"s": s, "X": X})
 
 
 def moment_T_shifted(
@@ -151,8 +51,8 @@ def moment_T_shifted(
     """Count of sum(x_i^j - y_i^j) = delta_j * h (j = 1, 2, 3), |h| <= h_max.
 
     delta_j is 1 for j = 1 and 0 otherwise, so the cubic and quadratic
-    equations are exact while the linear one only pins h.  With the default
-    h_max = s*X the linear slot is redundant and the count equals
+    equations are exact while the linear one only pins h.  With
+    h_max >= s*(X-1) the linear slot is redundant and the count equals
     moment_T(s, X); with h_max = 0 all three equations bind and the count
     equals moment_J(s, X).
     """
@@ -163,29 +63,18 @@ def moment_T_shifted(
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
     check_budget(min(X**s, (s * X + 1) * (s * X**2 + 1) * (s * X**3 + 1)), budget)
-    M1 = s * X + 1
-    M2 = s * X * X + 1
-    single = _packed_single(lambda x: (x**3, x * x, x), X, (0, M2, M1))
-    c_s = _packed_power(single, s)
-    # Group keys by the (cubic, quadratic) fields; the linear component sits
-    # in the lowest field and is matched within a window of width h_max.
-    groups: dict = {}
-    for key, cnt in c_s.items():
-        groups.setdefault(key // M1, []).append((key % M1, cnt))
-    total = 0
-    full_window = h_max >= s * (X - 1)
-    for pairs in groups.values():
-        if full_window:
-            mass = sum(c for _, c in pairs)
-            total += mass * mass
-            continue
-        pairs.sort()
-        lin = np.array([p[0] for p in pairs], dtype=np.int64)
-        cnt = np.array([p[1] for p in pairs], dtype=object)
-        csum = np.concatenate(([0], np.cumsum(cnt)))
-        lo = np.searchsorted(lin, lin - h_max, side="left")
-        hi = np.searchsorted(lin, lin + h_max, side="right")
-        total += int(sum(c * (csum[b] - csum[a]) for c, a, b in zip(cnt, lo, hi)))
+    single = Ledger.from_vectors(
+        [(x, x * x, x**3) for x in range(1, X + 1)], (s * X, s * X * X, s * X**3), X**s
+    )
+    c_s = single.power(s)
+    # The linear field has stride 1 and spans at most s(X-1) inside one
+    # (quadratic, cubic) group, while keys of different groups lie more than
+    # s(X-1) apart, so a key window of half-width h never leaves its group.
+    h = min(h_max, s * (X - 1))
+    csum = np.concatenate(([0], np.cumsum(c_s.counts)))
+    lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
+    hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
+    total = exact_dot(c_s.counts, csum[hi] - csum[lo])
     return MomentResult(total, {"s": s, "X": X, "h_max": h_max})
 
 
@@ -207,9 +96,9 @@ def moment_I(s: int, Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Mom
     if s < 1 or Y < 1 or H < 1:
         raise ValueError("s, Y, H must be >= 1")
     check_budget((2 * H * Y) ** s, budget)
-    single = RepLedger.from_generators(_block_generators(Y, H))
+    single = Ledger.from_vectors(_block_generators(Y, H), (s * H, s * H * Y, s * H * Y * Y), (2 * H * Y) ** s)
     n_s = single.power(s)
-    return MomentResult(n_s.matched_with(n_s, negate=True), {"s": s, "Y": Y, "H": H})
+    return MomentResult(n_s.matched_negated(n_s), {"s": s, "Y": Y, "H": H})
 
 
 @dataclass(frozen=True)
@@ -264,14 +153,7 @@ def classify_I2(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> I2Classi
 
 def moment_J(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
     """Exact count with sum x_i^j = sum y_i^j simultaneously for j = 1, 2, 3."""
-    if s < 1 or X < 1:
-        raise ValueError("s and X must be >= 1")
-    check_budget(min(X**s, (s * X + 1) * (s * X**2 + 1) * (s * X**3 + 1)), budget)
-    M1 = s * X + 1
-    M2 = s * X * X + 1
-    single = _packed_single(lambda x: (x**3, x * x, x), X, (0, M2, M1))
-    c_s = _packed_power(single, s)
-    return MomentResult(_sum_of_squares(c_s), {"s": s, "X": X})
+    return moment_T_shifted(s, X, 0, budget)
 
 
 def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
@@ -279,14 +161,13 @@ def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
     check_budget((2 * H * Y) ** 2, budget)
-    single = RepLedger.from_generators(
-        (h, h * y)
-        for h in range(-H, H + 1)
-        if h != 0
-        for y in range(1, Y + 1)
+    single = Ledger.from_vectors(
+        [(h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)],
+        (2 * H, 2 * H * Y),
+        (2 * H * Y) ** 2,
     )
     n_2 = single.power(2)
-    return MomentResult(n_2.matched_with(n_2, negate=True), {"Y": Y, "H": H})
+    return MomentResult(n_2.matched_negated(n_2), {"Y": Y, "H": H})
 
 
 def mixed_moment(
@@ -300,12 +181,12 @@ def mixed_moment(
     `exponents` lists 2e_i, so each must be even and >= 0.  Counts tuples
     drawn from the factor boxes (smoothness per spec) solving the
     coefficient-weighted pair of equations; computed as sum_k L(k)^2 where
-    L folds e_i plus-generators per factor over keys (cubic, quadratic)
+    L folds e_i plus-generators per factor over keys (quadratic, cubic)
     contribution.  An empty product integrates to 1.
     """
     if len(factors) != len(exponents):
         raise ValueError("factors and exponents length mismatch")
-    ledger = RepLedger({(0, 0): 1}, 0, 0)
+    folds = []
     est = 1
     for spec, exp in zip(factors, exponents):
         if exp < 0 or exp % 2 != 0:
@@ -319,21 +200,14 @@ def mixed_moment(
             return MomentResult(0, {"factors": len(factors)}, "ledger")
         est *= len(xs) ** (exp // 2)
         check_budget(est, budget)
-        vectors = []
-        for x in xs:
-            k3 = spec.cubic * x**3 if spec.kind in ("f", "g") else 0
-            k2 = spec.quad * x * x if spec.kind in ("f", "h") else 0
-            vectors.append((k3, k2))
-        single = RepLedger.from_generators(vectors)
-        folded = single.power(exp // 2)
-        merged = {}
-        for k1, c1 in ledger.counts.items():
-            for k2, c2 in folded.counts.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1])
-                merged[key] = merged.get(key, 0) + c1 * c2
-        ledger = RepLedger(merged, ledger.arity + folded.arity, 0)
-    value = sum(c * c for c in ledger.counts.values())
-    return MomentResult(value, {"exponents": list(exponents), "P": P})
+        k3 = spec.cubic if spec.kind in ("f", "g") else 0
+        k2 = spec.quad if spec.kind in ("f", "h") else 0
+        folds.append(([(k2 * x * x, k3 * x**3) for x in xs], exp // 2))
+    bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in folds) for j in (0, 1)]
+    ledger = Ledger.from_vectors([(0, 0)], bounds, est)
+    for vectors, e in folds:
+        ledger = ledger.convolve(Ledger.from_vectors(vectors, bounds, est).power(e))
+    return MomentResult(ledger.sum_of_squares(), {"exponents": list(exponents), "P": P})
 
 
 def fit_exponent(series) -> tuple[float, float]:

@@ -2,10 +2,10 @@
 
 Counting is meet-in-the-middle: variables are split into two halves, each
 half's (Theta, Phi) value distribution is tabulated exactly, and the
-halves are matched on complementary keys.  Two interchangeable backends:
-a tuple-keyed dict for small instances and a dense 2-D integer grid whose
-axes are the achievable (Theta, Phi) ranges for large rectangular ones.
-All counts are exact integers.
+halves are matched on complementary keys.  When each half holds at most
+10^6 tuples, the halves are folded into sparse `Ledger`s and matched on
+negated keys; otherwise each goes on a dense 2-D integer grid whose axes
+are the achievable (Theta, Phi) ranges.  All counts are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -15,13 +15,13 @@ integer lexicographic order would just return the all-negative corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
+from .ledger import Ledger
 from .smooth import smooth_set
 from .systems import DiagonalSystem
 
@@ -182,16 +182,12 @@ def _ordered_values(rng: Sequence[int]) -> list[int]:
     return sorted(rng, key=lambda v: (abs(v), v < 0))
 
 
-def _dict_half(coeffs3, coeffs2, ranges: _WitnessRanges) -> dict:
-    ledger = {(0, 0): 1}
+def _sparse_half(coeffs3, coeffs2, ranges: _WitnessRanges, bounds, mass: int) -> Ledger:
+    """Fold variables one at a time into a ledger over keys (Phi, Theta)."""
+    half = Ledger.from_vectors([(0, 0)], bounds, mass)
     for c3, c2, rng in zip(coeffs3, coeffs2, ranges):
-        new: dict = {}
-        for (t, f), cnt in ledger.items():
-            for v in rng:
-                key = (t + c3 * v**3, f + c2 * v * v)
-                new[key] = new.get(key, 0) + cnt
-        ledger = new
-    return ledger
+        half = half.convolve(Ledger.from_vectors([(c2 * v * v, c3 * v**3) for v in rng], bounds, mass))
+    return half
 
 
 def _dense_half(coeffs3, coeffs2, ranges: _WitnessRanges) -> tuple[np.ndarray, int, int]:
@@ -227,15 +223,6 @@ def _split_indices(sys: DiagonalSystem, ranges: _WitnessRanges) -> tuple[list[in
     return order[0::2], order[1::2]
 
 
-def _match_dict(L1: dict, L2: dict) -> int:
-    total = 0
-    for (t, f), c in L1.items():
-        c2 = L2.get((-t, -f))
-        if c2:
-            total += c * c2
-    return total
-
-
 def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int) -> int:
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
@@ -244,13 +231,18 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     def half_mass(idx):
         return math.prod(len(ranges[i]) for i in idx)
 
-    if max(half_mass(idx1), half_mass(idx2)) <= 1_000_000:
-        halves = []
-        for idx in (idx1, idx2):
-            halves.append(
-                _dict_half([cubic[i] for i in idx], [quad[i] for i in idx], [ranges[i] for i in idx])
-            )
-        return _match_dict(*halves)
+    mass = max(half_mass(idx1), half_mass(idx2))
+    if mass <= 1_000_000:
+        check_budget(mass, budget, what="sparse count ledger")
+        bounds = (
+            sum(abs(c) * max(v * v for v in rng) for c, rng in zip(quad, ranges)),
+            sum(abs(c) * max(abs(v) ** 3 for v in rng) for c, rng in zip(cubic, ranges)),
+        )
+        L1, L2 = (
+            _sparse_half([cubic[i] for i in idx], [quad[i] for i in idx], [ranges[i] for i in idx], bounds, mass)
+            for idx in (idx1, idx2)
+        )
+        return L1.matched_negated(L2)
     grids = []
     for idx in (idx1, idx2):
         c3 = [cubic[i] for i in idx]
@@ -281,10 +273,17 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     return int(np.multiply(s1, s2, dtype=np.int64).sum(dtype=object))
 
 
+_WITNESS_NODE_CAP = 2_000_000
+
+
 def _witness_scan(
-    sys: DiagonalSystem, ranges: _WitnessRanges, limit: int, node_cap: int = 2_000_000
-) -> list[tuple[int, ...]]:
-    """DFS in by-magnitude order with interval pruning; skips the zero tuple."""
+    sys: DiagonalSystem, ranges: _WitnessRanges, limit: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """DFS in by-magnitude order with interval pruning; skips the zero tuple.
+
+    Returns the solutions found and the nodes visited.  The scan gives up
+    once it has visited more than _WITNESS_NODE_CAP nodes.
+    """
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
     s = sys.s
@@ -307,7 +306,7 @@ def _witness_scan(
     def dfs(i: int, t: int, f: int) -> bool:
         nonlocal visited
         visited += 1
-        if visited > node_cap:
+        if visited > _WITNESS_NODE_CAP:
             return True
         if i == s:
             point = tuple(stack_vals)
@@ -326,7 +325,7 @@ def _witness_scan(
         return False
 
     dfs(0, 0, 0)
-    return found
+    return found, visited
 
 
 @dataclass(frozen=True)
@@ -335,6 +334,7 @@ class SolutionCount:
     count: int
     restriction: str
     witnesses: tuple[tuple[int, ...], ...]
+    witnesses_truncated: bool  # the witness scan gave up before witness_limit hits
 
 
 def _build_ranges(
@@ -398,16 +398,23 @@ def count_solutions(
     """
     ranges, style = _build_ranges(sys, bounds, restriction, R)
     count = _count_via_ledgers(sys, ranges, budget)
-    witnesses = tuple(_witness_scan(sys, ranges, witness_limit))
-    return SolutionCount(bounds, count, restriction, witnesses)
+    witnesses, visited = _witness_scan(sys, ranges, witness_limit)
+    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > _WITNESS_NODE_CAP)
 
 
 def search_witness(sys: DiagonalSystem, B: int) -> Optional[tuple[int, ...]]:
-    """Smallest nonzero solution with |x_i| <= B in by-magnitude order."""
+    """Smallest nonzero solution with |x_i| <= B in by-magnitude order.
+
+    Returns None when the box holds no nonzero solution, and raises
+    BudgetError when the scan gives up before finding one.
+    """
     if B < 0:
         raise ValueError("B must be >= 0")
-    hits = _witness_scan(sys, [range(-B, B + 1)] * sys.s, limit=1)
-    return hits[0] if hits else None
+    hits, visited = _witness_scan(sys, [range(-B, B + 1)] * sys.s, limit=1)
+    if hits:
+        return hits[0]
+    check_budget(visited, _WITNESS_NODE_CAP, what="witness search nodes")
+    return None
 
 
 def verify_solution(sys: DiagonalSystem, point: Sequence[int]) -> bool:

@@ -84,6 +84,16 @@ class DiagonalSystem:
         return theta, phi
 
 
+# named systems shared by the CLI, the acceptance gate, the tests and scripts
+BUILTIN_SYSTEMS = {
+    "balanced11": DiagonalSystem(a=(1, 1, 1, 1, 1, 1), b=(1, 1, 1, -1, -1, -1), c=(1, -1, 2), d=(1, -2)),
+    "sample5": DiagonalSystem(a=(1, -1), b=(1, 1), c=(1,), d=(1, -1)),
+    "ladder6": DiagonalSystem(a=(), b=(), c=(1, -1), d=(1, -1, 1, -1)),
+    # shared pair: x1 = x2 forced over the integers, so N(B) = 2B + 1
+    "tiny2": DiagonalSystem(a=(1, -1), b=(1, -1)),
+}
+
+
 class SystemClass(enum.Enum):
     A = "A"
     B = "B"

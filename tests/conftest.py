@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from diagpair import DiagonalSystem
+from diagpair.systems import BUILTIN_SYSTEMS
 
 settings.register_profile(
     "suite",
@@ -19,18 +20,17 @@ def rng():
 
 @pytest.fixture(scope="session")
 def tiny2():
-    # shared pair: x1 = x2 forced over the integers, so N(B) = 2B + 1
-    return DiagonalSystem(a=(1, -1), b=(1, -1))
+    return BUILTIN_SYSTEMS["tiny2"]
 
 
 @pytest.fixture(scope="session")
 def sample5():
-    return DiagonalSystem(a=(1, -1), b=(1, 1), c=(1,), d=(1, -1))
+    return BUILTIN_SYSTEMS["sample5"]
 
 
 @pytest.fixture(scope="session")
 def ladder6():
-    return DiagonalSystem(a=(), b=(), c=(1, -1), d=(1, -1, 1, -1))
+    return BUILTIN_SYSTEMS["ladder6"]
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +42,4 @@ def ladder4():
 
 @pytest.fixture(scope="session")
 def balanced11():
-    return DiagonalSystem(
-        a=(1, 1, 1, 1, 1, 1), b=(1, 1, 1, -1, -1, -1), c=(1, -1, 2), d=(1, -2)
-    )
+    return BUILTIN_SYSTEMS["balanced11"]

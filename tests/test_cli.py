@@ -71,6 +71,7 @@ def test_solve_builtin_counts(capsys):
     assert doc["result"]["count"]["N"] == "21"
     assert doc["result"]["count"]["witnesses"][0] == ["1", "1"]
     assert doc["result"]["witness"] == ["1", "1"]
+    assert doc["result"]["count"]["witnesses_truncated"] is False
 
 
 def test_solve_spec_file(tmp_path, capsys):
@@ -110,19 +111,29 @@ def test_config_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--kind", "T", "--s", "6", "--x", "200", "--budget", "100000"),
-        ("--kind", "I", "--s", "2", "--y", "8", "--h", "8", "--budget", "5"),
-        ("--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
-        ("--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
+        ("moments", "--kind", "T", "--s", "6", "--x", "200", "--budget", "100000"),
+        ("moments", "--kind", "I", "--s", "2", "--y", "8", "--h", "8", "--budget", "5"),
+        ("moments", "--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
+        ("moments", "--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
+        ("solve", "--builtin", "tiny2", "--b", "10", "--budget", "10"),
     ],
-    ids=["T", "I", "J", "J1"],
+    ids=["T", "I", "J", "J1", "solve-B"],
 )
 def test_budget_error_exit_code(capsys, argv):
-    code, _, err = run(capsys, "moments", *argv)
+    code, _, err = run(capsys, *argv)
     assert code == cli.EXIT_BUDGET
     payload = json.loads(err)
     assert payload["error"] == "budget"
     assert int(payload["estimate"]) > int(payload["cap"])
+
+
+def test_witness_search_gives_up_exit_code(capsys, monkeypatch):
+    from diagpair import solver
+
+    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
+    code, _, err = run(capsys, "solve", "--builtin", "tiny2", "--witness-bound", "5")
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(err)["what"] == "witness search nodes"
 
 
 def test_unknown_subcommand_exits_two(capsys):

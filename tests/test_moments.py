@@ -62,9 +62,11 @@ def test_T_shifted_matches_brute(s, X, h_max):
 
 @given(st.integers(1, 3), st.integers(1, 8))
 def test_shifted_endpoints(s, X):
-    # h_max = s X makes the linear slot free; h_max = 0 binds all three
+    # h_max >= s X makes the linear slot free; h_max = 0 binds all three
+    # (moment_J is moment_T_shifted at h_max = 0, so compare with brute force)
     assert moment_T_shifted(s, X, s * X).value == moment_T(s, X).value
-    assert moment_T_shifted(s, X, 0).value == moment_J(s, X).value
+    assert moment_T_shifted(s, X, 10**9).value == moment_T(s, X).value
+    assert moment_T_shifted(s, X, 0).value == oracles.brute_moment_J(s, X)
 
 
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 5))
@@ -92,6 +94,14 @@ def test_mixed_moment_matches_brute():
     fast = mixed_moment([f1, g1, h1], [2, 2, 2]).value
     brute = oracles.brute_mixed_moment([f1, g1, h1], [2, 2, 2])
     assert fast == brute
+
+
+def test_mixed_moment_past_int64_keys():
+    # cubic keys near 10^19 pack past 2^62, so the ledger folds Python ints
+    f1 = BoxSumSpec(kind="f", theta=0.3, P=8, cubic=10**17, quad=1)
+    h1 = BoxSumSpec(kind="h", theta=0.5, P=8, quad=3)
+    fast = mixed_moment([f1, h1], [4, 2]).value
+    assert fast == oracles.brute_mixed_moment([f1, h1], [4, 2])
 
 
 def test_mixed_moment_smooth_factor():

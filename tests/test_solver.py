@@ -12,6 +12,7 @@ from diagpair import (
     search_witness,
     verify_solution,
 )
+from diagpair import solver
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
 
 # frozen brute-force counts
@@ -127,6 +128,7 @@ def test_smooth_restriction_needs_box(sample5):
 def test_witnesses_verify_and_exclude_zero(sample5):
     res = count_solutions(sample5, 4)
     assert res.witnesses
+    assert not res.witnesses_truncated
     for w in res.witnesses:
         assert any(w)
         assert verify_solution(sample5, w)
@@ -150,6 +152,19 @@ def test_search_witness_none_when_blocked():
     assert search_witness(blocked, 6) is None
 
 
+def test_witness_cap_is_reported(tiny2, monkeypatch):
+    # five nodes reach (0, 0), (0, 1) and (0, -1) but not the witness (1, 1)
+    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
+    res = count_solutions(tiny2, 5)
+    assert res.count == 11
+    assert res.witnesses == ()
+    assert res.witnesses_truncated
+    with pytest.raises(BudgetError) as exc:
+        search_witness(tiny2, 5)
+    assert exc.value.what == "witness search nodes"
+    assert exc.value.estimate > exc.value.cap == 5
+
+
 def test_verify_solution(sample5):
     assert verify_solution(sample5, (1, 1, -2, 1, -3)) is False
     assert verify_solution(sample5, (0, 0, 0, 0, 0))
@@ -158,6 +173,15 @@ def test_verify_solution(sample5):
 def test_count_budget(balanced11):
     with pytest.raises(BudgetError):
         count_solutions(balanced11, 500, budget=10**6)
+
+
+def test_sparse_count_budget(tiny2):
+    # each half of tiny2 at B = 10 holds 21 tuples
+    with pytest.raises(BudgetError) as exc:
+        count_solutions(tiny2, 10, budget=10)
+    assert exc.value.what == "sparse count ledger"
+    assert exc.value.estimate == 21
+    assert count_solutions(tiny2, 10, budget=21).count == 21
 
 
 def test_predict_and_compare_smoke(ladder6, rng):
