@@ -26,7 +26,7 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    spec = BoxSumSpec(kind="f", theta=0.4, P=args.p, cubic=1, quad=1)
+    spec = BoxSumSpec(theta=0.4, P=args.p, cubic=1, quad=1)
 
     print(f"minor-arc sweep at P = {args.p}, eps = {args.eps}")
     print(f"{'Q':>6}  {'max |f|/norm':>13}  {'rejected':>9}")

@@ -9,7 +9,7 @@ Run: python3 scripts/series_ladder.py [--builtin balanced11] [--height 400]
 
 import argparse
 
-from diagpair import load_system, singular_series
+from diagpair import DEFAULT_LEDGER_BUDGET, load_system, singular_series
 from diagpair.systems import BUILTIN_SYSTEMS
 
 
@@ -21,7 +21,9 @@ def main() -> None:
     args = ap.parse_args()
 
     sysd = load_system(args.spec) if args.spec else BUILTIN_SYSTEMS[args.builtin]
-    res = singular_series(sysd, args.height, cap=max(500, args.height))
+    # the q x q tables for q <= height hold height(height+1)(2 height+1)/6 cells
+    cells = args.height * (args.height + 1) * (2 * args.height + 1) // 6
+    res = singular_series(sysd, args.height, budget=max(DEFAULT_LEDGER_BUDGET, cells))
 
     print(f"system s={sysd.s}, height {args.height}")
     print(f"{'q':>5}  {'partial':>12}  {'band max |B|':>14}")

@@ -115,10 +115,10 @@ _SMALL3 = DiagonalSystem(a=(1, 1), b=(1, -1), c=(1,), d=())
 
 def _oracle_instances(profile: str):
     smoke = profile != "desk"
-    f_spec = BoxSumSpec(kind="f", theta=0.3, P=8.0, cubic=1, quad=1, smooth_R=None)
-    h_spec = BoxSumSpec(kind="h", theta=0.4, P=8.0, cubic=0, quad=1, smooth_R=None)
-    g_spec = BoxSumSpec(kind="g", theta=0.3, P=10.0, cubic=1, quad=0, smooth_R=None)
-    g_smooth = BoxSumSpec(kind="g", theta=0.3, P=12.0, cubic=1, quad=0, smooth_R=3)
+    f_spec = BoxSumSpec(theta=0.3, P=8.0, cubic=1, quad=1)
+    h_spec = BoxSumSpec(theta=0.4, P=8.0, quad=1)
+    g_spec = BoxSumSpec(theta=0.3, P=10.0, cubic=1)
+    g_smooth = BoxSumSpec(theta=0.3, P=12.0, cubic=1, smooth_R=3)
     inst = [
         ("moment_T(1,5)", lambda: int(moment_T(1, 5)), lambda: brute_moment_T(1, 5)),
         ("moment_T(2,10)", lambda: int(moment_T(2, 10)), lambda: brute_moment_T(2, 10)),
@@ -233,16 +233,16 @@ def criterion_7(profile: str = "desk") -> CriterionResult:
                 if dk % p == 0:
                     continue
                 for r2 in range(1, p):
-                    mag = complete_sum("h", p, r2, 0, dk).magnitude
+                    mag = complete_sum(p, r2, 0, 0, dk).magnitude
                     if abs(mag - math.sqrt(p)) > 1e-8:
-                        return False, f"|S_h({p},{r2})| = {mag:.8f} != sqrt({p})"
+                        return False, f"|S({p}, r2={r2}; 0, {dk})| = {mag:.8f} != sqrt({p})"
         rng = np.random.default_rng(3)
         for _ in range(200):
             q = int(rng.integers(1, 60))
             r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
-            for kind, coeff in [("f", (1, -2)), ("g", 3), ("h", -1)]:
-                if complete_sum(kind, q, r2, r3, coeff).magnitude > q + 1e-9:
-                    return False, f"|S_{kind}({q})| above trivial bound"
+            for A3, A2 in [(1, -2), (3, 0), (0, -1)]:
+                if complete_sum(q, r2, r3, A3, A2).magnitude > q + 1e-9:
+                    return False, f"|S({q}; {A3}, {A2})| above trivial bound"
         q_top = 200 if profile == "desk" else 100
         ratio = 0.0
         for q in range(1, q_top + 1):

@@ -5,7 +5,9 @@ The box integrals v(beta) rescale exactly: substituting gamma = P*g and
 integral of V over the beta box into P^(s-5) times a P-free double
 integral W(Q) over |b_i| <= Q at unit scale.  Everything here computes
 W(Q) and friends at unit scale; the only place P reappears is the final
-P^(s-5) factor and the v values themselves.
+P^(s-5) factor and the v values themselves.  A variable enters through its
+(cubic, quadratic) coefficient pair (A3, A2), with A2 = 0 on the y-block and
+A3 = 0 on the z-block.
 
 Quadrature is plain Gauss-Legendre on equal panels.  The first pass sizes
 each grid so a panel sees at most a fixed number of turns of the local phase;
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .local import _components, complete_sum
+from .local import complete_sum
 from .arcs import ArcFamily, membership
 from .systems import DiagonalSystem
 
@@ -90,23 +92,8 @@ def _refine(integrate: Callable[[int], complex], tol: float, floor: float) -> tu
         prev, m = cur, 2 * m
 
 
-def _kind_coeffs(kind: str, coeffs) -> tuple[int, int]:
-    if kind == "f":
-        A3, A2 = coeffs
-    elif kind == "g":
-        A3 = coeffs if isinstance(coeffs, int) else coeffs[0]
-        A2 = 0
-    elif kind == "h":
-        A2 = coeffs if isinstance(coeffs, int) else coeffs[0]
-        A3 = 0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return A3, A2
-
-
 @dataclass(frozen=True)
 class OscillatoryValue:
-    kind: str
     beta2: float
     beta3: float
     P: float
@@ -116,20 +103,20 @@ class OscillatoryValue:
 
 
 def oscillatory_v(
-    kind: str,
+    A3: int,
+    A2: int,
     beta2: float,
     beta3: float,
     P: float,
     theta_i: float,
-    coeffs,
     tol: float = 1e-9,
 ) -> OscillatoryValue:
     """Integral of e(A3 beta3 g^3 + A2 beta2 g^2) over (theta_i P/2, 2 theta_i P).
 
-    Panel count doubles until two successive passes agree within
+    (A3, A2) is one variable's (cubic, quadratic) coefficient pair.  Panel
+    count doubles until two successive passes agree within
     tol * max(1, |v|); the disagreement is reported as the error estimate.
     """
-    A3, A2 = _kind_coeffs(kind, coeffs)
     lo, hi = theta_i * P / 2.0, 2.0 * theta_i * P
     if hi <= lo:
         raise ValueError("box is empty; need theta_i > 0 and P > 0")
@@ -144,15 +131,14 @@ def oscillatory_v(
         return complex(np.dot(wts, np.exp(1j * phase)))
 
     value, err, _ = _refine(integrate, tol, 1.0)
-    return OscillatoryValue(kind, beta2, beta3, P, theta_i, value, err)
+    return OscillatoryValue(beta2, beta3, P, theta_i, value, err)
 
 
 def _theta_blocks(sys: DiagonalSystem, theta: Sequence[float]) -> list[tuple[int, int, float]]:
-    """(A3, A2, theta_i) per component, box anchors in variable order."""
+    """(A3, A2, theta_i) per variable, box anchors in variable order."""
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
-    comps = _components(sys)
-    return [(A3, A2, float(theta[i])) for i, (_, A3, A2) in enumerate(comps)]
+    return [(A3, A2, float(th)) for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)]
 
 
 def unit_singular_integral(
@@ -252,7 +238,7 @@ def singular_integral(
     sys: DiagonalSystem,
     Q: float,
     P: float,
-    theta: Optional[Sequence[float]] = None,
+    theta: Sequence[float],
     heights: Optional[Sequence[float]] = None,
 ) -> tuple[float, dict]:
     """Truncated singular integral J(Q) = P^(s-5) W(Q), with a dyadic ladder.
@@ -262,10 +248,6 @@ def singular_integral(
     convergence checks consume, plus per height the quadrature error
     estimate and the work the refinement did (passes, final b2/b3 nodes).
     """
-    if theta is None:
-        from .solver import find_real_anchor
-
-        theta = find_real_anchor(sys).theta
     if heights is None:
         heights = []
         h = Q
@@ -403,10 +385,7 @@ def star_approx(
     if not mem.inside:
         return StarApprox(None, 0j)
     q, r2, r3 = mem.witness
-    kind, A3, A2 = _components(sys)[index]
-    coeffs = (A3, A2) if kind == "f" else (A3,) if kind == "g" else (A2,)
-    S = complete_sum(kind, q, r2, r3, coeffs)
-    v = oscillatory_v(
-        kind, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), coeffs, tol=tol
-    )
+    A3, A2 = sys.cubic_coeffs()[index], sys.quad_coeffs()[index]
+    S = complete_sum(q, r2, r3, A3, A2)
+    v = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
     return StarApprox(mem.witness, S.value * v.value / q)

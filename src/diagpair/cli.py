@@ -148,28 +148,25 @@ def _cmd_moments(args, cfg: RunConfig):
         value = int(moment_J(args.s, args.x, budget=cfg.budget))
     elif kind == "J1":
         value = int(count_J1(args.y, args.h, budget=cfg.budget))
-    elif kind == "mixed":
+    else:  # mixed; argparse choices rule out anything else
         factors, exps = [], []
         for text in args.factor or []:
             part = text.split(":")
-            if len(part) not in (5, 6):
-                raise ValueError("factor format kind:theta:cubic:quad:exp[:R]")
+            if len(part) not in (4, 5):
+                raise ValueError("factor format theta:cubic:quad:exp[:R]")
             factors.append(
                 BoxSumSpec(
-                    kind=part[0],
-                    theta=float(part[1]),
+                    theta=float(part[0]),
                     P=float(args.p),
-                    cubic=int(part[2]),
-                    quad=int(part[3]),
-                    smooth_R=int(part[5]) if len(part) == 6 else None,
+                    cubic=int(part[1]),
+                    quad=int(part[2]),
+                    smooth_R=int(part[4]) if len(part) == 5 else None,
                 )
             )
-            exps.append(int(part[4]))
+            exps.append(int(part[3]))
         if not factors:
             raise ValueError("mixed needs at least one --factor")
         value = int(mixed_moment(factors, exps, budget=cfg.budget))
-    else:
-        raise ValueError(f"unknown kind {kind}")
     return {"kind": kind, "value": value}, False
 
 
@@ -177,7 +174,7 @@ def _cmd_local(args, cfg: RunConfig):
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.series is not None:
-        res = singular_series(sysd, args.series)
+        res = singular_series(sysd, args.series, budget=cfg.budget)
         out["series"] = {
             "Q": res.Q,
             "value": res.value,
@@ -202,9 +199,15 @@ def _cmd_local(args, cfg: RunConfig):
 
 def _cmd_arch(args, cfg: RunConfig):
     sysd = _load_spec(args)
-    theta = tuple(float(t) for t in args.theta.split(",")) if args.theta else None
+    if args.theta:
+        theta = tuple(float(t) for t in args.theta.split(","))
+    else:
+        # the anchor's theta solves its sign-flipped system, not sysd itself
+        anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))
+        sysd, theta = anchor.system, anchor.theta
     value, diag = singular_integral(sysd, Q=args.q, P=args.p, theta=theta)
     out = {
+        "system": format_system(sysd),
         "J": value,
         "W": diag["W"],
         "ladder": {str(k): v for k, v in sorted(diag["ladder"].items())},
@@ -278,7 +281,7 @@ def _cmd_solve(args, cfg: RunConfig):
         rep = check_conditions(sysd, rng=rng)
         out["conditions"] = asdict(rep)
     if args.anchor:
-        anchor = find_real_anchor(sysd)
+        anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))
         out["anchor"] = {
             "theta": anchor.theta,
             "residuals": anchor.residuals,
@@ -293,7 +296,7 @@ def _cmd_solve(args, cfg: RunConfig):
         out["witness"] = search_witness(sysd, args.witness_bound)
     if args.predict is not None:
         rng = np.random.default_rng(cfg.seed)
-        out["predict"] = predict_and_compare(sysd, args.predict, Q=args.series_q, eta=args.eta, rng=rng)
+        out["predict"] = predict_and_compare(sysd, args.predict, Q=args.series_q, eta=args.eta, rng=rng, budget=cfg.budget)
     if len(out) == 2:
         raise ValueError("solve needs one of --conditions/--anchor/--B/--witness-bound/--predict")
     return out, False
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=4)
     p.add_argument("--hmax", type=int, default=None)
     p.add_argument("--p", type=float, default=10.0)
-    p.add_argument("--factor", action="append", help="kind:theta:cubic:quad:exp[:R], repeatable")
+    p.add_argument("--factor", action="append", help="theta:cubic:quad:exp[:R], repeatable")
     p.set_defaults(func=_cmd_moments)
 
     p = add_parser("local", help="singular series, congruence counts, chi identity")

@@ -126,12 +126,12 @@ def block_sum(
 class BoxSumSpec:
     """A box-restricted sum over integer x in (theta*P/2, 2*theta*P].
 
-    kind 'f' uses phase cubic*alpha3*x^3 + quad*alpha2*x^2 (shared variable),
-    kind 'g' the cubic part only, kind 'h' the quadratic part only.  With
-    smooth_R set, x is additionally restricted to largest-prime-factor <= R.
+    The phase is cubic*alpha3*x^3 + quad*alpha2*x^2: both coefficients are
+    nonzero on a shared variable, quad = 0 on a pure-cubic one and cubic = 0
+    on a pure-quadratic one.  With smooth_R set, x is additionally
+    restricted to largest-prime-factor <= R.
     """
 
-    kind: str
     theta: float
     P: float
     cubic: int = 0
@@ -139,14 +139,10 @@ class BoxSumSpec:
     smooth_R: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("f", "g", "h"):
-            raise ValueError(f"kind must be 'f', 'g' or 'h', got {self.kind!r}")
         if self.theta <= 0 or self.P <= 0:
             raise ValueError("theta and P must be positive")
-        if self.kind in ("f", "g") and self.cubic == 0:
-            raise ValueError(f"kind {self.kind!r} needs a nonzero cubic coefficient")
-        if self.kind in ("f", "h") and self.quad == 0:
-            raise ValueError(f"kind {self.kind!r} needs a nonzero quad coefficient")
+        if self.cubic == 0 and self.quad == 0:
+            raise ValueError("need a nonzero cubic or quad coefficient")
         if self.smooth_R is not None and self.smooth_R < 2:
             raise ValueError("smooth_R must be >= 2")
 
@@ -175,8 +171,8 @@ def box_sum(spec: BoxSumSpec, alpha2: float, alpha3: float) -> SumValue:
     xs = spec.members()
     if not xs:
         return SumValue(0.0, 0.0)
-    A3 = scaled_coeff(alpha3, spec.cubic) if spec.kind in ("f", "g") else 0
-    A2 = scaled_coeff(alpha2, spec.quad) if spec.kind in ("f", "h") else 0
+    A3 = scaled_coeff(alpha3, spec.cubic)
+    A2 = scaled_coeff(alpha2, spec.quad)
     scaled = [(A3 * x * x * x + A2 * x * x) % _SCALE for x in xs]
     re, im = _exp_of_scaled(scaled)
     return SumValue(re, im)

@@ -4,6 +4,11 @@ Every phase here is an exact rational j/q, so sums are evaluated from a
 root-of-unity table (or equivalently a DFT of the phase histogram) and the
 only error is final-rounding in the trigonometric table itself.
 
+Each variable enters through its (cubic, quadratic) coefficient pair
+(A3, A2), read from `DiagonalSystem.cubic_coeffs()`/`quad_coeffs()`; a
+pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0, so one
+complete sum S(q, r) covers all three blocks.
+
 The central identity tying the two local viewpoints together: with
 B(q) = sum over primitive (q, r2, r3) of T(q, r), the congruence count
 M(q) satisfies M(p^t) = p^(t(s-2)) * sum_{h <= t} B(p^h).  Both sides are
@@ -26,14 +31,6 @@ from .systems import DiagonalSystem
 _MAX_Q_DIRECT = 10_000
 
 
-def _components(sys: DiagonalSystem) -> list[tuple[str, int, int]]:
-    """(kind, cubic phase coefficient, quadratic phase coefficient) per factor."""
-    comps = [("f", ai, bi) for ai, bi in zip(sys.a, sys.b)]
-    comps += [("g", cj, 0) for cj in sys.c]
-    comps += [("h", 0, dk) for dk in sys.d]
-    return comps
-
-
 @lru_cache(maxsize=256)
 def _unity_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     ang = 2.0 * math.pi * np.arange(q) / q
@@ -42,7 +39,6 @@ def _unity_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CompleteSum:
-    kind: str
     q: int
     r2: int
     r3: int
@@ -53,33 +49,23 @@ class CompleteSum:
         return abs(self.value)
 
 
-def complete_sum(kind: str, q: int, r2: int, r3: int, coeffs) -> CompleteSum:
-    """Direct q-term evaluation of S_kind(q, r) from the unity table.
+def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> CompleteSum:
+    """Direct q-term evaluation of S(q, r), the sum of e((A3 r3 u^3 + A2 r2 u^2)/q).
 
-    coeffs is (a, b) for kind f, a single c for kind g, a single d for
-    kind h (tuples of length one are accepted).
+    (A3, A2) is one variable's (cubic, quadratic) coefficient pair; a
+    pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > _MAX_Q_DIRECT:
         raise BudgetError(q, _MAX_Q_DIRECT, "complete sum modulus")
-    if kind == "f":
-        A3, A2 = coeffs
-    elif kind == "g":
-        (A3,) = coeffs if isinstance(coeffs, (tuple, list)) else (coeffs,)
-        A2 = 0
-    elif kind == "h":
-        (A2,) = coeffs if isinstance(coeffs, (tuple, list)) else (coeffs,)
-        A3 = 0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     u = np.arange(1, q + 1, dtype=np.int64)
     c3 = (A3 % q) * (r3 % q) % q
     c2 = (A2 % q) * (r2 % q) % q
     idx = (c3 * (u**3 % q) + c2 * (u * u % q)) % q
     cos, sin = _unity_table(q)
     value = complex(math.fsum(cos[idx]), math.fsum(sin[idx]))
-    return CompleteSum(kind, q, r2 % q, r3 % q, value)
+    return CompleteSum(q, r2 % q, r3 % q, value)
 
 
 def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
@@ -87,14 +73,8 @@ def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
     if math.gcd(math.gcd(q, r2), r3) != 1:
         raise ValueError("(q, r2, r3) must be coprime as a triple")
     prod = complex(1.0)
-    for kind, A3, A2 in _components(sys):
-        if kind == "f":
-            cs = complete_sum("f", q, r2, r3, (A3, A2))
-        elif kind == "g":
-            cs = complete_sum("g", q, r2, r3, (A3,))
-        else:
-            cs = complete_sum("h", q, r2, r3, (A2,))
-        prod *= cs.value
+    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
+        prod *= complete_sum(q, r2, r3, A3, A2).value
     return prod * float(q) ** (-sys.s)
 
 
@@ -113,7 +93,7 @@ def _component_table(q: int, A3: int, A2: int) -> np.ndarray:
 def _t_table(sys: DiagonalSystem, q: int) -> np.ndarray:
     cache: dict = {}
     prod = np.full((q, q), float(q) ** (-sys.s), dtype=complex)
-    for _, A3, A2 in _components(sys):
+    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
         key = (A3 % q, A2 % q)
         if key not in cache:
             cache[key] = _component_table(q, A3, A2)
@@ -137,12 +117,15 @@ class LocalFactor:
     chi: dict = field(default_factory=dict)
 
 
-def singular_series(sys: DiagonalSystem, Q: int, cap: int = 500) -> LocalFactor:
-    """Partial singular series through modulus Q, with per-q diagnostics."""
+def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> LocalFactor:
+    """Partial singular series through modulus Q, with per-q diagnostics.
+
+    The q x q tables for q <= Q hold Q(Q+1)(2Q+1)/6 cells in all; that
+    total is checked against `budget` up front.
+    """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if Q > cap:
-        raise BudgetError(Q, cap, "singular series height")
+    check_budget(Q * (Q + 1) * (2 * Q + 1) // 6, budget, what="singular series table cells")
     A: dict = {}
     B: dict = {}
     running = np.empty(Q)
@@ -192,7 +175,7 @@ def count_congruences(sys: DiagonalSystem, q: int, budget: int = DEFAULT_LEDGER_
     if q < 1:
         raise ValueError("q must be >= 1")
     check_budget(sys.s * q**3, budget, what="congruence ledger")
-    comps = [(A3, A2) for _, A3, A2 in _components(sys)]
+    comps = list(zip(sys.cubic_coeffs(), sys.quad_coeffs()))
     half = len(comps) // 2
     left = _fold_vars(q, comps[:half])
     right = _fold_vars(q, comps[half:])

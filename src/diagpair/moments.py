@@ -200,9 +200,7 @@ def mixed_moment(
             return MomentResult(0, {"factors": len(factors)}, "ledger")
         est *= len(xs) ** (exp // 2)
         check_budget(est, budget)
-        k3 = spec.cubic if spec.kind in ("f", "g") else 0
-        k2 = spec.quad if spec.kind in ("f", "h") else 0
-        folds.append(([(k2 * x * x, k3 * x**3) for x in xs], exp // 2))
+        folds.append(([(spec.quad * x * x, spec.cubic * x**3) for x in xs], exp // 2))
     bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in folds) for j in (0, 1)]
     ledger = Ledger.from_vectors([(0, 0)], bounds, est)
     for vectors, e in folds:

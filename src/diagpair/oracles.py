@@ -92,11 +92,7 @@ def brute_mixed_moment(
             raise ValueError("exponents must be even and >= 0")
         if exp == 0:
             continue
-        gens = []
-        for x in spec.members():
-            k3 = spec.cubic * x**3 if spec.kind in ("f", "g") else 0
-            k2 = spec.quad * x * x if spec.kind in ("f", "h") else 0
-            gens.append((k3, k2))
+        gens = [(spec.cubic * x**3, spec.quad * x * x) for x in spec.members()]
         if not gens:
             return 0
         half = [

@@ -429,9 +429,11 @@ def predict_and_compare(
     eta: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
     mc_samples: int = 400_000,
+    budget: int = DEFAULT_LEDGER_BUDGET,
 ) -> dict:
     """Compare exact box counts R(P) against the predicted C * S(Q) * P^(s-5).
 
+    `budget` caps the singular series tables and every exact count.
     With eta given, also forms the smooth-restricted predictions: the
     smooth-y count carries one Dickman factor per pure-cubic variable and
     the smooth-x_l count carries a single factor.
@@ -441,10 +443,10 @@ def predict_and_compare(
     from .smooth import c_eta
 
     anchor = find_real_anchor(sys, rng=rng)
-    series = singular_series(anchor.system, Q)
+    series = singular_series(anchor.system, Q, budget=budget)
     C, C_err = volume_constant(anchor.system, anchor.theta, rng=rng, samples=mc_samples)
     prediction = C * series.value * P ** (sys.s - 5)
-    exact = count_solutions(anchor.system, (P, anchor.theta))
+    exact = count_solutions(anchor.system, (P, anchor.theta), budget=budget)
     report = {
         "P": P,
         "Q": Q,
@@ -461,14 +463,14 @@ def predict_and_compare(
         R = max(2, math.floor(P**eta))
         ce = c_eta(eta)
         variants = {}
-        smooth_y = count_solutions(anchor.system, (P, anchor.theta), "smooth-y", R=R)
+        smooth_y = count_solutions(anchor.system, (P, anchor.theta), "smooth-y", R=R, budget=budget)
         variants["smooth-y"] = {
             "count": smooth_y.count,
             "prediction": ce**sys.m * prediction,
             "R": R,
         }
         if sys.l > 0:
-            smooth_xl = count_solutions(anchor.system, (P, anchor.theta), "smooth-xl", R=R)
+            smooth_xl = count_solutions(anchor.system, (P, anchor.theta), "smooth-xl", R=R, budget=budget)
             variants["smooth-xl"] = {
                 "count": smooth_xl.count,
                 "prediction": ce * prediction,

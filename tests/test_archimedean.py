@@ -53,7 +53,7 @@ def _ladder6_w_by_quad(Q):
 
 
 def test_v_at_zero_is_box_length():
-    val = oscillatory_v("g", 0.0, 0.0, 100.0, 0.3, (1,))
+    val = oscillatory_v(1, 0, 0.0, 0.0, 100.0, 0.3)
     assert val.value == pytest.approx(45.0 + 0j, abs=1e-12)
     assert val.error_estimate <= 1e-9
 
@@ -61,15 +61,15 @@ def test_v_at_zero_is_box_length():
 @given(b2=st.floats(-0.2, 0.2), b3=st.floats(-0.02, 0.02))
 @settings(max_examples=20)
 def test_v_conjugate_symmetry(b2, b3):
-    z = oscillatory_v("f", b2, b3, 20.0, 0.4, (1, 2)).value
-    w = oscillatory_v("f", -b2, -b3, 20.0, 0.4, (1, 2)).value
+    z = oscillatory_v(1, 2, b2, b3, 20.0, 0.4).value
+    w = oscillatory_v(1, 2, -b2, -b3, 20.0, 0.4).value
     assert abs(w - z.conjugate()) <= 1e-9
 
 
 @given(b2=st.floats(-0.5, 0.5), b3=st.floats(-0.05, 0.05))
 @settings(max_examples=20)
 def test_v_trivial_bound(b2, b3):
-    val = oscillatory_v("f", b2, b3, 30.0, 0.25, (1, -1)).value
+    val = oscillatory_v(1, -1, b2, b3, 30.0, 0.25).value
     assert abs(val) <= 1.5 * 0.25 * 30.0 + 1e-9
 
 
@@ -82,7 +82,7 @@ def test_v_matches_quad():
 
     re, _ = quad(lambda g: math.cos(phase(g)), lo, hi, limit=300)
     im, _ = quad(lambda g: math.sin(phase(g)), lo, hi, limit=300)
-    got = oscillatory_v("f", b2, b3, P, th, (2, -1)).value
+    got = oscillatory_v(2, -1, b2, b3, P, th).value
     assert got == pytest.approx(complex(re, im), abs=1e-8)
 
 

@@ -129,7 +129,7 @@ def test_transfer_report_fields():
 
 
 def test_minor_arc_check_smoke(rng):
-    spec = BoxSumSpec(kind="f", theta=0.4, P=1.0, cubic=1, quad=1)
+    spec = BoxSumSpec(theta=0.4, P=1.0, cubic=1, quad=1)
     rep = minor_arc_weyl_check(spec, Q=4.0, P=80.0, samples=25, rng=rng)
     assert rep["samples_used"] == 25
     assert rep["max_normalized"] > 0
@@ -139,6 +139,6 @@ def test_minor_arc_check_smoke(rng):
 
 
 def test_minor_arc_check_height_cap():
-    spec = BoxSumSpec(kind="g", theta=0.4, P=1.0, cubic=1)
+    spec = BoxSumSpec(theta=0.4, P=1.0, cubic=1)
     with pytest.raises(ValueError):
         minor_arc_weyl_check(spec, Q=50.0, P=100.0, samples=5)

@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from diagpair import cli
+from diagpair import cli, find_real_anchor, format_system, unit_singular_integral
 from diagpair.oracles import brute_moment_T
 
 
@@ -34,6 +35,38 @@ def test_exact_integers_are_decimal_strings(capsys):
     val = doc["result"]["value"]
     assert isinstance(val, str) and re.fullmatch(r"-?\d+", val)
     assert int(val) == 20448
+
+
+def test_moments_mixed(capsys):
+    doc = run_json(
+        capsys, "moments", "--kind", "mixed", "--p", "10", "--factor", "0.4:1:1:2", "--factor", "0.3:1:0:4"
+    )
+    assert doc["result"]["value"] == "270"
+
+
+@pytest.mark.parametrize(
+    "factor", ["f:0.4:1:1:2", "0.4:1:1", "0.4:1:1:2:3:4"], ids=["old-kind", "3-field", "6-field"]
+)
+def test_moments_mixed_bad_factor(capsys, factor):
+    code, _, err = run(capsys, "moments", "--kind", "mixed", "--p", "10", "--factor", factor)
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in err
+
+
+def test_anchor_follows_seed(capsys, sample5):
+    thetas = []
+    for seed in (1, 5):
+        anchor = find_real_anchor(sample5, rng=np.random.default_rng(seed))
+        want = anchor.theta
+        doc = run_json(capsys, "solve", "--builtin", "sample5", "--anchor", "--seed", str(seed))
+        assert doc["result"]["anchor"]["theta"] == list(want)
+        doc = run_json(capsys, "arch", "--builtin", "sample5", "--q", "4", "--seed", str(seed))
+        assert doc["result"]["theta"] == list(want)
+        # W belongs to the sign-flipped system that the anchor solves
+        assert doc["result"]["W"] == unit_singular_integral(anchor.system, want, 4.0)[0]
+        assert doc["result"]["system"] == format_system(anchor.system)
+        thetas.append(want)
+    assert thetas[0] != thetas[1]
 
 
 def test_csv_two_rows(capsys):
@@ -116,8 +149,11 @@ def test_config_error_exit_code(capsys):
         ("moments", "--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
         ("moments", "--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
         ("solve", "--builtin", "tiny2", "--b", "10", "--budget", "10"),
+        # the q <= 40 tables hold 22140 cells
+        ("local", "--builtin", "sample5", "--series", "40", "--budget", "22139"),
+        ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "22139"),
     ],
-    ids=["T", "I", "J", "J1", "solve-B"],
+    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict"],
 )
 def test_budget_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)

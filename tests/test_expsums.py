@@ -79,26 +79,26 @@ def test_block_sum_starred_substitution():
 
 
 def test_box_range_bounds():
-    spec = BoxSumSpec(kind="g", theta=0.3, P=100, cubic=1)
+    spec = BoxSumSpec(theta=0.3, P=100, cubic=1)
     lo, hi = spec.range_bounds()
     assert (lo, hi) == (16, 60)
     assert spec.members() == list(range(16, 61))
 
 
 def test_box_members_smooth():
-    spec = BoxSumSpec(kind="g", theta=0.3, P=100, cubic=1, smooth_R=5)
+    spec = BoxSumSpec(theta=0.3, P=100, cubic=1, smooth_R=5)
     members = spec.members()
     assert members == [16, 18, 20, 24, 25, 27, 30, 32, 36, 40, 45, 48, 50, 54, 60]
 
 
 def test_box_sum_empty_box_is_zero():
-    spec = BoxSumSpec(kind="g", theta=0.3, P=1, cubic=1)
+    spec = BoxSumSpec(theta=0.3, P=1, cubic=1)
     assert spec.members() == []
     assert box_sum(spec, 0.1, 0.2).as_complex() == 0j
 
 
 def test_box_sum_direct():
-    spec = BoxSumSpec(kind="f", theta=0.4, P=40, cubic=2, quad=-1)
+    spec = BoxSumSpec(theta=0.4, P=40, cubic=2, quad=-1)
     a2, a3 = 0.31, 0.17
     direct = sum(
         cmath.exp(2j * math.pi * (2 * a3 * x**3 - a2 * x**2)) for x in spec.members()
@@ -109,10 +109,6 @@ def test_box_sum_direct():
 
 def test_box_kind_validation():
     with pytest.raises(ValueError):
-        BoxSumSpec(kind="q", theta=0.3, P=10, cubic=1)
+        BoxSumSpec(theta=0.3, P=10)
     with pytest.raises(ValueError):
-        BoxSumSpec(kind="g", theta=0.3, P=10)
-    with pytest.raises(ValueError):
-        BoxSumSpec(kind="h", theta=0.3, P=10, cubic=1)
-    with pytest.raises(ValueError):
-        BoxSumSpec(kind="f", theta=0.3, P=10, cubic=1, quad=1, smooth_R=1)
+        BoxSumSpec(theta=0.3, P=10, cubic=1, quad=1, smooth_R=1)

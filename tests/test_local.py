@@ -19,39 +19,32 @@ from diagpair.oracles import brute_count_congruences
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def direct_complete_sum(kind, q, r2, r3, coeffs):
+def direct_complete_sum(q, r2, r3, A3, A2):
     total = 0j
     for x in range(q):
-        if kind == "f":
-            A3, A2 = coeffs
-            phase = r3 * A3 * x**3 + r2 * A2 * x * x
-        elif kind == "g":
-            phase = r3 * coeffs[0] * x**3
-        else:
-            phase = r2 * coeffs[0] * x * x
-        total += cmath.exp(2j * math.pi * phase / q)
+        total += cmath.exp(2j * math.pi * (r3 * A3 * x**3 + r2 * A2 * x * x) / q)
     return total
 
 
-@given(st.integers(1, 30), st.sampled_from("fgh"), st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool))
+# zeros allowed: A2 = 0 is a pure-cubic variable, A3 = 0 a pure-quadratic one
+@given(st.integers(1, 30), st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=60)
-def test_complete_sum_matches_direct(q, kind, A3, A2):
-    coeffs = (A3, A2) if kind == "f" else (A3,) if kind == "g" else (A2,)
-    got = complete_sum(kind, q, q // 3, q // 2, coeffs).value
-    want = direct_complete_sum(kind, q, q // 3, q // 2, coeffs)
+def test_complete_sum_matches_direct(q, A3, A2):
+    got = complete_sum(q, q // 3, q // 2, A3, A2).value
+    want = direct_complete_sum(q, q // 3, q // 2, A3, A2)
     assert abs(got - want) <= 1e-9 * q
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_gauss_magnitude(p):
     # quadratic complete sum with p coprime to everything has magnitude sqrt(p)
-    val = complete_sum("h", p, 1, 0, (1,))
+    val = complete_sum(p, 1, 0, 0, 1)
     assert val.magnitude == pytest.approx(math.sqrt(p), rel=1e-12)
 
 
 def test_complete_sum_residue_zero_is_count():
-    assert complete_sum("g", 12, 5, 0, (1,)).value == pytest.approx(12 + 0j)
-    assert complete_sum("h", 9, 0, 2, (1,)).value == pytest.approx(9 + 0j)
+    assert complete_sum(12, 5, 0, 1, 0).value == pytest.approx(12 + 0j)
+    assert complete_sum(9, 0, 2, 0, 1).value == pytest.approx(9 + 0j)
 
 
 def test_t_factor_matches_direct(sample5):
@@ -123,6 +116,15 @@ def test_singular_series_partials(balanced11):
 def test_singular_series_height_cap(balanced11):
     with pytest.raises(BudgetError):
         singular_series(balanced11, 600)
+
+
+def test_singular_series_budget(sample5):
+    # the tables for q <= 40 hold 40 * 41 * 81 / 6 = 22140 cells
+    assert singular_series(sample5, 40, budget=22140).Q == 40
+    with pytest.raises(BudgetError) as info:
+        singular_series(sample5, 40, budget=22139)
+    assert info.value.estimate == 22140
+    assert info.value.what == "singular series table cells"
 
 
 def test_padic_witness_found(balanced11, rng):

@@ -88,9 +88,9 @@ def test_classify_I2_buckets():
 
 
 def test_mixed_moment_matches_brute():
-    f1 = BoxSumSpec(kind="f", theta=0.5, P=12, cubic=1, quad=1)
-    g1 = BoxSumSpec(kind="g", theta=0.4, P=12, cubic=-1)
-    h1 = BoxSumSpec(kind="h", theta=0.6, P=12, quad=2)
+    f1 = BoxSumSpec(theta=0.5, P=12, cubic=1, quad=1)
+    g1 = BoxSumSpec(theta=0.4, P=12, cubic=-1)
+    h1 = BoxSumSpec(theta=0.6, P=12, quad=2)
     fast = mixed_moment([f1, g1, h1], [2, 2, 2]).value
     brute = oracles.brute_mixed_moment([f1, g1, h1], [2, 2, 2])
     assert fast == brute
@@ -98,21 +98,21 @@ def test_mixed_moment_matches_brute():
 
 def test_mixed_moment_past_int64_keys():
     # cubic keys near 10^19 pack past 2^62, so the ledger folds Python ints
-    f1 = BoxSumSpec(kind="f", theta=0.3, P=8, cubic=10**17, quad=1)
-    h1 = BoxSumSpec(kind="h", theta=0.5, P=8, quad=3)
+    f1 = BoxSumSpec(theta=0.3, P=8, cubic=10**17, quad=1)
+    h1 = BoxSumSpec(theta=0.5, P=8, quad=3)
     fast = mixed_moment([f1, h1], [4, 2]).value
     assert fast == oracles.brute_mixed_moment([f1, h1], [4, 2])
 
 
 def test_mixed_moment_smooth_factor():
-    g_sm = BoxSumSpec(kind="g", theta=0.5, P=30, cubic=1, smooth_R=3)
+    g_sm = BoxSumSpec(theta=0.5, P=30, cubic=1, smooth_R=3)
     fast = mixed_moment([g_sm], [4]).value
     assert fast == oracles.brute_mixed_moment([g_sm], [4])
 
 
 def test_mixed_moment_zero_exponent_skips_factor():
-    g1 = BoxSumSpec(kind="g", theta=0.4, P=10, cubic=1)
-    h1 = BoxSumSpec(kind="h", theta=0.4, P=10, quad=1)
+    g1 = BoxSumSpec(theta=0.4, P=10, cubic=1)
+    h1 = BoxSumSpec(theta=0.4, P=10, quad=1)
     assert mixed_moment([g1, h1], [2, 0]).value == mixed_moment([g1], [2]).value
 
 
@@ -121,15 +121,15 @@ def test_mixed_moment_empty_product():
 
 
 def test_mixed_moment_rejects_odd_exponent():
-    g1 = BoxSumSpec(kind="g", theta=0.4, P=10, cubic=1)
+    g1 = BoxSumSpec(theta=0.4, P=10, cubic=1)
     with pytest.raises(ValueError):
         mixed_moment([g1], [3])
 
 
 def test_P_override_rescales_boxes():
-    g1 = BoxSumSpec(kind="g", theta=0.4, P=10, cubic=1)
+    g1 = BoxSumSpec(theta=0.4, P=10, cubic=1)
     assert mixed_moment([g1], [2], P=25).value == mixed_moment(
-        [BoxSumSpec(kind="g", theta=0.4, P=25, cubic=1)], [2]
+        [BoxSumSpec(theta=0.4, P=25, cubic=1)], [2]
     ).value
 
 
