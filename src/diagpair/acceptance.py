@@ -43,6 +43,7 @@ from .oracles import (
     brute_moment_I,
     brute_moment_J,
     brute_moment_T,
+    direct_series_term,
 )
 from .smooth import dickman_rho, smooth_set
 from .solver import count_solutions, verify_solution
@@ -269,11 +270,18 @@ def criterion_8(profile: str = "desk") -> CriterionResult:
             return False, f"differences not decreasing: {diffs}"
         if partials[-1] <= 0:
             return False, f"final partial {partials[-1]:.6f} <= 0"
-        for q1 in range(2, 13):
-            for q2 in range(2, 13):
-                if q1 * q2 > 12 or math.gcd(q1, q2) != 1:
+        # res.A at composite q is built as a product, so the left side of the
+        # identity comes from direct complete sums, which every res.A[q] matches;
+        # q = 15 is the first composite where balanced11's A(q) is not 0
+        direct = {q: direct_series_term(BALANCED11, q)[0] for q in range(2, 16)}
+        for q, a in direct.items():
+            if abs(res.A[q] - a) > 1e-9 * max(1.0, abs(a)):
+                return False, f"A({q}) != direct A({q})"
+        for q1 in range(2, 16):
+            for q2 in range(2, 16):
+                if q1 * q2 > 15 or math.gcd(q1, q2) != 1:
                     continue
-                lhs, rhs = res.A[q1 * q2], res.A[q1] * res.A[q2]
+                lhs, rhs = direct[q1 * q2], res.A[q1] * res.A[q2]
                 if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
                     return False, f"A({q1 * q2}) != A({q1})A({q2})"
         tag = "" if profile == "desk" else " (smoke heights)"

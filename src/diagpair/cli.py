@@ -181,6 +181,8 @@ def _cmd_local(args, cfg: RunConfig):
             "imag": res.imag,
             "A": {str(q): v for q, v in sorted(res.A.items())},
             "partials_tail": [float(v) for v in res.partials[-5:]],
+            "tables": res.tables,
+            "cells": res.cells,
         }
     if args.q is not None:
         res = count_congruences(sysd, args.q, budget=cfg.budget)

@@ -9,6 +9,14 @@ Each variable enters through its (cubic, quadratic) coefficient pair
 pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0, so one
 complete sum S(q, r) covers all three blocks.
 
+The singular series is summed from prime powers.  A(q) and B(q) are
+multiplicative over coprime factors (CRT splits each primitive residue
+pair and each complete sum), so tables of T(q, r) are built only at q = 1
+and at prime powers q = p^k, and every other A(q), B(q) is the product
+of its p-part's value and its cofactor's.  Criterion 8 checks that
+product against `oracles.direct_series_term`, which sums direct complete
+sums at composite q with no tables and no multiplicativity.
+
 The central identity tying the two local viewpoints together: with
 B(q) = sum over primitive (q, r2, r3) of T(q, r), the congruence count
 M(q) satisfies M(p^t) = p^(t(s-2)) * sum_{h <= t} B(p^h).  Both sides are
@@ -18,6 +26,7 @@ computed independently and compared.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -90,20 +99,66 @@ def _component_table(q: int, A3: int, A2: int) -> np.ndarray:
     return q * q * np.fft.ifft2(hist)
 
 
-def _t_table(sys: DiagonalSystem, q: int) -> np.ndarray:
-    cache: dict = {}
-    prod = np.full((q, q), float(q) ** (-sys.s), dtype=complex)
+def _line_sum(q: int, j: np.ndarray) -> np.ndarray:
+    """S[r] = sum over u of e(j_u r / q), via the DFT of the histogram of j."""
+    return q * np.fft.ifft(np.bincount(j, minlength=q))
+
+
+def _prime_power_table(sys: DiagonalSystem, q: int) -> np.ndarray:
+    """T[r2, r3] = q^(-s) * product of the component sums, for all residues mod q.
+
+    Components are grouped by their residues (A3 mod q, A2 mod q): both
+    zero gives the constant q, a pure-quadratic pair a vector over r2, a
+    pure-cubic pair a vector over r3, and only a mixed pair needs a q x q
+    table.  Used at q = 1 and at prime powers, where coefficients divisible
+    by p reach the first three cases.
+    """
+    u = np.arange(1, q + 1, dtype=np.int64)
+    scale = float(q) ** (-sys.s)
+    over_r2 = np.ones(q, dtype=complex)
+    over_r3 = np.ones(q, dtype=complex)
+    mixed = Counter()
     for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        key = (A3 % q, A2 % q)
-        if key not in cache:
-            cache[key] = _component_table(q, A3, A2)
-        prod = prod * cache[key]
-    return prod
+        c3, c2 = A3 % q, A2 % q
+        if c3 == 0 and c2 == 0:
+            scale *= q
+        elif c3 == 0:
+            over_r2 *= _line_sum(q, c2 * (u * u % q) % q)
+        elif c2 == 0:
+            over_r3 *= _line_sum(q, c3 * (u**3 % q) % q)
+        else:
+            mixed[c3, c2] += 1
+    table = scale * np.outer(over_r2, over_r3)
+    for (c3, c2), n in mixed.items():
+        factor = _component_table(q, c3, c2)
+        for _ in range(n):
+            table *= factor
+    return table
 
 
 def _primitive_mask(q: int) -> np.ndarray:
     r = np.arange(q)
     return np.gcd.outer(np.gcd(r, q), r) == 1
+
+
+def _series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
+    """(A(q), B(q)): sums of |T| and of T over primitive (r2, r3), from one table."""
+    vals = _prime_power_table(sys, q)[_primitive_mask(q)]
+    return float(np.abs(vals).sum()), complex(vals.sum())
+
+
+def _prime_part(q: int) -> int:
+    """p^v_p(q) for the smallest prime p dividing q, and 1 for q = 1.
+
+    q is 1 or a prime power exactly when its prime part is q itself.
+    """
+    if q == 1:
+        return 1
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    pk = p
+    while q % (pk * p) == 0:
+        pk *= p
+    return pk
 
 
 @dataclass
@@ -114,30 +169,46 @@ class LocalFactor:
     A: dict = field(default_factory=dict)  # q -> sum of |T| over primitive r
     B: dict = field(default_factory=dict)  # q -> sum of T  over primitive r
     partials: Optional[np.ndarray] = None  # running sums, index q-1
-    chi: dict = field(default_factory=dict)
+    tables: int = 0  # q x q tables built: q = 1 and each prime power q <= Q
+    cells: int = 0  # cells in those tables, the estimate checked against the budget
 
 
 def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> LocalFactor:
     """Partial singular series through modulus Q, with per-q diagnostics.
 
-    The q x q tables for q <= Q hold Q(Q+1)(2Q+1)/6 cells in all; that
-    total is checked against `budget` up front.
+    Tables are built only at q = 1 and at prime powers; every other
+    q = p^k m with p not dividing m takes A(q) = A(p^k) A(m) and the complex
+    B(q) = B(p^k) B(m).  The tables hold 1 + sum of q^2 over prime powers
+    q <= Q cells in all; that total is checked against `budget` up front.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    check_budget(Q * (Q + 1) * (2 * Q + 1) // 6, budget, what="singular series table cells")
+    part = [0] + [_prime_part(q) for q in range(1, Q + 1)]
+    powers = [q for q in range(1, Q + 1) if part[q] == q]
+    cells = check_budget(sum(q * q for q in powers), budget, what="singular series table cells")
     A: dict = {}
     B: dict = {}
     running = np.empty(Q)
     total = complex(0.0)
     for q in range(1, Q + 1):
-        vals = _t_table(sys, q)[_primitive_mask(q)]
-        A[q] = float(np.abs(vals).sum())
-        bsum = complex(vals.sum())
-        B[q] = bsum.real
-        total += bsum
+        pk = part[q]
+        if pk == q:
+            A[q], B[q] = _series_term(sys, q)
+        else:
+            A[q] = A[pk] * A[q // pk]
+            B[q] = B[pk] * B[q // pk]
+        total += B[q]
         running[q - 1] = total.real
-    return LocalFactor(Q=Q, value=total.real, imag=total.imag, A=A, B=B, partials=running)
+    return LocalFactor(
+        Q=Q,
+        value=total.real,
+        imag=total.imag,
+        A=A,
+        B={q: b.real for q, b in B.items()},
+        partials=running,
+        tables=len(powers),
+        cells=cells,
+    )
 
 
 # -- congruence counts ---------------------------------------------------
@@ -207,9 +278,7 @@ def chi_p_partial(sys: DiagonalSystem, p: int, t: int) -> ChiPartial:
         raise ValueError("t must be >= 0")
     total = complex(1.0)  # h = 0 term
     for h in range(1, t + 1):
-        q = p**h
-        vals = _t_table(sys, q)[_primitive_mask(q)]
-        total += complex(vals.sum())
+        total += _series_term(sys, p**h)[1]
     M = count_congruences(sys, p**t).M
     count_side = M / float(p) ** (t * (sys.s - 2))
     return ChiPartial(p, t, total.real, count_side, M)

@@ -4,7 +4,8 @@ Each function here enumerates tuples directly and compares form values,
 with no key grouping, hashing, or convolution, so agreement with the
 ledger implementations is evidence rather than tautology.  The uniform
 pattern is: materialise all half-tuples with their component sums, then
-scan all pairs quadratically.  Everything is pure Python integers.
+scan all pairs quadratically.  Everything is pure Python integers, apart
+from `direct_series_term`, which sums complete sums term by term.
 
 Enumeration cost is (number of half-tuples)^2; callers keep instances at
 or below about 10^7 of those comparisons.
@@ -12,10 +13,12 @@ or below about 10^7 of those comparisons.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Optional, Sequence
 
 from .expsums import BoxSumSpec
+from .local import t_factor
 from .systems import DiagonalSystem
 
 
@@ -133,3 +136,21 @@ def brute_count_congruences(sys: DiagonalSystem, q: int) -> int:
         if theta % q == 0 and phi % q == 0:
             count += 1
     return count
+
+
+def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
+    """A(q) and B(q) as sums of `t_factor` over the primitive (r2, r3) mod q.
+
+    Each T(q, r) is a product of direct q-term complete sums: no tables, no
+    FFT and no multiplicativity, so composite q checks the Euler product.
+    Cost is about q^2 * s complete sums.
+    """
+    A = 0.0
+    B = complex(0.0)
+    for r2 in range(q):
+        for r3 in range(q):
+            if math.gcd(math.gcd(q, r2), r3) == 1:
+                t = t_factor(sys, q, r2, r3)
+                A += abs(t)
+                B += t
+    return A, B

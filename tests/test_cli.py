@@ -123,6 +123,12 @@ def test_local_chi(capsys):
     assert doc["result"]["congruences"]["M"] == "1539"
 
 
+def test_local_series_counters(capsys):
+    series = run_json(capsys, "local", "--builtin", "sample5", "--series", "40")["result"]["series"]
+    # tables at q = 1 and the 19 prime powers q <= 40
+    assert (int(series["tables"]), int(series["cells"])) == (20, 7523)
+
+
 def test_smooth_outputs(capsys):
     doc = run_json(capsys, "smooth", "--x", "10", "--r", "3", "--rho", "2.0")
     assert doc["result"]["count"] == "7"
@@ -149,9 +155,9 @@ def test_config_error_exit_code(capsys):
         ("moments", "--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
         ("moments", "--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
         ("solve", "--builtin", "tiny2", "--b", "10", "--budget", "10"),
-        # the q <= 40 tables hold 22140 cells
-        ("local", "--builtin", "sample5", "--series", "40", "--budget", "22139"),
-        ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "22139"),
+        # the series' tables through q = 40 hold 7523 cells
+        ("local", "--builtin", "sample5", "--series", "40", "--budget", "7522"),
+        ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "7522"),
     ],
     ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict"],
 )

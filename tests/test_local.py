@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagpair import (
+    DEFAULT_LEDGER_BUDGET,
     DiagonalSystem,
     BudgetError,
     chi_p_partial,
@@ -14,7 +15,8 @@ from diagpair import (
     singular_series,
     t_factor,
 )
-from diagpair.oracles import brute_count_congruences
+from diagpair.oracles import brute_count_congruences, direct_series_term
+from diagpair.systems import BUILTIN_SYSTEMS
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -114,17 +116,47 @@ def test_singular_series_partials(balanced11):
 
 
 def test_singular_series_height_cap(balanced11):
-    with pytest.raises(BudgetError):
-        singular_series(balanced11, 600)
+    # 977 is prime, so the tables through 976 hold 977^2 fewer cells and fit
+    with pytest.raises(BudgetError) as info:
+        singular_series(balanced11, 977)
+    assert info.value.estimate - 977**2 <= DEFAULT_LEDGER_BUDGET < info.value.estimate
 
 
 def test_singular_series_budget(sample5):
-    # the tables for q <= 40 hold 40 * 41 * 81 / 6 = 22140 cells
-    assert singular_series(sample5, 40, budget=22140).Q == 40
+    # tables at q = 1 and the 19 prime powers q <= 40 hold 1 + sum q^2 = 7523 cells
+    res = singular_series(sample5, 40, budget=7523)
+    assert (res.Q, res.tables, res.cells) == (40, 20, 7523)
     with pytest.raises(BudgetError) as info:
-        singular_series(sample5, 40, budget=22139)
-    assert info.value.estimate == 22140
+        singular_series(sample5, 40, budget=7522)
+    assert info.value.estimate == 7523
     assert info.value.what == "singular series table cells"
+
+
+# coefficients divisible by 2 and 3: at q = 2, 3, 4, 8, 9, 16 components
+# fall to both-zero residues or to pure 1-D tables
+DIV23 = DiagonalSystem(a=(2, 1), b=(3, 1), c=(4,), d=(6,))
+
+
+@pytest.mark.parametrize(
+    "sysd,Q,tables,cells",
+    [
+        pytest.param(BUILTIN_SYSTEMS["balanced11"], 12, 9, 370, id="balanced11"),
+        pytest.param(BUILTIN_SYSTEMS["sample5"], 24, 14, 1974, id="sample5"),
+        pytest.param(DIV23, 18, 12, 1084, id="div23"),
+    ],
+)
+def test_singular_series_matches_direct(sysd, Q, tables, cells):
+    res = singular_series(sysd, Q)
+    # B(q) can cancel to zero (every sum mod 2 here does), hence the 1e-14 floor
+    running = 0.0
+    for q in range(1, Q + 1):
+        A, B = direct_series_term(sysd, q)
+        assert res.A[q] == pytest.approx(A, rel=1e-12, abs=1e-14)
+        assert res.B[q] == pytest.approx(B.real, rel=1e-12, abs=1e-14)
+        running += B.real
+        assert res.partials[q - 1] == pytest.approx(running, rel=1e-12, abs=1e-14)
+    # tables at q = 1 and at each prime power, 1 + sum of their q^2 cells
+    assert (res.tables, res.cells) == (tables, cells)
 
 
 def test_padic_witness_found(balanced11, rng):
