@@ -419,13 +419,15 @@ _CRITERIA = [
 
 
 def run_all(profile: str = "desk", jobs: int = 1) -> list[CriterionResult]:
+    """Run every criterion in order, serially.
+
+    `jobs` is kept only because perfbench/workloads.py passes `jobs=1`;
+    any other value raises ValueError.
+    """
     if profile not in ("smoke", "desk"):
         raise ValueError("profile must be 'smoke' or 'desk'")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda f: f(profile), _CRITERIA))
+    if jobs != 1:
+        raise ValueError("criteria run serially; jobs must be 1")
     return [f(profile) for f in _CRITERIA]
 
 

@@ -49,7 +49,6 @@ class RunConfig:
     budget: int
     out: Optional[str]
     format: str
-    jobs: int
     params: dict
 
 
@@ -104,7 +103,6 @@ def _report(cfg: RunConfig, result: Any) -> dict:
             "seed": cfg.seed,
             "budget": cfg.budget,
             "format": cfg.format,
-            "jobs": cfg.jobs,
             "params": cfg.params,
         },
         "result": _jsonify(result),
@@ -305,7 +303,7 @@ def _cmd_solve(args, cfg: RunConfig):
 
 
 def _cmd_verify(args, cfg: RunConfig):
-    results = run_all(args.profile, jobs=cfg.jobs)
+    results = run_all(args.profile)
     sys.stdout.write(format_results(results) + "\n")
     failed = not all(r.passed for r in results)
     if cfg.out:
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget", type=int, default=DEFAULT_LEDGER_BUDGET)
-    common.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(prog="diagpair", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -408,11 +405,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         budget=args.budget,
         out=args.out,
         format=args.format,
-        jobs=args.jobs,
         params={
             k: v
             for k, v in vars(args).items()
-            if k not in ("func", "out", "format", "seed", "budget", "jobs", "subcommand", "spec", "builtin")
+            if k not in ("func", "out", "format", "seed", "budget", "subcommand", "spec", "builtin")
             and v is not None
         },
     )

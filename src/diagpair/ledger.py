@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _INT64_LIMIT = 2**62
-# Pairs per chunk of an outer sum: 16 MiB per int64 temporary.  Measured with
-# glibc, 2^22-pair chunks left ~50 MB of freed heap resident after later,
-# smaller folds, which then added to the dense solver grids' peak.
+# Pairs per chunk of an outer sum or a pair sum: 16 MiB per int64 temporary.
+# Over the moment folds and box counts of perfbench's exact-ledgers workload,
+# 2^22-pair chunks ran ~10% faster but peaked at 251 MB against 207 MB.
 _CHUNK_PAIRS = 2**21
 
 
@@ -98,11 +98,24 @@ class Ledger:
         """Number of pairs of tuples with equal keys."""
         return exact_dot(self.counts, self.counts)
 
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Counts at the given keys, 0 where a key is absent."""
+        idx = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[idx] == keys, self.counts[idx], 0)
+
+    def fields(self) -> list[np.ndarray]:
+        """Unpack the keys into one value array per field, lowest stride first."""
+        out, rest = [], self.keys
+        for lo, hi in zip(self.strides, self.strides[1:]):
+            width = hi // lo
+            v = (rest + width // 2) % width - width // 2
+            out.append(v)
+            rest = (rest - v) // width
+        out.append(rest)
+        return out
+
     def matched_negated(self, other: "Ledger") -> int:
         """Number of pairs (one tuple from each side) whose keys sum to zero."""
         if self.strides != other.strides:
             raise ValueError("ledgers are packed differently")
-        want = -self.keys
-        idx = np.minimum(np.searchsorted(other.keys, want), len(other.keys) - 1)
-        hit = other.keys[idx] == want
-        return exact_dot(self.counts[hit], other.counts[idx[hit]])
+        return exact_dot(self.counts, other.lookup(-self.keys))

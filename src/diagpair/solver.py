@@ -1,11 +1,15 @@
 """Real anchors, exact solution counting, and the predicted-count comparison.
 
-Counting is meet-in-the-middle: variables are split into two halves, each
-half's (Theta, Phi) value distribution is tabulated exactly, and the
-halves are matched on complementary keys.  When each half holds at most
-10^6 tuples, the halves are folded into sparse `Ledger`s and matched on
-negated keys; otherwise each goes on a dense 2-D integer grid whose axes
-are the achievable (Theta, Phi) ranges.  All counts are exact integers.
+Counting uses the block structure Theta = Theta_x + Theta_y and
+Phi = Phi_x + Phi_z.  The pure-cubic y-block folds into a 1-D `Ledger` r_y
+over Theta and the pure-quadratic z-block into a 1-D `Ledger` r_z over Phi.
+The shared x-block splits into halves A (its first l // 2 variables) and B,
+each folded into a `Ledger` over (Phi, Theta).  The count is then
+
+    R = sum over key pairs (a, b) of n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b),
+
+evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps the tuples
+of each fold and the number of key pairs.  All counts are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -21,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .ledger import Ledger
+from .ledger import _CHUNK_PAIRS, Ledger
 from .smooth import smooth_set
 from .systems import DiagonalSystem
 
@@ -182,95 +186,42 @@ def _ordered_values(rng: Sequence[int]) -> list[int]:
     return sorted(rng, key=lambda v: (abs(v), v < 0))
 
 
-def _sparse_half(coeffs3, coeffs2, ranges: _WitnessRanges, bounds, mass: int) -> Ledger:
-    """Fold variables one at a time into a ledger over keys (Phi, Theta)."""
-    half = Ledger.from_vectors([(0, 0)], bounds, mass)
-    for c3, c2, rng in zip(coeffs3, coeffs2, ranges):
-        half = half.convolve(Ledger.from_vectors([(c2 * v * v, c3 * v**3) for v in rng], bounds, mass))
-    return half
-
-
-def _dense_half(coeffs3, coeffs2, ranges: _WitnessRanges) -> tuple[np.ndarray, int, int]:
-    """Fold variables on a dense (Theta, Phi) grid; returns (grid, lo3, lo2)."""
-    arr = np.ones((1, 1), dtype=np.int64)
-    lo3 = lo2 = 0
-    for c3, c2, rng in zip(coeffs3, coeffs2, ranges):
-        contribs = [(c3 * v**3, c2 * v * v) for v in rng]
-        d3s = [d for d, _ in contribs]
-        d2s = [d for _, d in contribs]
-        nlo3, nhi3 = lo3 + min(d3s), lo3 + arr.shape[0] - 1 + max(d3s)
-        nlo2, nhi2 = lo2 + min(d2s), lo2 + arr.shape[1] - 1 + max(d2s)
-        new = np.zeros((nhi3 - nlo3 + 1, nhi2 - nlo2 + 1), dtype=np.int64)
-        for d3, d2 in contribs:
-            i = lo3 + d3 - nlo3
-            j = lo2 + d2 - nlo2
-            new[i : i + arr.shape[0], j : j + arr.shape[1]] += arr
-        arr, lo3, lo2 = new, nlo3, nlo2
-    return arr, lo3, lo2
-
-
-def _split_indices(sys: DiagonalSystem, ranges: _WitnessRanges) -> tuple[list[int], list[int]]:
-    """Alternate variables between halves, largest key spread first."""
-    cubic = sys.cubic_coeffs()
-    quad = sys.quad_coeffs()
-    spread = []
-    for i, rng in enumerate(ranges):
-        vals = list(rng)
-        w3 = abs(cubic[i]) * (max(v**3 for v in vals) - min(v**3 for v in vals))
-        w2 = abs(quad[i]) * (max(v * v for v in vals) - min(v * v for v in vals))
-        spread.append(((w3 + 1) * (w2 + 1), i))
-    order = [i for _, i in sorted(spread, reverse=True)]
-    return order[0::2], order[1::2]
-
-
 def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int) -> int:
+    """Exact count of points in the ranges where Theta = Phi = 0.
+
+    Sums n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b) over the key
+    pairs (a, b) of the two x-half ledgers, in chunks of _CHUNK_PAIRS pairs.
+    """
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
-    idx1, idx2 = _split_indices(sys, ranges)
+    l, m = sys.l, sys.m
+    blocks = (range(l // 2), range(l // 2, l), range(l, l + m), range(l + m, sys.s))
+    check_budget(max(math.prod(len(ranges[i]) for i in idx) for idx in blocks), budget, what="count fold tuples")
+    # Every product of counts below is at most the total mass, so the folds
+    # stay int64 while it is below 2^62 and are object arrays past that.
+    mass = math.prod(len(r) for r in ranges)
 
-    def half_mass(idx):
-        return math.prod(len(ranges[i]) for i in idx)
+    def fold(idx, forms) -> Ledger:
+        """Ledger over the values of the given (coefficients, exponent) forms."""
+        bounds = [sum(abs(c[i]) * max(abs(v) ** e for v in ranges[i]) for i in idx) for c, e in forms]
+        out = Ledger.from_vectors([(0,) * len(forms)], bounds, mass)
+        for i in idx:
+            gen = [tuple(c[i] * v**e for c, e in forms) for v in ranges[i]]
+            out = out.convolve(Ledger.from_vectors(gen, bounds, mass))
+        return out
 
-    mass = max(half_mass(idx1), half_mass(idx2))
-    if mass <= 1_000_000:
-        check_budget(mass, budget, what="sparse count ledger")
-        bounds = (
-            sum(abs(c) * max(v * v for v in rng) for c, rng in zip(quad, ranges)),
-            sum(abs(c) * max(abs(v) ** 3 for v in rng) for c, rng in zip(cubic, ranges)),
-        )
-        L1, L2 = (
-            _sparse_half([cubic[i] for i in idx], [quad[i] for i in idx], [ranges[i] for i in idx], bounds, mass)
-            for idx in (idx1, idx2)
-        )
-        return L1.matched_negated(L2)
-    grids = []
-    for idx in (idx1, idx2):
-        c3 = [cubic[i] for i in idx]
-        c2 = [quad[i] for i in idx]
-        rs = [list(ranges[i]) for i in idx]
-        est3 = sum(abs(c) * max(abs(min(r)), abs(max(r))) ** 3 for c, r in zip(c3, rs)) * 2 + 1
-        est2 = sum(abs(c) * max(abs(min(r)), abs(max(r))) ** 2 for c, r in zip(c2, rs)) * 2 + 1
-        check_budget(est3 * est2, budget, what="dense count grid")
-        grids.append(_dense_half(c3, c2, rs))
-    (g1, lo31, lo21), (g2, lo32, lo22) = grids
-    hi31 = lo31 + g1.shape[0] - 1
-    hi21 = lo21 + g1.shape[1] - 1
-    hi32 = lo32 + g2.shape[0] - 1
-    hi22 = lo22 + g2.shape[1] - 1
-    # flip g2 so that rows/cols index the negated key directly:
-    # g2f[t + hi32, f + hi22] = g2 at key (-t, -f)
-    g2f = g2[::-1, ::-1]
-    a3, b3 = max(lo31, -hi32), min(hi31, -lo32)
-    a2, b2 = max(lo21, -hi22), min(hi21, -lo22)
-    if a3 > b3 or a2 > b2:
-        return 0
-    s1 = g1[a3 - lo31 : b3 - lo31 + 1, a2 - lo21 : b2 - lo21 + 1]
-    s2 = g2f[a3 + hi32 : b3 + hi32 + 1, a2 + hi22 : b2 + hi22 + 1]
-    if half_mass(idx1) * half_mass(idx2) >= 2**62:
-        s1 = s1.astype(object)
-        s2 = s2.astype(object)
-        return int((s1 * s2).sum())
-    return int(np.multiply(s1, s2, dtype=np.int64).sum(dtype=object))
+    half_a, half_b = (fold(idx, ((quad, 2), (cubic, 3))) for idx in blocks[:2])
+    r_y = fold(blocks[2], ((cubic, 3),))
+    r_z = fold(blocks[3], ((quad, 2),))
+    check_budget(len(half_a.keys) * len(half_b.keys), budget, what="count key pairs")
+    (phi_a, theta_a), (phi_b, theta_b) = half_a.fields(), half_b.fields()
+    rows = max(1, _CHUNK_PAIRS // len(half_b.keys))
+    total = 0
+    for i in range(0, len(half_a.keys), rows):
+        chunk = slice(i, i + rows)
+        weight = r_y.lookup(-(theta_a[chunk, None] + theta_b)) * r_z.lookup(-(phi_a[chunk, None] + phi_b))
+        total += int((half_a.counts[chunk, None] * half_b.counts * weight).sum())
+    return total
 
 
 _WITNESS_NODE_CAP = 2_000_000
@@ -458,6 +409,7 @@ def predict_and_compare(
         "ratio": exact.count / prediction if prediction else math.inf,
         "anchor_theta": anchor.theta,
         "witnesses": exact.witnesses[:3],
+        "witnesses_truncated": exact.witnesses_truncated,
     }
     if eta is not None:
         R = max(2, math.floor(P**eta))

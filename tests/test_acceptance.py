@@ -16,7 +16,7 @@ from diagpair.acceptance import format_results, run_all
 
 @pytest.fixture(scope="module")
 def desk():
-    results = run_all("desk", jobs=4)
+    results = run_all("desk")
     return {r.index: r for r in results}
 
 
@@ -84,3 +84,8 @@ def test_report_covers_all_criteria(desk):
     assert len(lines) == 13
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
     assert lines[-1].endswith("criteria passed")
+
+
+def test_run_all_is_serial():
+    with pytest.raises(ValueError):
+        run_all("smoke", jobs=2)

@@ -185,6 +185,13 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_verify_exit_wiring(capsys, monkeypatch):
     # full profiles are exercised in test_acceptance; here only the exit
     # code wiring is checked, on a stubbed result set (cli binds run_all
@@ -192,15 +199,22 @@ def test_verify_exit_wiring(capsys, monkeypatch):
     from diagpair.acceptance import CriterionResult
 
     monkeypatch.setattr(
-        cli, "run_all", lambda profile, jobs=1: [CriterionResult(1, "stub", True, "ok", 0.0)]
+        cli, "run_all", lambda profile: [CriterionResult(1, "stub", True, "ok", 0.0)]
     )
     code, out, _ = run(capsys, "verify", "--profile", "smoke")
     assert code == cli.EXIT_OK
     assert "PASS criterion" in out
 
     monkeypatch.setattr(
-        cli, "run_all", lambda profile, jobs=1: [CriterionResult(1, "stub", False, "no", 0.0)]
+        cli, "run_all", lambda profile: [CriterionResult(1, "stub", False, "no", 0.0)]
     )
     code, out, _ = run(capsys, "verify")
     assert code == cli.EXIT_ASSERT
     assert "FAIL criterion" in out
+
+
+def test_solve_predict_reports_witness_truncation(capsys):
+    doc = run_json(capsys, "solve", "--builtin", "ladder6", "--predict", "10", "--series-q", "10")
+    pred = doc["result"]["predict"]
+    assert pred["witnesses_truncated"] is False
+    assert int(pred["count"]) >= len(pred["witnesses"]) > 0

@@ -62,7 +62,10 @@ def test_ledger_matches_dict_reference(sets, e, huge_mass):
     Lb = Ledger.from_vectors(b, bounds, mass)
     ra, rb = _dict_ledger(a), _dict_ledger(b)
 
-    assert _decode(La.convolve(Lb), bounds) == _dict_convolve(ra, rb)
+    conv = La.convolve(Lb)
+    assert _decode(conv, bounds) == _dict_convolve(ra, rb)
+    assert list(zip(*[f.tolist() for f in conv.fields()])) == list(_decode(conv, bounds))
+    assert Lb.lookup(-La.keys).tolist() == [rb.get(tuple(-x for x in k), 0) for k in _decode(La, bounds)]
     power = _dict_power(ra, e)
     assert _decode(La.power(e), bounds) == power
     assert La.power(e).sum_of_squares() == sum(c * c for c in power.values())

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagpair import (
     AnchorError,
@@ -13,6 +15,7 @@ from diagpair import (
     verify_solution,
 )
 from diagpair import solver
+from diagpair.budget import DEFAULT_LEDGER_BUDGET
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
 
 # frozen brute-force counts
@@ -82,6 +85,24 @@ def test_counts_match_brute_s4(B):
     assert count_solutions(pair4, B).count == brute_count_solutions(pair4, B)
 
 
+def test_count_in_small_chunks(sample5, monkeypatch):
+    # one x-half key per chunk of the pair sum
+    monkeypatch.setattr(solver, "_CHUNK_PAIRS", 1)
+    assert count_solutions(sample5, 5).count == SAMPLE5_N5
+
+
+def test_count_past_int64():
+    # x in {-1, 0, 1}^(2k) with Theta = sum x_i and Phi = #nonzero in the
+    # first k minus #nonzero in the last k: N = sum_j C(k, j)^2 C(2j, j)
+    k = 22
+    wide = DiagonalSystem(a=(1,) * (2 * k), b=(1,) * k + (-1,) * k)
+    want = sum(math.comb(k, j) ** 2 * math.comb(2 * j, j) for j in range(k + 1))
+    assert want >= 2**63
+    res = count_solutions(wide, 1, budget=3**k)
+    assert res.count == want
+    assert all(verify_solution(wide, w) for w in res.witnesses)
+
+
 def test_count_monotone_in_B(sample5):
     counts = [count_solutions(sample5, B).count for B in range(6)]
     assert counts == sorted(counts)
@@ -109,6 +130,49 @@ def test_box_count_matches_brute(ladder6):
         hi = int(np.floor(2 * th * P))
         ranges.append(range(lo, hi + 1))
     assert got.count == brute_count_box_solutions(ladder6, ranges)
+
+
+@st.composite
+def _blocked_systems(draw):
+    """A system with l, m, n in 0..2 and one value list per variable.
+
+    Value lists are contiguous boxes or gappy sets, the shape a smooth
+    restriction leaves; one coefficient may be +-10^17 to force object keys.
+    """
+    l, m, n = draw(st.tuples(*[st.integers(0, 2)] * 3).filter(lambda lmn: sum(lmn) >= 1))
+    coeff = st.integers(1, 3).flatmap(lambda v: st.sampled_from([v, -v]))
+    cs = draw(st.lists(coeff, min_size=2 * l + m + n, max_size=2 * l + m + n))
+    if draw(st.integers(0, 3)) == 0:
+        cs[draw(st.integers(0, len(cs) - 1))] = draw(st.sampled_from([10**17, -(10**17)]))
+    system = DiagonalSystem(a=cs[:l], b=cs[l : 2 * l], c=cs[2 * l : 2 * l + m], d=cs[2 * l + m :])
+    ranges = []
+    for _ in range(system.s):
+        if draw(st.booleans()):
+            lo = draw(st.integers(-3, 2))
+            ranges.append(range(lo, lo + draw(st.integers(1, 4))))
+        else:
+            ranges.append(sorted(draw(st.sets(st.integers(-5, 5), min_size=1, max_size=4))))
+    return system, ranges
+
+
+@settings(max_examples=150)
+@given(_blocked_systems())
+@example((DiagonalSystem(a=(10**17, -(10**17)), b=(1, -1), c=(2,), d=(1,)), [range(-2, 3)] * 4))
+def test_block_count_matches_brute(case):
+    system, ranges = case
+    got = solver._count_via_ledgers(system, ranges, DEFAULT_LEDGER_BUDGET)
+    assert got == brute_count_box_solutions(system, ranges)
+    assert isinstance(got, int)
+
+
+@pytest.mark.parametrize("P, want", [(26, 44199), (40, 570521)])
+def test_balanced11_box_pins(balanced11, P, want):
+    # seed-0 anchor; both counts run at the default budget
+    anchor = find_real_anchor(balanced11, rng=np.random.default_rng(0))
+    res = count_solutions(anchor.system, (P, anchor.theta))
+    assert res.count == want
+    for w in res.witnesses:
+        assert verify_solution(anchor.system, w)
 
 
 def test_smooth_restriction_shrinks(ladder6):
@@ -175,13 +239,15 @@ def test_count_budget(balanced11):
         count_solutions(balanced11, 500, budget=10**6)
 
 
-def test_sparse_count_budget(tiny2):
-    # each half of tiny2 at B = 10 holds 21 tuples
+def test_count_budget_boundaries(tiny2):
+    # at B = 10 each x-half of tiny2 folds 21 tuples into 21 keys: 441 pairs
     with pytest.raises(BudgetError) as exc:
-        count_solutions(tiny2, 10, budget=10)
-    assert exc.value.what == "sparse count ledger"
-    assert exc.value.estimate == 21
-    assert count_solutions(tiny2, 10, budget=21).count == 21
+        count_solutions(tiny2, 10, budget=20)
+    assert (exc.value.what, exc.value.estimate) == ("count fold tuples", 21)
+    with pytest.raises(BudgetError) as exc:
+        count_solutions(tiny2, 10, budget=440)
+    assert (exc.value.what, exc.value.estimate) == ("count key pairs", 441)
+    assert count_solutions(tiny2, 10, budget=441).count == 21
 
 
 def test_predict_and_compare_smoke(ladder6, rng):
@@ -190,5 +256,14 @@ def test_predict_and_compare_smoke(ladder6, rng):
     assert rep["prediction"] > 0
     assert rep["ratio"] == pytest.approx(rep["count"] / rep["prediction"])
     assert len(rep["anchor_theta"]) == 6
+    assert rep["witnesses_truncated"] is False
     for w in rep["witnesses"]:
         assert verify_solution(ladder6, w)
+
+
+def test_predict_reports_witness_cap(ladder6, rng, monkeypatch):
+    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
+    rep = predict_and_compare(ladder6, 12.0, Q=10, rng=rng, mc_samples=20_000)
+    assert rep["count"] > 0
+    assert rep["witnesses"] == ()
+    assert rep["witnesses_truncated"] is True
