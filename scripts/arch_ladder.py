@@ -1,9 +1,11 @@
 """Dyadic ladder for the unit singular integral, with an MC cross-check.
 
-W(Q) is integrated at heights Q, Q/2, Q/4, ...; the tail differences and
-their ratios show the convergence rate, the geometric extrapolation gives
-a limit estimate, and a thin-shell Monte Carlo of the same box density
-provides an independent value to compare against.
+W(Q) is integrated at heights Q, Q/2, Q/4, ...; each row gives the
+quadrature's work (passes, the last pass's b2, b3 and gamma nodes, and its
+1-D and 2-D factor tables).  The tail differences and their ratios show the
+convergence rate, the geometric extrapolation gives a limit estimate, and a
+thin-shell Monte Carlo of the same box density provides an independent
+value to compare against.
 
 Run: python3 scripts/arch_ladder.py [--builtin ladder6] [--q 64]
 """
@@ -44,7 +46,8 @@ def main() -> None:
         print("anchor theta:", tuple(round(t, 4) for t in theta))
 
     heights = [args.q / 2**k for k in range(args.rungs)][::-1]
-    print(f"{'Q':>8}  {'W(Q)':>12}  {'tail':>10}  {'ratio':>7}")
+    print(f"{'Q':>8}  {'W(Q)':>12}  {'tail':>10}  {'ratio':>7}  {'passes':>6}  {'b2':>6}  {'b3':>6}  "
+          f"{'gamma':>6}  {'1-D':>3}  {'2-D':>3}")
     values = []
     prev = None
     prev_tail = None
@@ -55,7 +58,9 @@ def main() -> None:
         ratio = ""
         if prev is not None and prev_tail not in (None, 0.0):
             ratio = f"{(W - prev) / prev_tail:>7.3f}"
-        print(f"{h:>8.1f}  {W:>12.7f}  {tail:>10}  {ratio:>7}")
+        work = "  ".join(f"{diag[k]:>{w}}" for k, w in (("passes", 6), ("nodes_b2", 6), ("nodes_b3", 6),
+                                                          ("nodes_gamma", 6), ("factors_1d", 3), ("factors_2d", 3)))
+        print(f"{h:>8.1f}  {W:>12.7f}  {tail:>10}  {ratio:>7}  {work}")
         if prev is not None:
             prev_tail = W - prev
         prev = W

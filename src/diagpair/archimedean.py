@@ -16,6 +16,14 @@ refinement stops at the first pass that agrees with the one before it to
 the requested tolerance.  That difference is the reported error estimate.
 A pass that would need more than `_MAX_PANELS` panels on one grid raises
 `QuadratureError` instead of returning an unconverged value.
+
+W(Q) follows the block structure.  A pure-cubic variable's gamma integral
+depends on b3 only and a pure-quadratic one's on b2 only, so each is a 1-D
+factor table; only the shared x-block needs (b2 x b3) tables.  A 1-D phase
+table is built in gamma-row chunks and a 2-D factor in b2-row chunks, each
+of at most `_CHUNK_ENTRIES` entries.  The Monte Carlo volume constant draws
+its points in chunks of `_MC_CHUNK_ROWS` rows, so its peak memory does not
+grow with the sample count.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ _V_START_TURNS = 1.0
 _W_START_TURNS = 8.0
 # W(Q) stops when two passes agree to this fraction of |W|
 _W_RTOL = 1e-13
+# complex entries in one live phase or factor chunk of the W(Q) quadrature
+_CHUNK_ENTRIES = 1_500_000
+# Monte Carlo points drawn, and tested against the shell, per chunk; the
+# generator fills its draws in order, so the chunk size never moves a result
+_MC_CHUNK_ROWS = 1 << 17
 
 
 class QuadratureError(RuntimeError):
@@ -141,6 +154,22 @@ def _theta_blocks(sys: DiagonalSystem, theta: Sequence[float]) -> list[tuple[int
     return [(A3, A2, float(th)) for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)]
 
 
+def _factor_1d(coef: int, gp: np.ndarray, wg: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_g wg e(coef gp b) at every node b: one pure variable's factor.
+
+    `gp` holds the gamma nodes raised to the variable's degree.  The
+    (gamma x b) phase table is built in gamma-row chunks of at most
+    `_CHUNK_ENTRIES` entries and exponentiated in place.
+    """
+    out = np.zeros(b.size, dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // b.size)
+    for start in range(0, gp.size, rows):
+        sl = slice(start, start + rows)
+        E = TWO_PI * 1j * coef * np.outer(gp[sl], b)
+        out += wg[sl] @ np.exp(E, out=E)
+    return out
+
+
 def unit_singular_integral(
     sys: DiagonalSystem,
     theta: Sequence[float],
@@ -148,12 +177,22 @@ def unit_singular_integral(
 ) -> tuple[float, dict]:
     """W(Q): the P-free double integral of the unit-scale product V over |b_i| <= Q.
 
-    Each component grid is a single matrix product of unit phase factors.
+    A variable's factor is its gamma integral at each (b2, b3) node.  A
+    pure-cubic variable's factor depends on b3 alone and a pure-quadratic
+    one's on b2 alone: these are 1-D tables, multiplied into Y(b3) and
+    Z(b2).  Only a mixed (shared) variable needs a 2-D (b2 x b3) table, a
+    matrix product built in b2-row chunks that start from outer(Z, Y).
+    With no mixed variable W is (w2 . Z)(w3 . Y).  A variable whose
+    coefficient pair is the negative of one already built, on the same
+    anchor, reuses its table conjugated.
+
     The b2, b3 and gamma grids start at `_W_START_TURNS` phase turns per panel
     and every pass doubles all of their panel counts; the passes stop when
     two in a row agree to `_W_RTOL` * |W|, and that difference is the
-    `error_estimate`.  The diagnostics also give the number of passes and
-    the b2 and b3 node counts of the last one.
+    `error_estimate`.  The diagnostics also give the number of passes and,
+    for the last one, the b2 and b3 node counts, the gamma nodes summed over
+    the distinct grids (`nodes_gamma`) and the 1-D and 2-D factor tables
+    built (`factors_1d`, `factors_2d`).
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
@@ -174,33 +213,48 @@ def unit_singular_integral(
     def compute(m: int) -> complex:
         b2, w2 = _gl_grid(-Q, Q, n2 * m)
         b3, w3 = _gl_grid(-Q, Q, n3 * m)
-        # the gamma grids and their gamma->b3 factors are built once per pass;
-        # only the gamma->b2 factor E2 is streamed in b2 row chunks, so E2
-        # stays bounded while the E3g tables grow with Q
+        # per distinct pair up to sign: the 1-D factor of a pure variable, or
+        # the gamma grid and gamma->b3 table E3g of a mixed one
+        factors: dict = {}
         grids: dict = {}
         for (A3, A2, th), n_g in n_gamma.items():
             g, wg = _gl_grid(th / 2.0, 2.0 * th, n_g * m)
-            E3g = wg[:, None] * np.exp(TWO_PI * 1j * A3 * np.outer(g**3, b3))
-            grids[(A3, A2, th)] = (g, E3g)
+            if A2 == 0:
+                factors[(A3, A2, th)] = _factor_1d(A3, g**3, wg, b3)
+            elif A3 == 0:
+                factors[(A3, A2, th)] = _factor_1d(A2, g * g, wg, b2)
+            else:
+                grids[(A3, A2, th)] = (g, wg[:, None] * np.exp(TWO_PI * 1j * A3 * np.outer(g**3, b3)))
+        Y = np.ones(b3.size, dtype=complex)
+        Z = np.ones(b2.size, dtype=complex)
+        mixed = []
+        for A3, A2, th in blocks:
+            if A3 != 0 and A2 != 0:
+                mixed.append((A3, A2, th))
+                continue
+            f = factors[(A3, A2, th)] if (A3, A2, th) in factors else np.conj(factors[(-A3, -A2, th)])
+            if A2 == 0:
+                Y *= f
+            else:
+                Z *= f
+        if not mixed:
+            return complex((w2 @ Z) * (w3 @ Y))
         # each live chunk array is chunk*b3 complex entries and the per-chunk
-        # cache holds one per distinct coefficient pair
-        chunk = max(1, int(1_500_000 / max(1, b3.size)))
+        # cache holds one per distinct mixed coefficient pair
+        chunk = max(1, _CHUNK_ENTRIES // b3.size)
         acc = np.zeros(b3.size, dtype=complex)
         for start in range(0, b2.size, chunk):
             rows = slice(start, min(start + chunk, b2.size))
-            Vc = np.ones((rows.stop - rows.start, b3.size), dtype=complex)
+            Vc = np.outer(Z[rows], Y)
             cache: dict = {}
-            for A3, A2, th in blocks:
+            for A3, A2, th in mixed:
                 key = (A3, A2, th)
                 if key not in cache:
-                    conj_key = (-A3, -A2, th)
-                    if conj_key in cache:
-                        cache[key] = np.conj(cache[conj_key])
+                    if (-A3, -A2, th) in cache:
+                        cache[key] = np.conj(cache[(-A3, -A2, th)])
                     else:
-                        base = key if key in grids else conj_key
-                        g, E3g = grids[base]
-                        if base is not key:
-                            E3g = np.conj(E3g)
+                        # neither sign seen yet: key is the pair's first, built one
+                        g, E3g = grids[key]
                         E2 = np.exp(TWO_PI * 1j * A2 * np.outer(b2[rows], g * g))
                         cache[key] = E2 @ E3g
                 Vc = Vc * cache[key]
@@ -209,6 +263,7 @@ def unit_singular_integral(
 
     W, err, passes = _refine(compute, _W_RTOL, 0.0)
     m = 2 ** (passes - 1)
+    n_1d = sum(1 for A3, A2, _ in n_gamma if A3 == 0 or A2 == 0)
     diag = {
         "error_estimate": err,
         "imag_residue": W.imag,
@@ -216,6 +271,9 @@ def unit_singular_integral(
         "passes": passes,
         "nodes_b2": n2 * m * _GL_NODES,
         "nodes_b3": n3 * m * _GL_NODES,
+        "nodes_gamma": sum(n_gamma.values()) * m * _GL_NODES,
+        "factors_1d": n_1d,
+        "factors_2d": len(n_gamma) - n_1d,
     }
     return W.real, diag
 
@@ -246,7 +304,8 @@ def singular_integral(
     The returned diagnostics carry W at each requested height, consecutive
     tail differences, and their ratios, which is what the Q^(-1/2)-style
     convergence checks consume, plus per height the quadrature error
-    estimate and the work the refinement did (passes, final b2/b3 nodes).
+    estimate and the work the refinement did (passes, and the final pass's
+    b2, b3 and gamma nodes and 1-D and 2-D factor tables).
     """
     if heights is None:
         heights = []
@@ -263,7 +322,9 @@ def singular_integral(
         W, diag = unit_singular_integral(sys, theta, h)
         ladder[h] = W
         errs[h] = diag["error_estimate"]
-        work[h] = {k: diag[k] for k in ("passes", "nodes_b2", "nodes_b3")}
+        work[h] = {
+            k: diag[k] for k in ("passes", "nodes_b2", "nodes_b3", "nodes_gamma", "factors_1d", "factors_2d")
+        }
         if h == Q:
             imag_residue = diag["imag_residue"]
     W_Q = ladder[Q]
@@ -297,7 +358,9 @@ def volume_constant(
     Richardson-differenced (2 c(d/2) - c(d)) and sample counts double as the
     shell halves to keep hit counts level.  The Jacobian is checked at shell
     points; if no sampled point has rank 2 the anchor is degenerate and no
-    density exists.
+    density exists.  Points are drawn and tested `_MC_CHUNK_ROWS` at a time;
+    the generator fills its draws in order, so the result is the same bit
+    for bit at any chunk size.
     """
     rng = rng if rng is not None else np.random.default_rng(7)
     theta = np.asarray(theta, dtype=float)
@@ -325,7 +388,7 @@ def volume_constant(
         hits = 0
         done = 0
         while done < n:
-            m = min(n - done, 1_000_000)
+            m = min(n - done, _MC_CHUNK_ROWS)
             X = lo + (hi - lo) * rng.random((m, sys.s))
             th, ph = forms(X)
             hit = (np.abs(th) < d1) & (np.abs(ph) < d2)

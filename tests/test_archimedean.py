@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 from diagpair import (
     ArcFamily,
+    DiagonalSystem,
     extrapolate_ladder,
     find_real_anchor,
     oscillatory_v,
@@ -113,6 +115,56 @@ def test_unit_integral_refines_every_grid(sample5):
     assert diag["error_estimate"] <= 1e-13 * W
 
 
+# one system per block layout, each at a rounded real anchor whose equal
+# entries make conjugate coefficient pairs share a table; W, passes and the
+# b2/b3 node counts were frozen from the quadrature that built a full
+# (b2 x b3) matrix product for every variable, and the factor counts
+# (1-D, 2-D) are the distinct coefficient pairs up to sign in each block
+BLOCK_LAYOUT_PINS = {
+    "mixed-only": (
+        DiagonalSystem(a=(-1, -1, 2, -1), b=(1, -1, 1, -2)), (0.3697, 0.3321, 0.3834, 0.2945), 8.0,
+        0.1621336753924733, 4, 576, 480, (0, 4),
+    ),
+    "y-only": (
+        DiagonalSystem(a=(1, -1), b=(1, -1), c=(-1, 1)), (0.3455, 0.3455, 0.3683, 0.3683), 8.0,
+        0.6478159377990816, 3, 144, 192, (1, 1),
+    ),
+    "z-only": (
+        DiagonalSystem(a=(-1, 1), b=(1, -1), d=(1, -1)), (0.407, 0.407, 0.3421, 0.3421), 8.0,
+        0.589326570916558, 4, 576, 384, (1, 1),
+    ),
+    "pure-only": (
+        DiagonalSystem(a=(), b=(), c=(1, -1), d=(1, -1, 1, -1)), THETA6, 32.0,
+        0.10053600871046492, 3, 624, 240, (3, 0),
+    ),
+    "all-three": (
+        DiagonalSystem(a=(-1, 1), b=(1, 1), c=(-1,), d=(1, -1)), (0.234, 0.3609, 0.3245, 0.253, 0.499), 8.0,
+        0.10087173846363795, 3, 240, 144, (3, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BLOCK_LAYOUT_PINS))
+def test_unit_integral_block_layout_pins(layout):
+    sysd, theta, Q, W_pin, passes, nodes_b2, nodes_b3, (f1, f2) = BLOCK_LAYOUT_PINS[layout]
+    W, diag = unit_singular_integral(sysd, theta, Q)
+    assert W == pytest.approx(W_pin, rel=1e-13)
+    assert (diag["passes"], diag["nodes_b2"], diag["nodes_b3"]) == (passes, nodes_b2, nodes_b3)
+    assert (diag["factors_1d"], diag["factors_2d"]) == (f1, f2)
+
+
+def test_unit_integral_memory_is_bounded(ladder6):
+    # 1-D factors for the pure variables and chunked phase tables; a full
+    # (b2 x b3) product per variable peaked at about 80 MB here
+    tracemalloc.start()
+    try:
+        unit_singular_integral(ladder6, THETA6, 64.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_unit_integral_refuses_past_panel_cap(ladder6, monkeypatch):
     monkeypatch.setattr(archimedean, "_MAX_PANELS", 8)
     with pytest.raises(QuadratureError):
@@ -149,8 +201,11 @@ def test_singular_integral_scaling(ladder6):
     assert all(r > 0 for r in diag["tail_ratios"])
     assert set(diag["quadrature_work"]) == set(diag["ladder"]) == {4.0, 8.0, 16.0}
     for work in diag["quadrature_work"].values():
-        assert set(work) == {"passes", "nodes_b2", "nodes_b3"}
+        assert set(work) == {"passes", "nodes_b2", "nodes_b3", "nodes_gamma", "factors_1d", "factors_2d"}
         assert work["passes"] >= 2
+        # ladder6 has no shared variable: three 1-D factors up to sign, no 2-D table
+        assert (work["factors_1d"], work["factors_2d"]) == (3, 0)
+        assert work["nodes_gamma"] > 0
 
 
 def test_volume_matches_separable_closed_form(ladder4, rng):
@@ -160,6 +215,24 @@ def test_volume_matches_separable_closed_form(ladder4, rng):
     c, sigma = volume_constant(ladder4, THETA4, rng=rng, samples=250_000)
     assert sigma < 0.1 * expected
     assert c == pytest.approx(expected, abs=5 * sigma)
+
+
+def test_volume_does_not_depend_on_chunk_size(ladder4, monkeypatch):
+    default = volume_constant(ladder4, THETA4, rng=np.random.default_rng(5), samples=30_001)
+    monkeypatch.setattr(archimedean, "_MC_CHUNK_ROWS", 1000)
+    small = volume_constant(ladder4, THETA4, rng=np.random.default_rng(5), samples=30_001)
+    assert small == default
+
+
+def test_volume_memory_is_bounded(ladder6):
+    # draws in `_MC_CHUNK_ROWS` chunks; 10^6-row chunks peaked at about 123 MB here
+    tracemalloc.start()
+    try:
+        volume_constant(ladder6, THETA6, samples=400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_volume_rejects_degenerate_anchor(tiny2, rng):
