@@ -5,7 +5,9 @@ that produce them.  Vectors are packed in balanced signed form,
 key = sum_j v_j S_j with S_0 = 1 and S_{j+1} = S_j (2 B_j + 1), where B_j
 bounds |v_j| over the whole fold.  Within those bounds packing is a bijection
 that commutes with addition and negation, so folding generators is an outer
-sum of keys and a negated match is a lookup of -key.
+sum of keys and a negated match is a lookup of -key.  A lookup gathers from
+a dense count table over the ledger's key span when that span is no larger
+than the query, and binary-searches the sorted keys otherwise.
 
 Keys and counts are int64 while the key span and the fold's total mass stay
 below 2^62; past that both are Python ints in object arrays.  Every count a
@@ -99,7 +101,22 @@ class Ledger:
         return exact_dot(self.counts, self.counts)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Counts at the given keys, 0 where a key is absent."""
+        """Counts at the given keys, 0 where a key is absent.
+
+        When both sides are int64 and the key span keys[-1] - keys[0] + 1 is
+        no larger than the query, the counts are gathered from a dense table
+        over the span, padded with one zero cell at each end so that clipping
+        a query key into [lo - 1, hi + 1] sends every key outside the span to
+        a zero.  Clipping comes before the subtraction, so no query key near
+        the int64 edge can wrap.  Otherwise each key is found by binary
+        search.  The table costs no more memory or time than the query.
+        """
+        keys = np.asarray(keys)
+        lo, hi = int(self.keys[0]), int(self.keys[-1])
+        if self.keys.dtype != object and keys.dtype != object and hi - lo + 1 <= keys.size:
+            table = np.zeros(hi - lo + 3, dtype=self.counts.dtype)
+            table[self.keys - (lo - 1)] = self.counts
+            return table[np.clip(keys, lo - 1, hi + 1) - (lo - 1)]
         idx = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[idx] == keys, self.counts[idx], 0)
 

@@ -1,14 +1,26 @@
 """Brute-force counterparts of every counting operation.
 
 Each function here enumerates tuples directly and compares form values,
-with no key grouping, hashing, or convolution, so agreement with the
-ledger implementations is evidence rather than tautology.  The uniform
-pattern is: materialise all half-tuples with their component sums, then
-scan all pairs quadratically.  Everything is pure Python integers, apart
-from `direct_series_term`, which sums complete sums term by term.
+with no sorting, key grouping, packing, hashing, lookup or convolution, so
+agreement with the ledger implementations is evidence rather than
+tautology.  The point oracles below share no code with `ledger`, `solver`
+or `local`.
 
-Enumeration cost is (number of half-tuples)^2; callers keep instances at
-or below about 10^7 of those comparisons.
+The pair-scan oracles (moments, J1, mixed moments) materialise all
+half-tuples with their component sums in Python integers, then scan all
+pairs quadratically; their cost is (number of half-tuples)^2, and callers
+keep instances at or below about 10^7 of those comparisons.
+
+The point oracles (solution and congruence counts) visit every point of a
+product of value lists.  The trailing variables form one array block of at
+most about _BLOCK_POINTS points, built as outer sums of c_i v^3 and d_i v^2
+variable by variable; the leading variables are looped in Python, and each
+of their points adds its (Theta, Phi) offset to the whole block before the
+block is scanned for zeros, or for zeros mod q.  Arrays are int64 when
+sum_i (|c_i| max|v|^3 + |d_i| max v^2) < 2^62, which bounds every partial
+sum, and object arrays of Python ints otherwise.
+
+`direct_series_term` sums complete sums term by term.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import math
 from itertools import product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .expsums import BoxSumSpec
 from .local import t_factor
@@ -106,36 +120,58 @@ def brute_mixed_moment(
     return sum(1 for a in half for b in half if a == b)
 
 
+_INT64_LIMIT = 2**62
+# Points per array block of the point oracles: 16 MiB per int64 array.
+_BLOCK_POINTS = 2**21
+
+
+def _count_points(sys: DiagonalSystem, ranges: Sequence[Sequence[int]], q: Optional[int] = None) -> int:
+    """Points of the product of ranges where Theta = Phi = 0 (mod q if given)."""
+    if len(ranges) != sys.s:
+        raise ValueError("one range per variable required")
+    values = [list(r) for r in ranges]
+    if not all(values):
+        return 0
+    cubic, quad = sys.cubic_coeffs(), sys.quad_coeffs()
+    bound = sum(abs(c) * max(abs(v) for v in vs) ** 3 + abs(d) * max(v * v for v in vs)
+                for c, d, vs in zip(cubic, quad, values))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    # the trailing block: as many last variables as fit in _BLOCK_POINTS (at least one)
+    split, size = sys.s - 1, len(values[-1])
+    while split > 0 and size * len(values[split - 1]) <= _BLOCK_POINTS:
+        split -= 1
+        size *= len(values[split])
+    theta = np.zeros(1, dtype=dtype)
+    phi = np.zeros(1, dtype=dtype)
+    for c, d, vs in zip(cubic[split:], quad[split:], values[split:]):
+        v = np.array(vs, dtype=dtype)
+        theta = (theta[:, None] + c * v**3).ravel()
+        phi = (phi[:, None] + d * v**2).ravel()
+
+    def vanish(a):
+        return a == 0 if q is None else a % q == 0
+
+    count = 0
+    for lead in product(*values[:split]):
+        t = sum(c * v**3 for c, v in zip(cubic, lead))
+        f = sum(d * v**2 for d, v in zip(quad, lead))
+        count += int(np.count_nonzero(vanish(theta + t) & vanish(phi + f)))
+    return count
+
+
 def brute_count_solutions(sys: DiagonalSystem, B: int) -> int:
     """All-variable box |x_i| <= B, zeros included, both forms vanish."""
-    rng = range(-B, B + 1)
-    count = 0
-    for point in product(rng, repeat=sys.s):
-        theta, phi = sys.eval_forms(point)
-        if theta == 0 and phi == 0:
-            count += 1
-    return count
+    return _count_points(sys, [range(-B, B + 1)] * sys.s)
 
 
 def brute_count_box_solutions(sys: DiagonalSystem, ranges: Sequence[Sequence[int]]) -> int:
     """Product of per-variable ranges; both forms vanish."""
-    if len(ranges) != sys.s:
-        raise ValueError("one range per variable required")
-    count = 0
-    for point in product(*ranges):
-        theta, phi = sys.eval_forms(point)
-        if theta == 0 and phi == 0:
-            count += 1
-    return count
+    return _count_points(sys, ranges)
 
 
 def brute_count_congruences(sys: DiagonalSystem, q: int) -> int:
-    count = 0
-    for point in product(range(q), repeat=sys.s):
-        theta, phi = sys.eval_forms(point)
-        if theta % q == 0 and phi % q == 0:
-            count += 1
-    return count
+    """Points of (Z/q)^s where both forms vanish mod q."""
+    return _count_points(sys, [range(q)] * sys.s, q)
 
 
 def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:

@@ -346,9 +346,14 @@ def count_solutions(
     or a pair (P, theta) for the boxes (theta_i P/2, 2 theta_i P].
     Restrictions: "smooth-y" intersects the pure-cubic block with the
     R-smooth set, "smooth-xl" restricts the last shared variable.
+    witness_limit = 0 skips the witness scan.
     """
+    if witness_limit < 0:
+        raise ValueError("witness_limit must be >= 0")
     ranges, style = _build_ranges(sys, bounds, restriction, R)
     count = _count_via_ledgers(sys, ranges, budget)
+    if witness_limit == 0:
+        return SolutionCount(bounds, count, restriction, (), False)
     witnesses, visited = _witness_scan(sys, ranges, witness_limit)
     return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > _WITNESS_NODE_CAP)
 

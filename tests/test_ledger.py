@@ -1,3 +1,8 @@
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from diagpair import Ledger
@@ -72,3 +77,45 @@ def test_ledger_matches_dict_reference(sets, e, huge_mass):
     negated = sum(c * rb.get(tuple(-x for x in k), 0) for k, c in ra.items())
     assert La.matched_negated(Lb) == negated
     assert isinstance(La.matched_negated(Lb), int)
+
+
+_EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 2**62 + 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("path", ["table", "search"])
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12),
+       st.booleans(), st.data())
+def test_lookup_matches_dict_reference(path, vectors, huge_mass, data):
+    bounds = [9, 9]
+    # an oversized mass bound makes an object-dtype ledger, queried with int64 keys
+    ledger = Ledger.from_vectors(vectors, bounds, 2**62 if huge_mass else len(vectors))
+    reference = Counter(x + 19 * y for x, y in vectors)
+    lo, hi = min(reference), max(reference)
+    span = hi - lo + 1
+    # the direct table needs a query at least as large as the key span
+    size = span + data.draw(st.integers(0, 5)) if path == "table" else span - 1
+    if size < 1:
+        return
+    # keys below keys[0], inside the span, above keys[-1], and near the int64 edges
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    forced = np.array(([lo - 1, hi + 1] + _EDGE_KEYS)[: size // 2], dtype=np.int64)
+    pool = np.array(list(range(lo - 20, hi + 21)) + _EDGE_KEYS, dtype=np.int64)
+    query = rng.permutation(np.concatenate((forced, rng.choice(pool, size - len(forced))))).tolist()
+    cols = data.draw(st.sampled_from([c for c in (1, 2, 3) if size % c == 0]))
+    keys = np.array(query, dtype=np.int64).reshape(-1, cols)
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+        got = ledger.lookup(keys)
+    assert search.called == (path == "search" or huge_mass)
+    assert got.shape == keys.shape
+    assert got.ravel().tolist() == [reference.get(k, 0) for k in query]
+
+
+@pytest.mark.parametrize("edge", [2**62, -(2**62) + 4])
+def test_lookup_at_the_packing_edge(edge):
+    # int64 keys a few units from +-2^62, with queries out to the int64 ends
+    ledger = Ledger(np.array([edge - 4, edge - 2, edge - 1]), np.array([3, 1, 2]), (1,))
+    query = [edge - 5, edge - 4, edge - 3, edge - 2, edge - 1, edge] + _EDGE_KEYS
+    want = [0, 3, 0, 1, 2, 0] + [dict(zip((edge - 4, edge - 2, edge - 1), (3, 1, 2))).get(k, 0) for k in _EDGE_KEYS]
+    for cols in (1, 2):
+        assert ledger.lookup(np.array(query, dtype=np.int64).reshape(-1, cols)).ravel().tolist() == want
+    assert ledger.lookup(np.array(query[:2], dtype=np.int64)).tolist() == want[:2]

@@ -203,6 +203,13 @@ def test_witness_order(tiny2):
     assert res.witnesses == ((1, 1), (-1, -1), (2, 2), (-2, -2))
 
 
+def test_witness_limit_zero_skips_the_scan(tiny2):
+    res = count_solutions(tiny2, 5, witness_limit=0)
+    assert (res.count, res.witnesses, res.witnesses_truncated) == (11, (), False)
+    with pytest.raises(ValueError):
+        count_solutions(tiny2, 5, witness_limit=-1)
+
+
 def test_search_witness(tiny2, balanced11):
     assert search_witness(tiny2, 5) == (1, 1)
     w = search_witness(balanced11, 1)
