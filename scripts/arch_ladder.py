@@ -4,7 +4,7 @@ W(Q) is integrated at heights Q, Q/2, Q/4, ...; each row gives the
 quadrature's work (passes, the last pass's b2, b3 and gamma nodes, and its
 1-D and 2-D factor tables).  The tail differences and their ratios show the
 convergence rate, the geometric extrapolation gives a limit estimate, and a
-thin-shell Monte Carlo of the same box density provides an independent
+coarea-formula Monte Carlo of the same box density provides an independent
 value to compare against.
 
 Run: python3 scripts/arch_ladder.py [--builtin ladder6] [--q 64]
@@ -70,7 +70,7 @@ def main() -> None:
 
     c, sigma = volume_constant(sysd, theta, rng=rng, samples=args.mc_samples)
     gap = abs(limit - c)
-    print(f"MC volume {c:.6f} +- {sigma:.1e}; gap {gap:.2e} "
+    print(f"MC volume (coarea) {c:.6f} +- {sigma:.1e}; gap {gap:.2e} "
           f"({gap / max(sigma, 1e-300):.1f} sigma against the MC error alone)")
 
 

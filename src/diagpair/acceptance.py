@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import transfer_bound_check, transfer_lambda
-from .archimedean import extrapolate_ladder, unit_singular_integral, volume_constant
+from .archimedean import extrapolate_ladder, singular_integral, volume_constant
 from .expsums import BoxSumSpec, block_sum
 from .local import (
     _component_table,
@@ -291,19 +291,16 @@ def criterion_8(profile: str = "desk") -> CriterionResult:
 
 
 def criterion_9(profile: str = "desk") -> CriterionResult:
-    """Dyadic W(Q) tails decay in the expected band; MC density matches the limit."""
+    """Dyadic W(Q) tails decay in the expected band; the coarea MC density matches the limit."""
 
     def body():
         heights = [16, 32, 64, 128] if profile == "desk" else [16, 32, 64]
-        ladder = {}
-        for h in heights:
-            ladder[h], _ = unit_singular_integral(LADDER6, LADDER6_THETA, h)
-        tails = [ladder[b] - ladder[a] for a, b in zip(heights, heights[1:])]
-        ratios = [b / a for a, b in zip(tails, tails[1:])]
+        _, diag = singular_integral(LADDER6, heights[-1], 1.0, LADDER6_THETA, heights=heights)
+        ratios = diag["tail_ratios"]
         for r in ratios:
             if not 0.25 <= r <= 0.75:
                 return False, f"tail ratio {r:.3f} outside [0.25, 0.75] (ratios {ratios})"
-        limit, err = extrapolate_ladder([ladder[h] for h in heights])
+        limit, err = extrapolate_ladder([diag["ladder"][h] for h in heights])
         samples = 400_000 if profile == "desk" else 100_000
         c, sigma = volume_constant(LADDER6, LADDER6_THETA, samples=samples)
         gap = abs(limit - c)

@@ -21,9 +21,12 @@ W(Q) follows the block structure.  A pure-cubic variable's gamma integral
 depends on b3 only and a pure-quadratic one's on b2 only, so each is a 1-D
 factor table; only the shared x-block needs (b2 x b3) tables.  A 1-D phase
 table is built in gamma-row chunks and a 2-D factor in b2-row chunks, each
-of at most `_CHUNK_ENTRIES` entries.  The Monte Carlo volume constant draws
-its points in chunks of `_MC_CHUNK_ROWS` rows, so its peak memory does not
-grow with the sample count.
+of at most `_CHUNK_ENTRIES` entries.
+
+The volume constant, the density of {Theta = Phi = 0} in the box, is a coarea
+Monte Carlo: two variables solved in closed form (roots, or for an all-shared
+system the real roots of a degree-6 eliminant) weighted by 1/|det| of their
+Jacobian, the rest drawn in `_MC_CHUNK_ROWS` chunks; its bar is the standard error.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .local import complete_sum
 from .arcs import ArcFamily, membership
+from .budget import BudgetError
+from .local import complete_sum
 from .systems import DiagonalSystem
 
 TWO_PI = 2.0 * math.pi
@@ -50,18 +54,21 @@ _W_START_TURNS = 8.0
 _W_RTOL = 1e-13
 # complex entries in one live phase or factor chunk of the W(Q) quadrature
 _CHUNK_ENTRIES = 1_500_000
-# Monte Carlo points drawn, and tested against the shell, per chunk; the
-# generator fills its draws in order, so the chunk size never moves a result
+# Monte Carlo points drawn and weighed per chunk; the generator fills its
+# draws in order, so the chunk size moves a result only by float summation
 _MC_CHUNK_ROWS = 1 << 17
 
 
-class QuadratureError(RuntimeError):
-    pass
+class QuadratureError(BudgetError):
+    """A grid would need more than `_MAX_PANELS` panels: a budget refusal."""
+
+    def __init__(self, panels: int):
+        super().__init__(panels, _MAX_PANELS, "quadrature panels")
 
 
 def _gl_grid(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     if n_panels > _MAX_PANELS:
-        raise QuadratureError(f"panel budget exceeded: {n_panels}")
+        raise QuadratureError(n_panels)
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = np.diff(edges) / 2.0
@@ -147,13 +154,6 @@ def oscillatory_v(
     return OscillatoryValue(beta2, beta3, P, theta_i, value, err)
 
 
-def _theta_blocks(sys: DiagonalSystem, theta: Sequence[float]) -> list[tuple[int, int, float]]:
-    """(A3, A2, theta_i) per variable, box anchors in variable order."""
-    if len(theta) != sys.s:
-        raise ValueError("need one box anchor per variable")
-    return [(A3, A2, float(th)) for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)]
-
-
 def _factor_1d(coef: int, gp: np.ndarray, wg: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_g wg e(coef gp b) at every node b: one pure variable's factor.
 
@@ -196,7 +196,10 @@ def unit_singular_integral(
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
-    blocks = _theta_blocks(sys, theta)
+    if len(theta) != sys.s:
+        raise ValueError("need one box anchor per variable")
+    # (A3, A2, theta_i) per variable, in variable order
+    blocks = [(A3, A2, float(th)) for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)]
     rate2 = sum(abs(A2) * (2 * th) ** 2 for _, A2, th in blocks)
     rate3 = sum(abs(A3) * (2 * th) ** 3 for A3, _, th in blocks)
     n2 = _panels_for(rate2, 2 * Q, _W_START_TURNS)
@@ -308,12 +311,7 @@ def singular_integral(
     b2, b3 and gamma nodes and 1-D and 2-D factor tables).
     """
     if heights is None:
-        heights = []
-        h = Q
-        while h >= 2 and len(heights) < 4:
-            heights.append(h)
-            h /= 2
-        heights = heights[::-1]
+        heights = [Q / 2**k for k in range(4) if Q / 2**k >= 2][::-1]
     ladder = {}
     errs = {}
     work = {}
@@ -349,83 +347,85 @@ def volume_constant(
     theta: Sequence[float],
     rng: Optional[np.random.Generator] = None,
     samples: int = 400_000,
-    max_rounds: int = 5,
 ) -> tuple[float, float]:
-    """Monte-Carlo density of {Theta = Phi = 0} in the box prod [theta_i/2, 2 theta_i].
+    """Density of {Theta = Phi = 0} in the box prod [theta_i/2, 2 theta_i], by the coarea formula.
 
-    Thin-shell counts vol(|Theta| < d1, |Phi| < d2) / (4 d1 d2) undercount by
-    O(d) where the slab clips the box edge, so successive shell halvings are
-    Richardson-differenced (2 c(d/2) - c(d)) and sample counts double as the
-    shell halves to keep hit counts level.  The Jacobian is checked at shell
-    points; if no sampled point has rank 2 the anchor is degenerate and no
-    density exists.  Points are drawn and tested `_MC_CHUNK_ROWS` at a time;
-    the generator fills its draws in order, so the result is the same bit
-    for bit at any chunk size.
+    The other s - 2 variables are drawn uniformly; the value is the mean of
+    vol(their box) / |det d(Theta, Phi)/d(u, v)| over the solutions (u, v) in
+    the box, with its standard error.  With a pure variable v, u comes from the
+    other form and v from its own by cube or square roots: 1/|6 c d y^2 z| for a
+    pure y and z.  With m = n = 0 each real root in the box of the degree-6
+    eliminant in u counts.  No eliminable pair (tiny2) or no hit: ValueError.
     """
     rng = rng if rng is not None else np.random.default_rng(7)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (sys.s,) or np.any(theta <= 0):
         raise ValueError("theta must be s positive box anchors")
+    if samples < 2:
+        raise ValueError("need at least two samples for a standard error")
     lo, hi = theta / 2.0, 2.0 * theta
-    vol = float(np.prod(hi - lo))
-    cubic = np.array(sys.cubic_coeffs(), dtype=float)
-    quad = np.array(sys.quad_coeffs(), dtype=float)
+    coef = {3: np.array(sys.cubic_coeffs(), dtype=float), 2: np.array(sys.quad_coeffs(), dtype=float)}
 
-    def forms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (X**3) @ cubic, (X * X) @ quad
+    def in_box(x: np.ndarray, i: int) -> np.ndarray:
+        return (x >= lo[i]) & (x <= hi[i])
 
-    pre = lo + (hi - lo) * rng.random((4096, sys.s))
-    th_pre, ph_pre = forms(pre)
-    d1 = 0.1 * float(np.std(th_pre))
-    d2 = 0.1 * float(np.std(ph_pre))
-    if d1 == 0 or d2 == 0:
-        raise ValueError("forms are constant on the box; no density")
+    def widest(block: range, d: int) -> int:
+        # the variable whose degree-d term sweeps the widest range: the most hits
+        return max(block, key=lambda i: abs(coef[d][i]) * (hi[i] ** d - lo[i] ** d))
 
-    shell_rows: list = []
+    if sys.m or sys.n:
+        # v is pure in its form, of degree dv; u comes from the other form, of degree du
+        xs, ys, zs = range(sys.l), range(sys.l, sys.l + sys.m), range(sys.l + sys.m, sys.s)
+        (v, dv), (u_block, du) = ((widest(zs, 2), 2), (ys or xs, 3)) if sys.n else ((widest(ys, 3), 3), (xs, 2))
+        if not u_block:
+            raise ValueError("one form has no variables; no density")
+        u = widest(u_block, du)
+        root = {3: np.cbrt, 2: np.sqrt}
 
-    def estimate(d1: float, d2: float, n: int) -> tuple[float, float]:
-        shell_rows.clear()
-        hits = 0
-        done = 0
-        while done < n:
-            m = min(n - done, _MC_CHUNK_ROWS)
-            X = lo + (hi - lo) * rng.random((m, sys.s))
-            th, ph = forms(X)
-            hit = (np.abs(th) < d1) & (np.abs(ph) < d2)
-            hits += int(hit.sum())
-            if len(shell_rows) < 256:
-                shell_rows.extend(X[hit][: 256 - len(shell_rows)])
-            done += m
-        p = hits / n
-        c = vol * p / (4.0 * d1 * d2)
-        se = vol * math.sqrt(max(p * (1 - p), 1.0 / n) / n) / (4.0 * d1 * d2)
-        return c, se
+        def weights(T: np.ndarray, F: np.ndarray) -> np.ndarray:
+            sums = {3: T, 2: F}
+            uu = root[du](-sums[du] / coef[du][u])
+            vv = root[dv](-(sums[dv] + coef[dv][u] * uu**dv) / coef[dv][v])
+            jac = du * coef[du][u] * uu ** (du - 1) * dv * coef[dv][v] * vv ** (dv - 1)
+            return np.where(in_box(uu, u) & in_box(vv, v), 1.0 / np.abs(jac), 0.0)
 
-    cs: list = []
-    rich: list = []
-    for k in range(max_rounds):
-        cs.append(estimate(d1 / 2**k, d2 / 2**k, samples * 2**k))
-        if k >= 1:
-            (c0, se0), (c1, se1) = cs[-2], cs[-1]
-            rich.append((2 * c1 - c0, math.sqrt(4 * se1**2 + se0**2)))
-        if len(rich) >= 2:
-            gap = abs(rich[-1][0] - rich[-2][0])
-            if gap <= 2.0 * math.hypot(rich[-1][1], rich[-2][1]):
-                break
-    # rank test on the tightest shell only: near a rank-deficient variety the
-    # smallest singular value scales with the shell width, and a degenerate
-    # density diverges like 1/d so the loop runs to full depth first
-    rank_seen = False
-    for row in shell_rows:
-        sv = np.linalg.svd(np.vstack([3.0 * cubic * row**2, 2.0 * quad * row]), compute_uv=False)
-        if sv[-1] > 1e-2 * sv[0]:
-            rank_seen = True
-            break
-    if not rank_seen:
-        raise ValueError("Jacobian rank < 2 at all sampled shell points; anchor is singular")
-    value, sigma = rich[-1]
-    gap = abs(rich[-1][0] - rich[-2][0]) if len(rich) >= 2 else sigma
-    return value, math.hypot(sigma, gap / 2.0)
+    else:
+        a, b = coef[3], coef[2]
+        # pairs whose eliminant keeps its u^6 term
+        pairs = [(i, j) for j in range(sys.l) for i in range(j) if a[j] ** 2 * b[i] ** 3 + b[j] ** 3 * a[i] ** 2]
+        if not pairs:
+            raise ValueError("no pair of shared variables can be eliminated; the anchor is singular")
+        # with a_u b_u a_v b_v < 0 the Jacobian keeps one sign on the positive
+        # box; otherwise a fold of the projection gives unbounded weights
+        u, v = min(pairs, key=lambda p: a[p[0]] * b[p[0]] * a[p[1]] * b[p[1]] > 0)
+        au, bu, av, bv = a[u], b[u], a[v], b[v]
+        lead = -(av**2 * bu**3 + bv**3 * au**2)
+
+        def weights(T: np.ndarray, F: np.ndarray) -> np.ndarray:
+            # b_v^3 (a_v^2 v^6 - (T + a_u u^3)^2) with v^2 from Phi = 0, below u^6 in
+            # descending powers of u, is the first row of a companion matrix
+            z = np.zeros_like(T)
+            comp = np.zeros((T.size, 6, 6))
+            row = [z, 3 * av**2 * bu**2 * F, 2 * bv**3 * au * T, 3 * av**2 * bu * F**2, z, av**2 * F**3 + bv**3 * T**2]
+            comp[:, 0] = np.stack(row, axis=1) / lead
+            comp[:, range(1, 6), range(5)] = 1.0
+            uu = np.linalg.eigvals(comp)
+            uu = np.where(uu.imag == 0, uu.real, np.nan)
+            vv = np.sqrt((-F[:, None] - bu * uu**2) / bv)
+            ok = in_box(uu, u) & in_box(vv, v) & (av * (T[:, None] + au * uu**3) < 0)
+            return np.where(ok, 1.0 / np.abs(6.0 * uu * vv * (au * bv * uu - av * bu * vv)), 0.0).sum(axis=1)
+
+    rest = np.array([i for i in range(sys.s) if i not in (u, v)], dtype=int)
+    total = total_sq = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for done in range(0, samples, _MC_CHUNK_ROWS):
+            W = lo[rest] + (hi - lo)[rest] * rng.random((min(samples - done, _MC_CHUNK_ROWS), rest.size))
+            w = weights((W**3) @ coef[3][rest], (W * W) @ coef[2][rest])
+            total, total_sq = total + float(w.sum()), total_sq + float(w @ w)
+    if total == 0:
+        raise ValueError("no sampled point of the box solves both forms; no density")
+    vol, mean = float(np.prod(hi[rest] - lo[rest])), total / samples
+    return vol * mean, vol * math.sqrt(max(total_sq / samples - mean * mean, 0.0) / (samples - 1))
 
 
 @dataclass(frozen=True)

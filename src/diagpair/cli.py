@@ -33,7 +33,7 @@ from .expsums import BoxSumSpec, block_sum
 from .local import chi_p_partial, count_congruences, padic_witness, singular_series
 from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
 from .smooth import c_eta, dickman_rho, smooth_set
-from .solver import count_solutions, find_real_anchor, predict_and_compare, search_witness
+from .solver import AnchorError, count_solutions, find_real_anchor, predict_and_compare, search_witness
 from .systems import BUILTIN_SYSTEMS, DiagonalSystem, check_conditions, classify, format_system, load_system
 
 EXIT_OK = 0
@@ -420,7 +420,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             + "\n"
         )
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, AnchorError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     if result is not None:

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from diagpair import (
     ArcFamily,
@@ -22,6 +26,7 @@ from diagpair.archimedean import QuadratureError
 
 THETA6 = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 THETA4 = (0.3, 0.3, 0.3, 0.3)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # regression value for the height-8 unit integral of the separable
 # six-variable system, frozen from the panel-doubling quadrature
@@ -208,20 +213,74 @@ def test_singular_integral_scaling(ladder6):
         assert work["nodes_gamma"] > 0
 
 
-def test_volume_matches_separable_closed_form(ladder4, rng):
+def _ladder4_volume():
     # y1^3 = y2^3 and z1^2 = z2^2 on the box [theta/2, 2 theta]^4:
     # integrating the two delta factors gives (1/(2 theta)) * (ln 4)/2
-    expected = math.log(4.0) / (4 * 0.3)
-    c, sigma = volume_constant(ladder4, THETA4, rng=rng, samples=250_000)
-    assert sigma < 0.1 * expected
-    assert c == pytest.approx(expected, abs=5 * sigma)
+    return math.log(4.0) / (4 * 0.3)
+
+
+def _ladder6_volume():
+    """Box density of ladder6 at THETA6 from its separable form, independent of the package.
+
+    y1^3 = y2^3 gives the factor integral of 1/(3 y^2) over [0.15, 0.6], which is
+    5/3.  z1^2 = z2^2 + z4^2 - z3^2 gives, for each (z3, z4), the integral of
+    1/(2 z1) over the z2 for which z1 lands in its box: the difference of
+    (1/2) ln(z2 + sqrt(z2^2 + z4^2 - z3^2)) between those z2 limits.
+    """
+
+    def inner(z4, z3):
+        k = z4 * z4 - z3 * z3
+        lo2, hi2 = max(0.125**2, 0.125**2 - k), min(0.5**2, 0.5**2 - k)
+        if lo2 >= hi2:
+            return 0.0
+        prim = lambda z2: 0.5 * math.log(z2 + math.sqrt(z2 * z2 + k))  # noqa: E731
+        return prim(math.sqrt(hi2)) - prim(math.sqrt(lo2))
+
+    square, _ = dblquad(inner, 0.175, 0.7, 0.175, 0.7)
+    return 5.0 / 3.0 * square
+
+
+@pytest.mark.parametrize(
+    "system, theta, exact",
+    [("ladder4", THETA4, _ladder4_volume), ("ladder6", THETA6, _ladder6_volume)],
+    ids=["ladder4", "ladder6"],
+)
+def test_volume_matches_separable_closed_form(request, rng, system, theta, exact):
+    expected = exact()
+    c, sigma = volume_constant(request.getfixturevalue(system), theta, rng=rng, samples=250_000)
+    assert sigma < 0.01 * expected
+    assert abs(c - expected) <= 4 * sigma
+
+
+def test_volume_bar_is_honest(ladder4):
+    # the bar is the sample standard error: over independent runs the
+    # standardized errors have root mean square near 1
+    exact = _ladder4_volume()
+    z = [
+        (c - exact) / sigma
+        for c, sigma in (
+            volume_constant(ladder4, THETA4, rng=np.random.default_rng(seed), samples=20_000) for seed in range(20)
+        )
+    ]
+    assert 0.5 <= math.sqrt(np.mean(np.square(z))) <= 1.6
+
+
+def test_volume_all_shared_matches_ladder():
+    # m = n = 0: two shared variables are eliminated through a degree-6 eliminant
+    anchor = find_real_anchor(DiagonalSystem(a=(1, 2, -1, 1, -2), b=(1, -1, 1, -1, 1)), rng=np.random.default_rng(0))
+    c, sigma = volume_constant(anchor.system, anchor.theta, rng=np.random.default_rng(0), samples=50_000)
+    ladder = [unit_singular_integral(anchor.system, anchor.theta, Q)[0] for Q in (4.0, 8.0, 16.0, 32.0)]
+    limit, err = extrapolate_ladder(ladder)
+    assert abs(c - limit) <= 3 * math.hypot(sigma, err)
 
 
 def test_volume_does_not_depend_on_chunk_size(ladder4, monkeypatch):
+    # the generator fills its draws in order, so only the per-chunk float sums
+    # of the weights can move with the chunk size
     default = volume_constant(ladder4, THETA4, rng=np.random.default_rng(5), samples=30_001)
     monkeypatch.setattr(archimedean, "_MC_CHUNK_ROWS", 1000)
     small = volume_constant(ladder4, THETA4, rng=np.random.default_rng(5), samples=30_001)
-    assert small == default
+    assert small == pytest.approx(default, rel=1e-12)
 
 
 def test_volume_memory_is_bounded(ladder6):
@@ -238,7 +297,7 @@ def test_volume_memory_is_bounded(ladder6):
 def test_volume_rejects_degenerate_anchor(tiny2, rng):
     # on x1 = x2 both gradient rows are multiples of (1, -1): rank 1
     with pytest.raises(ValueError):
-        volume_constant(tiny2, (0.3, 0.3), rng=rng, samples=4_000, max_rounds=3)
+        volume_constant(tiny2, (0.3, 0.3), rng=rng, samples=4_000)
 
 
 def test_volume_validates_theta(ladder4, rng):
@@ -246,6 +305,24 @@ def test_volume_validates_theta(ladder4, rng):
         volume_constant(ladder4, (0.3, 0.3), rng=rng)
     with pytest.raises(ValueError):
         volume_constant(ladder4, (0.3, 0.3, -0.1, 0.3), rng=rng)
+    for samples in (0, 1):
+        with pytest.raises(ValueError):
+            volume_constant(ladder4, THETA4, rng=rng, samples=samples)
+
+
+def test_volume_does_not_import_scipy_stats():
+    # scipy.stats costs about a second and 68 MB to import; the package and
+    # the volume constant must not pull it in
+    code = (
+        "import sys, diagpair, diagpair.cli\n"
+        "from diagpair import volume_constant\n"
+        "from diagpair.systems import BUILTIN_SYSTEMS\n"
+        f"volume_constant(BUILTIN_SYSTEMS['ladder6'], {THETA6!r}, samples=20_000)\n"
+        "loaded = [m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_star_approx_off_arc_is_zero(sample5):

@@ -141,10 +141,22 @@ def test_arcs_dirichlet(capsys):
     assert (approx["a"], approx["q"]) == ("1", "7")
 
 
-def test_config_error_exit_code(capsys):
-    code, _, err = run(capsys, "solve", "--spec", "/nonexistent/path.txt", "--b", "3")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--spec", "/nonexistent/path.txt", "--b", "3"),
+        # tiny2 has no nonsingular real point: no anchor
+        ("solve", "--builtin", "tiny2", "--anchor"),
+        ("arch", "--builtin", "tiny2", "--q", "4"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "4",
+         "--volume", "--mc-samples", "0"),
+    ],
+    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples"],
+)
+def test_config_error_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
-    assert "config error" in err
+    assert err.startswith("config error") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -158,8 +170,10 @@ def test_config_error_exit_code(capsys):
         # the series' tables through q = 40 hold 7523 cells
         ("local", "--builtin", "sample5", "--series", "40", "--budget", "7522"),
         ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "7522"),
+        # a grid past the quadrature's panel cap
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "10000000"),
     ],
-    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict"],
+    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict", "arch-panels"],
 )
 def test_budget_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
