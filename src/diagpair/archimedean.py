@@ -14,8 +14,10 @@ each grid so a panel sees at most a fixed number of turns of the local phase;
 every later pass doubles the panel count of every grid exactly, and the
 refinement stops at the first pass that agrees with the one before it to
 the requested tolerance.  That difference is the reported error estimate.
-A pass that would need more than `_MAX_PANELS` panels on one grid raises
-`QuadratureError` instead of returning an unconverged value.
+Before it builds anything, each W(Q) pass checks its (b2 x b3) grid points
+against the caller's budget, and each v pass its nodes against the default
+budget, so a refinement that cannot converge in budget is refused by
+`check_budget`, never returned unconverged.
 
 W(Q) follows the block structure.  A pure-cubic variable's gamma integral
 depends on b3 only and a pure-quadratic one's on b2 only, so each is a 1-D
@@ -38,13 +40,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .arcs import ArcFamily, membership
-from .budget import BudgetError
+from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .local import complete_sum
 from .systems import DiagonalSystem
 
 TWO_PI = 2.0 * math.pi
 _GL_NODES = 12
-_MAX_PANELS = 65536
 # phase turns per panel on the first pass; later passes halve it exactly.
 # v starts fine because its tolerance is loose; W starts coarse because it
 # converges to rounding level within a few doublings from there
@@ -59,16 +60,7 @@ _CHUNK_ENTRIES = 1_500_000
 _MC_CHUNK_ROWS = 1 << 17
 
 
-class QuadratureError(BudgetError):
-    """A grid would need more than `_MAX_PANELS` panels: a budget refusal."""
-
-    def __init__(self, panels: int):
-        super().__init__(panels, _MAX_PANELS, "quadrature panels")
-
-
 def _gl_grid(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_panels > _MAX_PANELS:
-        raise QuadratureError(n_panels)
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = np.diff(edges) / 2.0
@@ -99,8 +91,8 @@ def _refine(integrate: Callable[[int], complex], tol: float, floor: float) -> tu
     `integrate(m)` integrates with every grid at m times its first-pass panel
     count.  Passes run at m = 1, 2, 4, ... and stop at the first one with
     |I_m - I_(m/2)| <= tol * max(floor, |I_m|).  Returns (I_m, that
-    difference, number of passes).  The loop ends either there or when a
-    grid exceeds `_MAX_PANELS` and `_gl_grid` raises `QuadratureError`.
+    difference, number of passes).  The loop ends either there or when
+    `integrate` refuses a pass with `BudgetError`.
     """
     prev = integrate(1)
     m = 2
@@ -146,6 +138,7 @@ def oscillatory_v(
     n = _panels_for(_phase_rate(c3, c2, lo, hi), hi - lo, _V_START_TURNS)
 
     def integrate(m: int) -> complex:
+        check_budget(n * m * _GL_NODES, DEFAULT_LEDGER_BUDGET, what="quadrature nodes")
         nodes, wts = _gl_grid(lo, hi, n * m)
         phase = TWO_PI * (c3 * nodes**3 + c2 * nodes * nodes)
         return complex(np.dot(wts, np.exp(1j * phase)))
@@ -174,6 +167,7 @@ def unit_singular_integral(
     sys: DiagonalSystem,
     theta: Sequence[float],
     Q: float,
+    budget: int = DEFAULT_LEDGER_BUDGET,
 ) -> tuple[float, dict]:
     """W(Q): the P-free double integral of the unit-scale product V over |b_i| <= Q.
 
@@ -189,10 +183,11 @@ def unit_singular_integral(
     The b2, b3 and gamma grids start at `_W_START_TURNS` phase turns per panel
     and every pass doubles all of their panel counts; the passes stop when
     two in a row agree to `_W_RTOL` * |W|, and that difference is the
-    `error_estimate`.  The diagnostics also give the number of passes and,
-    for the last one, the b2 and b3 node counts, the gamma nodes summed over
-    the distinct grids (`nodes_gamma`) and the 1-D and 2-D factor tables
-    built (`factors_1d`, `factors_2d`).
+    `error_estimate`; a pass with more than `budget` (b2 x b3) grid points
+    is refused before it builds anything.  The diagnostics also give the
+    number of passes and, for the last one, the b2 and b3 node counts, the
+    gamma nodes summed over the distinct grids (`nodes_gamma`) and the 1-D
+    and 2-D factor tables built (`factors_1d`, `factors_2d`).
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
@@ -214,6 +209,7 @@ def unit_singular_integral(
         n_gamma[(A3, A2, th)] = _panels_for(rate_g, hi - lo, _W_START_TURNS)
 
     def compute(m: int) -> complex:
+        check_budget(n2 * m * _GL_NODES * n3 * m * _GL_NODES, budget, what="quadrature grid points")
         b2, w2 = _gl_grid(-Q, Q, n2 * m)
         b3, w3 = _gl_grid(-Q, Q, n3 * m)
         # per distinct pair up to sign: the 1-D factor of a pure variable, or
@@ -301,6 +297,7 @@ def singular_integral(
     P: float,
     theta: Sequence[float],
     heights: Optional[Sequence[float]] = None,
+    budget: int = DEFAULT_LEDGER_BUDGET,
 ) -> tuple[float, dict]:
     """Truncated singular integral J(Q) = P^(s-5) W(Q), with a dyadic ladder.
 
@@ -308,7 +305,8 @@ def singular_integral(
     tail differences, and their ratios, which is what the Q^(-1/2)-style
     convergence checks consume, plus per height the quadrature error
     estimate and the work the refinement did (passes, and the final pass's
-    b2, b3 and gamma nodes and 1-D and 2-D factor tables).
+    b2, b3 and gamma nodes and 1-D and 2-D factor tables).  `budget` caps
+    the grid points of every pass at every height.
     """
     if heights is None:
         heights = [Q / 2**k for k in range(4) if Q / 2**k >= 2][::-1]
@@ -317,7 +315,7 @@ def singular_integral(
     work = {}
     imag_residue = 0.0
     for h in [*heights, Q] if Q not in heights else heights:
-        W, diag = unit_singular_integral(sys, theta, h)
+        W, diag = unit_singular_integral(sys, theta, h, budget=budget)
         ladder[h] = W
         errs[h] = diag["error_estimate"]
         work[h] = {

@@ -1,14 +1,17 @@
-"""Shared work-budget guard for the exact-counting engines.
+"""The one work-budget guard of the package.
 
-Counting routines refuse up front when the estimated ledger support (or
-enumeration volume) exceeds a cap, instead of thrashing memory mid-run.
+Every engine estimates its work up front (ledger support, fold tuples, key
+pairs, table cells, grid points, search nodes, a modulus) and passes it with
+the caller's budget (`--budget` on the command line; the default in
+`complete_sum` and `oscillatory_v`, which no command reaches) to
+`check_budget`, which refuses with `BudgetError` instead of thrashing mid-run.
 """
 
 DEFAULT_LEDGER_BUDGET = 50_000_000
 
 
 class BudgetError(RuntimeError):
-    """Raised when an estimated workload exceeds the configured cap."""
+    """Raised when an estimated workload exceeds the caller's budget."""
 
     def __init__(self, estimate, cap, what="ledger support"):
         self.estimate = int(estimate)
@@ -19,8 +22,8 @@ class BudgetError(RuntimeError):
         )
 
 
-def check_budget(estimate, cap=DEFAULT_LEDGER_BUDGET, what="ledger support"):
-    """Raise BudgetError if `estimate` exceeds `cap`; otherwise return estimate."""
-    if estimate > cap:
-        raise BudgetError(estimate, cap, what)
+def check_budget(estimate, budget, what="ledger support"):
+    """Raise BudgetError if `estimate` exceeds `budget`; otherwise return estimate."""
+    if estimate > budget:
+        raise BudgetError(estimate, budget, what)
     return estimate

@@ -187,7 +187,7 @@ def _cmd_local(args, cfg: RunConfig):
         out["congruences"] = {"q": res.q, "M": res.M}
     if args.chi is not None:
         p, t = args.chi
-        part = chi_p_partial(sysd, p, t)
+        part = chi_p_partial(sysd, p, t, budget=cfg.budget)
         out["chi"] = asdict(part)
     if args.witness is not None:
         rng = np.random.default_rng(cfg.seed)
@@ -205,7 +205,7 @@ def _cmd_arch(args, cfg: RunConfig):
         # the anchor's theta solves its sign-flipped system, not sysd itself
         anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))
         sysd, theta = anchor.system, anchor.theta
-    value, diag = singular_integral(sysd, Q=args.q, P=args.p, theta=theta)
+    value, diag = singular_integral(sysd, Q=args.q, P=args.p, theta=theta, budget=cfg.budget)
     out = {
         "system": format_system(sysd),
         "J": value,
@@ -293,7 +293,7 @@ def _cmd_solve(args, cfg: RunConfig):
                         "witnesses": [list(w) for w in res.witnesses],
                         "witnesses_truncated": res.witnesses_truncated}
     if args.witness_bound is not None:
-        out["witness"] = search_witness(sysd, args.witness_bound)
+        out["witness"] = search_witness(sysd, args.witness_bound, budget=cfg.budget)
     if args.predict is not None:
         rng = np.random.default_rng(cfg.seed)
         out["predict"] = predict_and_compare(sysd, args.predict, Q=args.series_q, eta=args.eta, rng=rng, budget=cfg.budget)

@@ -34,10 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import DEFAULT_LEDGER_BUDGET, BudgetError, check_budget
+from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .systems import DiagonalSystem
-
-_MAX_Q_DIRECT = 10_000
 
 
 @lru_cache(maxsize=256)
@@ -62,12 +60,12 @@ def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> CompleteSum:
     """Direct q-term evaluation of S(q, r), the sum of e((A3 r3 u^3 + A2 r2 u^2)/q).
 
     (A3, A2) is one variable's (cubic, quadratic) coefficient pair; a
-    pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0.
+    pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0.  Its q
+    terms are checked against the default budget before any is built.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q > _MAX_Q_DIRECT:
-        raise BudgetError(q, _MAX_Q_DIRECT, "complete sum modulus")
+    check_budget(q, DEFAULT_LEDGER_BUDGET, what="complete sum modulus")
     u = np.arange(1, q + 1, dtype=np.int64)
     c3 = (A3 % q) * (r3 % q) % q
     c2 = (A2 % q) * (r2 % q) % q
@@ -272,14 +270,18 @@ class ChiPartial:
         return abs(self.series_side - self.count_side) / scale
 
 
-def chi_p_partial(sys: DiagonalSystem, p: int, t: int) -> ChiPartial:
-    """Both sides of sum_{h<=t} B(p^h) = p^(-t(s-2)) M(p^t)."""
+def chi_p_partial(sys: DiagonalSystem, p: int, t: int, budget: int = DEFAULT_LEDGER_BUDGET) -> ChiPartial:
+    """Both sides of sum_{h<=t} B(p^h) = p^(-t(s-2)) M(p^t).
+
+    The count's budget check, on s p^(3t), runs first: it bounds the
+    sum of p^(2h) cells of the series tables, so none is built past it.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
+    M = count_congruences(sys, p**t, budget=budget).M
     total = complex(1.0)  # h = 0 term
     for h in range(1, t + 1):
         total += _series_term(sys, p**h)[1]
-    M = count_congruences(sys, p**t).M
     count_side = M / float(p) ** (t * (sys.s - 2))
     return ChiPartial(p, t, total.real, count_side, M)
 

@@ -9,7 +9,8 @@ each folded into a `Ledger` over (Phi, Theta).  The count is then
     R = sum over key pairs (a, b) of n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b),
 
 evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps the tuples
-of each fold and the number of key pairs.  All counts are exact integers.
+of each fold, the number of key pairs and the nodes of the witness scan.
+All counts are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -224,16 +225,13 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     return total
 
 
-_WITNESS_NODE_CAP = 2_000_000
-
-
 def _witness_scan(
-    sys: DiagonalSystem, ranges: _WitnessRanges, limit: int
+    sys: DiagonalSystem, ranges: _WitnessRanges, limit: int, budget: int
 ) -> tuple[list[tuple[int, ...]], int]:
     """DFS in by-magnitude order with interval pruning; skips the zero tuple.
 
     Returns the solutions found and the nodes visited.  The scan gives up
-    once it has visited more than _WITNESS_NODE_CAP nodes.
+    once it has visited more than `budget` nodes.
     """
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
@@ -257,7 +255,7 @@ def _witness_scan(
     def dfs(i: int, t: int, f: int) -> bool:
         nonlocal visited
         visited += 1
-        if visited > _WITNESS_NODE_CAP:
+        if visited > budget:
             return True
         if i == s:
             point = tuple(stack_vals)
@@ -346,7 +344,8 @@ def count_solutions(
     or a pair (P, theta) for the boxes (theta_i P/2, 2 theta_i P].
     Restrictions: "smooth-y" intersects the pure-cubic block with the
     R-smooth set, "smooth-xl" restricts the last shared variable.
-    witness_limit = 0 skips the witness scan.
+    `budget` caps the count's folds and key pairs and the witness scan's
+    nodes; witness_limit = 0 skips the witness scan.
     """
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
@@ -354,22 +353,23 @@ def count_solutions(
     count = _count_via_ledgers(sys, ranges, budget)
     if witness_limit == 0:
         return SolutionCount(bounds, count, restriction, (), False)
-    witnesses, visited = _witness_scan(sys, ranges, witness_limit)
-    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > _WITNESS_NODE_CAP)
+    witnesses, visited = _witness_scan(sys, ranges, witness_limit, budget)
+    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > budget)
 
 
-def search_witness(sys: DiagonalSystem, B: int) -> Optional[tuple[int, ...]]:
+def search_witness(sys: DiagonalSystem, B: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Optional[tuple[int, ...]]:
     """Smallest nonzero solution with |x_i| <= B in by-magnitude order.
 
     Returns None when the box holds no nonzero solution, and raises
-    BudgetError when the scan gives up before finding one.
+    BudgetError when the scan visits more than `budget` nodes before
+    finding one.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
-    hits, visited = _witness_scan(sys, [range(-B, B + 1)] * sys.s, limit=1)
+    hits, visited = _witness_scan(sys, [range(-B, B + 1)] * sys.s, 1, budget)
     if hits:
         return hits[0]
-    check_budget(visited, _WITNESS_NODE_CAP, what="witness search nodes")
+    check_budget(visited, budget, what="witness search nodes")
     return None
 
 
@@ -389,10 +389,11 @@ def predict_and_compare(
 ) -> dict:
     """Compare exact box counts R(P) against the predicted C * S(Q) * P^(s-5).
 
-    `budget` caps the singular series tables and every exact count.
-    With eta given, also forms the smooth-restricted predictions: the
-    smooth-y count carries one Dickman factor per pure-cubic variable and
-    the smooth-x_l count carries a single factor.
+    `budget` caps the singular series tables, every exact count and the
+    witness scan.  With eta given, also forms the smooth-restricted
+    predictions: the smooth-y count carries one Dickman factor per
+    pure-cubic variable and the smooth-x_l count a single factor; these
+    variants report counts only, so they skip the witness scan.
     """
     from .archimedean import volume_constant
     from .local import singular_series
@@ -402,7 +403,8 @@ def predict_and_compare(
     series = singular_series(anchor.system, Q, budget=budget)
     C, C_err = volume_constant(anchor.system, anchor.theta, rng=rng, samples=mc_samples)
     prediction = C * series.value * P ** (sys.s - 5)
-    exact = count_solutions(anchor.system, (P, anchor.theta), budget=budget)
+    box = (P, anchor.theta)
+    exact = count_solutions(anchor.system, box, budget=budget)
     report = {
         "P": P,
         "Q": Q,
@@ -419,19 +421,13 @@ def predict_and_compare(
     if eta is not None:
         R = max(2, math.floor(P**eta))
         ce = c_eta(eta)
-        variants = {}
-        smooth_y = count_solutions(anchor.system, (P, anchor.theta), "smooth-y", R=R, budget=budget)
-        variants["smooth-y"] = {
-            "count": smooth_y.count,
-            "prediction": ce**sys.m * prediction,
-            "R": R,
-        }
-        if sys.l > 0:
-            smooth_xl = count_solutions(anchor.system, (P, anchor.theta), "smooth-xl", R=R, budget=budget)
-            variants["smooth-xl"] = {
-                "count": smooth_xl.count,
-                "prediction": ce * prediction,
+        factors = {"smooth-y": ce**sys.m, "smooth-xl": ce} if sys.l > 0 else {"smooth-y": ce**sys.m}
+        report["variants"] = {
+            name: {
+                "count": count_solutions(anchor.system, box, name, R=R, budget=budget, witness_limit=0).count,
+                "prediction": factor * prediction,
                 "R": R,
             }
-        report["variants"] = variants
+            for name, factor in factors.items()
+        }
     return report

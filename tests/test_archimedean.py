@@ -12,6 +12,7 @@ from scipy.integrate import dblquad, quad
 
 from diagpair import (
     ArcFamily,
+    BudgetError,
     DiagonalSystem,
     extrapolate_ladder,
     find_real_anchor,
@@ -22,7 +23,6 @@ from diagpair import (
     volume_constant,
 )
 from diagpair import archimedean
-from diagpair.archimedean import QuadratureError
 
 THETA6 = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 THETA4 = (0.3, 0.3, 0.3, 0.3)
@@ -170,10 +170,16 @@ def test_unit_integral_memory_is_bounded(ladder6):
     assert peak < 40e6
 
 
-def test_unit_integral_refuses_past_panel_cap(ladder6, monkeypatch):
-    monkeypatch.setattr(archimedean, "_MAX_PANELS", 8)
-    with pytest.raises(QuadratureError):
-        unit_singular_integral(ladder6, THETA6, 16.0)
+def test_unit_integral_refuses_past_budget(ladder6):
+    # W(16) converges on its third pass: 3024, 12096 and 48384 grid points
+    assert unit_singular_integral(ladder6, THETA6, 16.0, budget=48384)[1]["passes"] == 3
+    for budget, estimate in ((3023, 3024), (48383, 48384)):
+        with pytest.raises(BudgetError) as exc:
+            unit_singular_integral(ladder6, THETA6, 16.0, budget=budget)
+        assert (exc.value.what, exc.value.estimate, exc.value.cap) == ("quadrature grid points", estimate, budget)
+        with pytest.raises(BudgetError) as exc:
+            singular_integral(ladder6, 16.0, 1.0, THETA6, budget=budget)
+        assert exc.value.cap == budget
 
 
 def test_unit_integral_grows_with_height(ladder6):

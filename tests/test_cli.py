@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from diagpair import cli, find_real_anchor, format_system, unit_singular_integral
+from diagpair import DEFAULT_LEDGER_BUDGET, cli, find_real_anchor, format_system, unit_singular_integral
 from diagpair.oracles import brute_moment_T
 
 
@@ -170,10 +170,14 @@ def test_config_error_exit_code(capsys, argv):
         # the series' tables through q = 40 hold 7523 cells
         ("local", "--builtin", "sample5", "--series", "40", "--budget", "7522"),
         ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "7522"),
-        # a grid past the quadrature's panel cap
+        # W(Q) grids past the default budget, and past a given one
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "10000000"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "64", "--budget", "1000"),
+        ("solve", "--builtin", "tiny2", "--witness-bound", "5", "--budget", "5"),
+        ("local", "--builtin", "sample5", "--chi", "3", "6", "--budget", "1000"),
     ],
-    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict", "arch-panels"],
+    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict", "arch-panels", "arch-budget",
+         "solve-witness", "local-chi"],
 )
 def test_budget_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -181,13 +185,13 @@ def test_budget_error_exit_code(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "budget"
     assert int(payload["estimate"]) > int(payload["cap"])
+    # every refusal is against --budget, or its default
+    budget = argv[argv.index("--budget") + 1] if "--budget" in argv else str(DEFAULT_LEDGER_BUDGET)
+    assert payload["cap"] == budget
 
 
-def test_witness_search_gives_up_exit_code(capsys, monkeypatch):
-    from diagpair import solver
-
-    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
-    code, _, err = run(capsys, "solve", "--builtin", "tiny2", "--witness-bound", "5")
+def test_witness_search_gives_up_exit_code(capsys):
+    code, _, err = run(capsys, "solve", "--builtin", "tiny2", "--witness-bound", "5", "--budget", "5")
     assert code == cli.EXIT_BUDGET
     assert json.loads(err)["what"] == "witness search nodes"
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from diagpair import (
     singular_series,
     t_factor,
 )
+from diagpair import local
 from diagpair.oracles import brute_count_congruences, direct_series_term
 from diagpair.systems import BUILTIN_SYSTEMS
 
@@ -37,11 +39,25 @@ def test_complete_sum_matches_direct(q, A3, A2):
     assert abs(got - want) <= 1e-9 * q
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES)
+# and one prime past 10^4: only the budget caps the modulus
+@pytest.mark.parametrize("p", [*ODD_PRIMES, 10_007])
 def test_gauss_magnitude(p):
     # quadratic complete sum with p coprime to everything has magnitude sqrt(p)
     val = complete_sum(p, 1, 0, 0, 1)
     assert val.magnitude == pytest.approx(math.sqrt(p), rel=1e-12)
+
+
+def test_complete_sum_refuses_past_default_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            complete_sum(DEFAULT_LEDGER_BUDGET + 1, 1, 0, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.what, info.value.cap) == ("complete sum modulus", DEFAULT_LEDGER_BUDGET)
+    # refused before its q-term arrays (400 MB each) are allocated
+    assert peak < 1e6
 
 
 def test_complete_sum_residue_zero_is_count():
@@ -97,6 +113,16 @@ def test_chi_identity(p, t, sample5):
     part = chi_p_partial(sample5, p, t)
     assert part.relative_gap <= 1e-9
     assert part.M == count_congruences(sample5, p**t).M
+
+
+def test_chi_refuses_before_any_table(sample5, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a series table was built before the budget check")
+
+    monkeypatch.setattr(local, "_series_term", no_tables)
+    with pytest.raises(BudgetError) as info:
+        chi_p_partial(sample5, 3, 6, budget=1000)
+    assert (info.value.what, info.value.cap) == ("congruence ledger", 1000)
 
 
 def test_chi_depth_zero(sample5):

@@ -15,6 +15,7 @@ from diagpair import (
     verify_solution,
 )
 from diagpair import solver
+from diagpair.smooth import c_eta
 from diagpair.budget import DEFAULT_LEDGER_BUDGET
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
 
@@ -165,14 +166,18 @@ def test_block_count_matches_brute(case):
     assert isinstance(got, int)
 
 
-@pytest.mark.parametrize("P, want", [(26, 44199), (40, 570521)])
+@pytest.mark.parametrize("P, want", [(26, 44199), (40, 570521), (60, 6566691)])
 def test_balanced11_box_pins(balanced11, P, want):
-    # seed-0 anchor; both counts run at the default budget
+    # seed-0 anchor; the counts and witness scans run at the default budget
+    # (at P = 60 the scan visits about 2.5 million nodes)
     anchor = find_real_anchor(balanced11, rng=np.random.default_rng(0))
     res = count_solutions(anchor.system, (P, anchor.theta))
     assert res.count == want
+    assert len(res.witnesses) == 10
+    assert not res.witnesses_truncated
     for w in res.witnesses:
         assert verify_solution(anchor.system, w)
+        assert all(th * P / 2 < x <= 2 * th * P for x, th in zip(w, anchor.theta))
 
 
 def test_smooth_restriction_shrinks(ladder6):
@@ -223,15 +228,17 @@ def test_search_witness_none_when_blocked():
     assert search_witness(blocked, 6) is None
 
 
-def test_witness_cap_is_reported(tiny2, monkeypatch):
-    # five nodes reach (0, 0), (0, 1) and (0, -1) but not the witness (1, 1)
-    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
-    res = count_solutions(tiny2, 5)
+def test_witness_cap_is_reported(tiny2):
+    # budget 121 admits the 121 key pairs of the count, but the scan needs
+    # 133 nodes for all ten witnesses: it stops before the tenth, (-5, -5)
+    res = count_solutions(tiny2, 5, budget=121)
     assert res.count == 11
-    assert res.witnesses == ()
+    assert res.witnesses == tuple((v, v) for k in range(1, 5) for v in (k, -k)) + ((5, 5),)
     assert res.witnesses_truncated
+    assert not count_solutions(tiny2, 5, budget=133).witnesses_truncated
+    # five nodes reach (0, 0), (0, 1) and (0, -1) but not the witness (1, 1)
     with pytest.raises(BudgetError) as exc:
-        search_witness(tiny2, 5)
+        search_witness(tiny2, 5, budget=5)
     assert exc.value.what == "witness search nodes"
     assert exc.value.estimate > exc.value.cap == 5
 
@@ -268,9 +275,29 @@ def test_predict_and_compare_smoke(ladder6, rng):
         assert verify_solution(ladder6, w)
 
 
-def test_predict_reports_witness_cap(ladder6, rng, monkeypatch):
-    monkeypatch.setattr(solver, "_WITNESS_NODE_CAP", 5)
-    rep = predict_and_compare(ladder6, 12.0, Q=10, rng=rng, mc_samples=20_000)
-    assert rep["count"] > 0
-    assert rep["witnesses"] == ()
-    assert rep["witnesses_truncated"] is True
+def test_predict_variants_skip_the_witness_scan(balanced11, monkeypatch):
+    scans = []
+    scan = solver._witness_scan
+    monkeypatch.setattr(solver, "_witness_scan", lambda *args: scans.append(args) or scan(*args))
+    rep = predict_and_compare(balanced11, 10.0, Q=10, eta=0.5, rng=np.random.default_rng(1234), mc_samples=20_000)
+    assert len(scans) == 1
+    anchor = find_real_anchor(balanced11, rng=np.random.default_rng(1234))
+    for name, factor in (("smooth-y", c_eta(0.5) ** 3), ("smooth-xl", c_eta(0.5))):
+        variant = rep["variants"][name]
+        assert variant["R"] == 3
+        assert variant["count"] == count_solutions(anchor.system, (10.0, anchor.theta), name, R=3).count
+        assert variant["prediction"] == pytest.approx(factor * rep["prediction"], rel=1e-15)
+
+
+def test_predict_reports_witness_cap(balanced11):
+    # at this anchor R(10) = 296 needs a budget of 1290, and the scan finds
+    # four witnesses in 50000 nodes and all ten in 51445; the series to
+    # Q = 10 holds 249 table cells
+    reps = [
+        predict_and_compare(balanced11, 10.0, Q=10, rng=np.random.default_rng(1234), mc_samples=20_000, budget=b)
+        for b in (50_000, DEFAULT_LEDGER_BUDGET)
+    ]
+    assert [rep["count"] for rep in reps] == [296, 296]
+    assert [rep["witnesses_truncated"] for rep in reps] == [True, False]
+    # the same scan order, stopped early: the first witnesses agree
+    assert reps[0]["witnesses"] == reps[1]["witnesses"]
