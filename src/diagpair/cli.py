@@ -180,6 +180,7 @@ def _cmd_local(args, cfg: RunConfig):
             "A": {str(q): v for q, v in sorted(res.A.items())},
             "partials_tail": [float(v) for v in res.partials[-5:]],
             "tables": res.tables,
+            "rows": res.rows,
             "cells": res.cells,
         }
     if args.q is not None:

@@ -11,11 +11,15 @@ complete sum S(q, r) covers all three blocks.
 
 The singular series is summed from prime powers.  A(q) and B(q) are
 multiplicative over coprime factors (CRT splits each primitive residue
-pair and each complete sum), so tables of T(q, r) are built only at q = 1
-and at prime powers q = p^k, and every other A(q), B(q) is the product
-of its p-part's value and its cofactor's.  Criterion 8 checks that
-product against `oracles.direct_series_term`, which sums direct complete
-sums at composite q with no tables and no multiplicativity.
+pair and each complete sum), so they are computed only at q = 1 and at
+prime powers q = p^k, and every other A(q), B(q) is the product of its
+p-part's value and its cofactor's.  A prime p needs no p x p table: the
+substitution x -> lambda x leaves T(p, r) constant on scaling orbits, so
+g + 1 rows of length p (g = gcd(3, p - 1)) carry every sum.  Tables of
+T(q, r) are built only at q = 1 and at composite prime powers.
+Criterion 8 checks the product against `oracles.direct_series_term`,
+which sums direct complete sums at composite q with no tables, no orbits
+and no multiplicativity.
 
 The central identity tying the two local viewpoints together: with
 B(q) = sum over primitive (q, r2, r3) of T(q, r), the congruence count
@@ -108,8 +112,8 @@ def _prime_power_table(sys: DiagonalSystem, q: int) -> np.ndarray:
     Components are grouped by their residues (A3 mod q, A2 mod q): both
     zero gives the constant q, a pure-quadratic pair a vector over r2, a
     pure-cubic pair a vector over r3, and only a mixed pair needs a q x q
-    table.  Used at q = 1 and at prime powers, where coefficients divisible
-    by p reach the first three cases.
+    table.  Used at q = 1 and at composite prime powers, where coefficients
+    divisible by p reach the first three cases.
     """
     u = np.arange(1, q + 1, dtype=np.int64)
     scale = float(q) ** (-sys.s)
@@ -139,20 +143,94 @@ def _primitive_mask(q: int) -> np.ndarray:
     return np.gcd.outer(np.gcd(r, q), r) == 1
 
 
-def _series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
-    """(A(q), B(q)): sums of |T| and of T over primitive (r2, r3), from one table."""
+def _cube_class_reps(p: int) -> list[int]:
+    """One residue c from each of the g = gcd(3, p - 1) cube classes of units mod the prime p.
+
+    c^((p - 1)/g) mod p is the same for all of one class and differs between classes.
+    """
+    g = math.gcd(3, p - 1)
+    reps: dict = {}
+    c = 1
+    while len(reps) < g:
+        reps.setdefault(pow(c, (p - 1) // g, p), c)
+        c += 1
+    return list(reps.values())
+
+
+def _orbit_term(sys: DiagonalSystem, p: int) -> tuple[float, complex]:
+    """(A(p), B(p)) at a prime p from g + 1 rows of T instead of the p x p table.
+
+    For a unit lambda, x -> lambda x gives T(lambda^2 r2, lambda^3 r3) =
+    T(r2, r3), so the row sum R(c) = sum over r2 of T(r2, c) depends only
+    on the cube class of c != 0.  With g = gcd(3, p - 1) classes of
+    (p - 1)/g units each,
+
+        B(p) = sum_{r2 != 0} T(r2, 0) + ((p - 1)/g) * sum over class reps c of R(c),
+
+    and A(p) is the same sum over |T|.  Each row r3 = c is a product over
+    the distinct (A3 mod p, A2 mod p) components of S[r2] = sum_j w_j e(j r2/p),
+    where w_j sums e(A3 c u^3/p) over the u with A2 u^2 = j: one length-p
+    inverse DFT per component and row.  Components with both residues 0
+    contribute the constant p.
+    """
+    reps = _cube_class_reps(p)
+    r3 = np.array([0, *reps], dtype=np.int64)
+    u = np.arange(p, dtype=np.int64)
+    u2 = u * u % p
+    u3 = u2 * u % p
+    comps = Counter((A3 % p, A2 % p) for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()))
+    scale = float(p) ** (comps.pop((0, 0), 0) - sys.s)
+    key = np.array(list(comps), dtype=np.int64).reshape(-1, 2)
+    c3, c2 = key[:, 0, None, None], key[:, 1, None, None]
+    # w_j of component k in row i is bin (k * rows + i) * p + j of one histogram
+    phase = c3 * r3[:, None] % p * u3 % p
+    slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * p + c2 * u2 % p).ravel()
+    ang = (2.0 * math.pi * phase / p).ravel()  # not `_unity_table`: its cache would keep every prime's table
+    size = len(key) * len(r3) * p
+    w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
+    sums = p * np.fft.ifft(w.reshape(len(key), len(r3), p), axis=-1)
+    rows = np.full((len(r3), p), scale, dtype=complex)
+    for factor, n in zip(sums, comps.values()):
+        for _ in range(n):
+            rows *= factor
+    coset = (p - 1) // len(reps)
+    A = np.abs(rows[0, 1:]).sum() + coset * np.abs(rows[1:]).sum()
+    B = rows[0, 1:].sum() + coset * rows[1:].sum()
+    return float(A), complex(B)
+
+
+def _series_term(sys: DiagonalSystem, q: int, spf: list[int]) -> tuple[float, complex]:
+    """(A(q), B(q)) at q = 1 or a prime power: sums of |T| and of T over primitive (r2, r3).
+
+    A prime q (spf[q] == q) takes the orbit rows of `_orbit_term`; q = 1 and
+    the composite prime powers take one table.
+    """
+    if q > 1 and spf[q] == q:
+        return _orbit_term(sys, q)
     vals = _prime_power_table(sys, q)[_primitive_mask(q)]
     return float(np.abs(vals).sum()), complex(vals.sum())
 
 
-def _prime_part(q: int) -> int:
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[q], the smallest prime dividing q, for 2 <= q <= n (spf[0] = 0, spf[1] = 1).
+
+    q > 1 is prime exactly when spf[q] == q.
+    """
+    spf = np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    return spf.tolist()
+
+
+def _prime_part(q: int, spf: list[int]) -> int:
     """p^v_p(q) for the smallest prime p dividing q, and 1 for q = 1.
 
     q is 1 or a prime power exactly when its prime part is q itself.
     """
     if q == 1:
         return 1
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = spf[q]
     pk = p
     while q % (pk * p) == 0:
         pk *= p
@@ -167,23 +245,30 @@ class LocalFactor:
     A: dict = field(default_factory=dict)  # q -> sum of |T| over primitive r
     B: dict = field(default_factory=dict)  # q -> sum of T  over primitive r
     partials: Optional[np.ndarray] = None  # running sums, index q-1
-    tables: int = 0  # q x q tables built: q = 1 and each prime power q <= Q
-    cells: int = 0  # cells in those tables, the estimate checked against the budget
+    tables: int = 0  # q x q tables built: q = 1 and each composite prime power q <= Q
+    rows: int = 0  # length-p orbit rows built: g + 1 at each prime p <= Q
+    cells: int = 0  # cells in those tables and rows, the estimate checked against the budget
 
 
 def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> LocalFactor:
     """Partial singular series through modulus Q, with per-q diagnostics.
 
-    Tables are built only at q = 1 and at prime powers; every other
+    Terms are built only at q = 1 and at prime powers; every other
     q = p^k m with p not dividing m takes A(q) = A(p^k) A(m) and the complex
-    B(q) = B(p^k) B(m).  The tables hold 1 + sum of q^2 over prime powers
-    q <= Q cells in all; that total is checked against `budget` up front.
+    B(q) = B(p^k) B(m).  A prime p <= Q builds g + 1 orbit rows of p cells
+    (g = gcd(3, p - 1)), and q = 1 and each composite prime power q <= Q a
+    table of q^2 cells; their total is checked against `budget` up front.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    part = [0] + [_prime_part(q) for q in range(1, Q + 1)]
-    powers = [q for q in range(1, Q + 1) if part[q] == q]
-    cells = check_budget(sum(q * q for q in powers), budget, what="singular series table cells")
+    spf = _smallest_prime_factors(Q)
+    part = [0] + [_prime_part(q, spf) for q in range(1, Q + 1)]
+    primes = [q for q in range(2, Q + 1) if spf[q] == q]
+    tables = [1] + [q for q in range(2, Q + 1) if part[q] == q != spf[q]]
+    rows = {p: math.gcd(3, p - 1) + 1 for p in primes}
+    cells = check_budget(
+        sum(q * q for q in tables) + sum(n * p for p, n in rows.items()), budget, what="singular series table cells"
+    )
     A: dict = {}
     B: dict = {}
     running = np.empty(Q)
@@ -191,7 +276,7 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
     for q in range(1, Q + 1):
         pk = part[q]
         if pk == q:
-            A[q], B[q] = _series_term(sys, q)
+            A[q], B[q] = _series_term(sys, q, spf)
         else:
             A[q] = A[pk] * A[q // pk]
             B[q] = B[pk] * B[q // pk]
@@ -204,7 +289,8 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
         A=A,
         B={q: b.real for q, b in B.items()},
         partials=running,
-        tables=len(powers),
+        tables=len(tables),
+        rows=sum(rows.values()),
         cells=cells,
     )
 
@@ -220,8 +306,11 @@ class CongruenceCount:
 def _fold_vars(q: int, comps) -> np.ndarray:
     """Ledger over (Phi mod q, Theta mod q), one variable folded at a time.
 
-    int64 until counts could reach 2^62, then object dtype keeps exactness;
-    np.roll implements the cyclic key shift of each variable value.
+    int64 until counts could reach 2^62, then object dtype keeps exactness.
+    The values u of a variable are grouped by their key shift
+    (A2 u^2, A3 u^3) mod q; each distinct shift adds the ledger, times its
+    multiplicity, into one buffer as four slice-adds (the cyclic wrap on
+    each axis).
     """
     arr = np.zeros((q, q), dtype=np.int64)
     arr[0, 0] = 1
@@ -230,11 +319,15 @@ def _fold_vars(q: int, comps) -> np.ndarray:
         bound *= q
         if bound >= 2**62 and arr.dtype != object:
             arr = arr.astype(object)
+        shifts = Counter(((A2 * u * u) % q, (A3 * u**3) % q) for u in range(q))
         new = np.zeros_like(arr)
-        for u in range(q):
-            d3 = (A3 * u**3) % q
-            d2 = (A2 * u * u) % q
-            new += np.roll(np.roll(arr, d2, axis=0), d3, axis=1)
+        scaled = np.empty_like(arr)
+        for (d2, d3), n in shifts.items():
+            src = arr if n == 1 else np.multiply(arr, n, out=scaled)
+            new[d2:, d3:] += src[: q - d2, : q - d3]
+            new[d2:, :d3] += src[: q - d2, q - d3 :]
+            new[:d2, d3:] += src[q - d2 :, : q - d3]
+            new[:d2, :d3] += src[q - d2 :, q - d3 :]
         arr = new
     return arr
 
@@ -279,9 +372,10 @@ def chi_p_partial(sys: DiagonalSystem, p: int, t: int, budget: int = DEFAULT_LED
     if t < 0:
         raise ValueError("t must be >= 0")
     M = count_congruences(sys, p**t, budget=budget).M
+    spf = _smallest_prime_factors(p**t)
     total = complex(1.0)  # h = 0 term
     for h in range(1, t + 1):
-        total += _series_term(sys, p**h)[1]
+        total += _series_term(sys, p**h, spf)[1]
     count_side = M / float(p) ** (t * (sys.s - 2))
     return ChiPartial(p, t, total.real, count_side, M)
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +103,13 @@ def test_congruences_match_brute_s5(sample5):
         assert count_congruences(sample5, q).M == brute_count_congruences(sample5, q)
 
 
+def test_congruences_object_path():
+    # mod 2 both forms reduce to x_1 + ... + x_124, so M(2) = 2^123; each
+    # half folds 62 variables and crosses from int64 to object dtype
+    big = DiagonalSystem(a=(1,) * 124, b=(1,) * 124)
+    assert count_congruences(big, 2).M == 2**123
+
+
 def test_congruence_budget():
     big = DiagonalSystem(a=(1,) * 6, b=(1,) * 6)
     with pytest.raises(BudgetError):
@@ -142,19 +150,20 @@ def test_singular_series_partials(balanced11):
 
 
 def test_singular_series_height_cap(balanced11):
-    # 977 is prime, so the tables through 976 hold 977^2 fewer cells and fit
+    # 3125 = 5^5 takes a table, so the work through 3124 is 3125^2 cells less and fits
     with pytest.raises(BudgetError) as info:
-        singular_series(balanced11, 977)
-    assert info.value.estimate - 977**2 <= DEFAULT_LEDGER_BUDGET < info.value.estimate
+        singular_series(balanced11, 3125)
+    assert info.value.estimate - 3125**2 <= DEFAULT_LEDGER_BUDGET < info.value.estimate
 
 
 def test_singular_series_budget(sample5):
-    # tables at q = 1 and the 19 prime powers q <= 40 hold 1 + sum q^2 = 7523 cells
-    res = singular_series(sample5, 40, budget=7523)
-    assert (res.Q, res.tables, res.cells) == (40, 20, 7523)
+    # tables at q = 1 and the 7 composite prime powers q <= 40 hold 2796 cells,
+    # and (g + 1) p orbit rows at the 12 primes 608 more: 3404
+    res = singular_series(sample5, 40, budget=3404)
+    assert (res.Q, res.tables, res.rows, res.cells) == (40, 8, 34, 3404)
     with pytest.raises(BudgetError) as info:
-        singular_series(sample5, 40, budget=7522)
-    assert info.value.estimate == 7523
+        singular_series(sample5, 40, budget=3403)
+    assert info.value.estimate == 3404
     assert info.value.what == "singular series table cells"
 
 
@@ -164,14 +173,14 @@ DIV23 = DiagonalSystem(a=(2, 1), b=(3, 1), c=(4,), d=(6,))
 
 
 @pytest.mark.parametrize(
-    "sysd,Q,tables,cells",
+    "sysd,Q,tables,rows,cells",
     [
-        pytest.param(BUILTIN_SYSTEMS["balanced11"], 12, 9, 370, id="balanced11"),
-        pytest.param(BUILTIN_SYSTEMS["sample5"], 24, 14, 1974, id="sample5"),
-        pytest.param(DIV23, 18, 12, 1084, id="div23"),
+        pytest.param(BUILTIN_SYSTEMS["balanced11"], 12, 4, 12, 232, id="balanced11"),
+        pytest.param(BUILTIN_SYSTEMS["sample5"], 24, 5, 24, 696, id="sample5"),
+        pytest.param(DIV23, 18, 5, 18, 574, id="div23"),
     ],
 )
-def test_singular_series_matches_direct(sysd, Q, tables, cells):
+def test_singular_series_matches_direct(sysd, Q, tables, rows, cells):
     res = singular_series(sysd, Q)
     # B(q) can cancel to zero (every sum mod 2 here does), hence the 1e-14 floor
     running = 0.0
@@ -181,8 +190,27 @@ def test_singular_series_matches_direct(sysd, Q, tables, cells):
         assert res.B[q] == pytest.approx(B.real, rel=1e-12, abs=1e-14)
         running += B.real
         assert res.partials[q - 1] == pytest.approx(running, rel=1e-12, abs=1e-14)
-    # tables at q = 1 and at each prime power, 1 + sum of their q^2 cells
-    assert (res.tables, res.cells) == (tables, cells)
+    # tables at q = 1 and each composite prime power, g + 1 rows at each prime
+    assert (res.tables, res.rows, res.cells) == (tables, rows, cells)
+
+
+# 7 divides coefficients and 7 = 1 mod 3: at q = 7, x_1 is pure-quadratic,
+# x_2 pure-cubic and z_1 has both residues 0, so rows take every case
+DIV7 = DiagonalSystem(a=(7, 1, 2), b=(3, 14, 1), c=(5,), d=(7, 2))
+
+
+@pytest.mark.parametrize(
+    "sysd",
+    [BUILTIN_SYSTEMS["balanced11"], BUILTIN_SYSTEMS["sample5"], BUILTIN_SYSTEMS["ladder6"], DIV23, DIV7],
+    ids=["balanced11", "sample5", "ladder6", "div23", "div7"],
+)
+def test_orbit_rows_match_tables(sysd):
+    spf = local._smallest_prime_factors(200)
+    for p in [q for q in range(2, 201) if spf[q] == q]:
+        table = local._prime_power_table(sysd, p)[local._primitive_mask(p)]
+        A, B = local._series_term(sysd, p, spf)
+        assert A == pytest.approx(float(np.abs(table).sum()), rel=1e-12, abs=1e-14)
+        assert B == pytest.approx(complex(table.sum()), rel=1e-12, abs=1e-14)
 
 
 def test_padic_witness_found(balanced11, rng):

@@ -292,7 +292,7 @@ def test_predict_variants_skip_the_witness_scan(balanced11, monkeypatch):
 def test_predict_reports_witness_cap(balanced11):
     # at this anchor R(10) = 296 needs a budget of 1290, and the scan finds
     # four witnesses in 50000 nodes and all ten in 51445; the series to
-    # Q = 10 holds 249 table cells
+    # Q = 10 holds 210 table and orbit-row cells
     reps = [
         predict_and_compare(balanced11, 10.0, Q=10, rng=np.random.default_rng(1234), mc_samples=20_000, budget=b)
         for b in (50_000, DEFAULT_LEDGER_BUDGET)
