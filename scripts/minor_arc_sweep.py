@@ -3,18 +3,18 @@
 First part: draw random points off the height-Q arc family and record the
 largest |f| / (P^(1+eps) Q^(-1/3)); repeated over a Q ladder this traces
 how the normalized sup behaves as the arcs grow.  Second part: sample a
-block sum on a (H, Y) grid and measure the constant needed to transfer
-its convergent-based bound to nearby non-convergent rationals.
+block sum on a (H, Y) grid with `transfer_grid`, the sampler of criterion 12,
+and measure the constant needed to transfer its convergent-based bound to
+nearby non-convergent rationals.
 
 Run: python3 scripts/minor_arc_sweep.py [--p 200] [--samples 40]
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from diagpair import BoxSumSpec, block_sum, minor_arc_weyl_check, transfer_bound_check
+from diagpair import BoxSumSpec, minor_arc_weyl_check, transfer_grid
 
 
 def main() -> None:
@@ -38,17 +38,7 @@ def main() -> None:
 
     print("\ntransference constants on an (H, Y) grid:")
     print(f"{'H':>5} {'Y':>5}  {'C1':>8}  {'C2':>8}  {'amplification':>14}")
-    for H, Y in [(4, 12), (6, 20), (8, 30)]:
-        X, Z = H * Y, H * Y * Y
-        samples = []
-        for _ in range(args.samples):
-            a3 = rng.random()
-            if rng.random() < 0.3:
-                q = rng.integers(2, 12)
-                a3 = (math.floor(a3 * q) + rng.normal(0, 1e-4)) / q % 1.0
-            mag = block_sum(0.0, rng.random(), a3, Y, H).magnitude
-            samples.append((a3, mag))
-        rep = transfer_bound_check(samples, X=X, Y=float(Y), Z=float(Z), theta=0.5)
+    for (H, Y), rep in transfer_grid([(4, 12), (6, 20), (8, 30)], rng).items():
         print(f"{H:>5} {Y:>5}  {rep['C1_fitted']:>8.3f}  {rep['C2_observed']:>8.3f}"
               f"  {rep['amplification']:>14.3f}")
         worst = rep["worst"]

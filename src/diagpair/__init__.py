@@ -17,14 +17,7 @@ from .systems import (
     parse_system,
     phi_indefinite,
 )
-from .expsums import (
-    BoxSumSpec,
-    SumValue,
-    block_sum,
-    box_sum,
-    vinogradov_sum,
-    weyl_sum,
-)
+from .expsums import BoxSumSpec, SumValue, block_sum, box_sum
 from .ledger import Ledger
 from .moments import (
     I2Classification,
@@ -47,6 +40,7 @@ from .arcs import (
     membership,
     minor_arc_weyl_check,
     transfer_bound_check,
+    transfer_grid,
     transfer_lambda,
 )
 from .local import (

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import transfer_bound_check, transfer_lambda
+from .arcs import transfer_grid, transfer_lambda
 from .archimedean import extrapolate_ladder, singular_integral, volume_constant
-from .expsums import BoxSumSpec, block_sum
+from .expsums import BoxSumSpec
 from .local import (
     _component_table,
     _primitive_mask,
@@ -372,23 +372,10 @@ def criterion_12(profile: str = "desk") -> CriterionResult:
             return False, "lambda(0.51; 1,2, Z=100) != 4"
         if transfer_lambda(Fraction(2, 7), 1, 3, 14) != 5:
             return False, "lambda(2/7; 1,3, Z=14) != 5"
-        rng = np.random.default_rng(12)
         lo, hi = (4, 13) if profile == "desk" else (4, 9)
-        c2 = {}
-        for H in range(lo, hi):
-            for Y in range(lo, hi):
-                samples = []
-                for k in range(24):
-                    if k < 16:
-                        a3 = float(rng.random())
-                    else:
-                        r = int(rng.integers(1, 9))
-                        a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
-                    a1, a2 = float(rng.random()), float(rng.random())
-                    samples.append((a3, block_sum(a1, a2, a3, Y, H).magnitude))
-                rep = transfer_bound_check(samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5)
-                c2[(H, Y)] = rep["C2_observed"]
-        vals = list(c2.values())
+        cells = [(H, Y) for H in range(lo, hi) for Y in range(lo, hi)]
+        grid = transfer_grid(cells, np.random.default_rng(12))
+        vals = [rep["C2_observed"] for rep in grid.values()]
         if not all(math.isfinite(v) for v in vals):
             return False, "non-finite C2 on the grid"
         if max(vals) > TRANSFER_C2_CEILING:

@@ -15,25 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .expsums import BoxSumSpec, box_sum
-
-DELTA = 1e-6  # exponent unit for pruning heights
-
-
-def pruning_height(P: float, delta: float = DELTA) -> float:
-    """Height P^(30 delta); barely above 1 for desk-scale P."""
-    return P ** (30 * delta)
-
-
-def iterated_log_height(P: float, power: int = 100) -> float:
-    """Height (log log P)^power; astronomically large once log log P > 1."""
-    if P <= math.e:
-        raise ValueError("need log log P > 0")
-    return math.log(math.log(P)) ** power
+from .expsums import BoxSumSpec, block_sum, box_sum
 
 
 @dataclass(frozen=True)
@@ -95,14 +81,6 @@ def membership(alpha2: float, alpha3: float, fam: ArcFamily) -> ArcMembership:
         for wit in _witnesses_at_q(alpha2, alpha3, fam, q):
             return ArcMembership(True, wit)
     return ArcMembership(False, None)
-
-
-def all_witnesses(alpha2: float, alpha3: float, fam: ArcFamily) -> list[tuple[int, int, int]]:
-    """Every admissible (q, r2, r3); disjointness means at most one for Q <= P."""
-    out = []
-    for q in range(1, math.floor(fam.Q) + 1):
-        out.extend(_witnesses_at_q(alpha2, alpha3, fam, q))
-    return out
 
 
 @dataclass(frozen=True)
@@ -206,6 +184,31 @@ def transfer_bound_check(
     }
 
 
+def transfer_grid(cells: Iterable[tuple[int, int]], rng: np.random.Generator) -> dict:
+    """transfer_bound_check report of the block sum at each (H, Y) cell.
+
+    Each cell takes 24 samples with a1 and a2 uniform on [0, 1): 16 with a3
+    uniform and 8 with a3 = b/r + N(0, 1e-3) noise, r uniform in [1, 8] and
+    b uniform in [0, r].  The block sum is measured against X = H Y and
+    Z = H Y^2 at theta = 1/2.
+    """
+    grid = {}
+    for H, Y in cells:
+        samples = []
+        for k in range(24):
+            if k < 16:
+                a3 = float(rng.random())
+            else:
+                r = int(rng.integers(1, 9))
+                a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
+            a1, a2 = float(rng.random()), float(rng.random())
+            samples.append((a3, block_sum(a1, a2, a3, Y, H).magnitude))
+        grid[(H, Y)] = transfer_bound_check(
+            samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5
+        )
+    return grid
+
+
 def minor_arc_weyl_check(
     spec: BoxSumSpec,
     Q: float,
@@ -213,13 +216,12 @@ def minor_arc_weyl_check(
     samples: int,
     rng: Optional[np.random.Generator] = None,
     eps: float = 0.05,
-    ceiling: Optional[float] = None,
 ) -> dict:
     """Sample minor-arc points and normalize |f_i| by P^(1+eps) Q^(-1/3).
 
     Points are drawn uniformly on the torus and kept only when membership
     in the height-Q homogeneous family rejects them.  Reports the maximum
-    normalized magnitude; a ceiling, when given, only sets a flag.
+    normalized magnitude.
     """
     if Q > P ** 0.75:
         raise ValueError("minor-arc check needs Q <= P^(3/4)")
@@ -248,6 +250,4 @@ def minor_arc_weyl_check(
         "samples_used": kept,
         "rejected_inside": rejected,
         "max_normalized": max_norm,
-        "ceiling": ceiling,
-        "exceeded": bool(ceiling is not None and max_norm > ceiling),
     }

@@ -22,14 +22,13 @@ from datetime import datetime, timezone
 from typing import Any, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .acceptance import format_results, run_all
-from .arcs import ArcFamily, dirichlet_approx, membership, transfer_bound_check, transfer_lambda
+from .arcs import ArcFamily, dirichlet_approx, membership, transfer_grid, transfer_lambda
 from .archimedean import singular_integral, volume_constant
 from .budget import DEFAULT_LEDGER_BUDGET, BudgetError
-from .expsums import BoxSumSpec, block_sum
+from .expsums import BoxSumSpec
 from .local import chi_p_partial, count_congruences, padic_witness, singular_series
 from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
 from .smooth import c_eta, dickman_rho, smooth_set
@@ -94,7 +93,6 @@ def _report(cfg: RunConfig, result: Any) -> dict:
             "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
         "config": {
@@ -239,17 +237,11 @@ def _cmd_arcs(args, cfg: RunConfig):
         alpha, b, r, z = args.lam.split(",")
         out["lambda"] = float(transfer_lambda(float(alpha), int(b), int(r), float(z)))
     if args.transfer_report:
-        rng = np.random.default_rng(cfg.seed)
-        grid = {}
-        for H in (4, 8, 12):
-            for Y in (4, 8, 12):
-                samples = []
-                for _ in range(16):
-                    a1, a2, a3 = rng.random(3)
-                    samples.append((float(a3), block_sum(float(a1), float(a2), float(a3), Y, H).magnitude))
-                rep = transfer_bound_check(samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5)
-                grid[f"H={H},Y={Y}"] = {"C1": rep["C1_fitted"], "C2": rep["C2_observed"]}
-        out["transfer_report"] = grid
+        cells = [(H, Y) for H in (4, 8, 12) for Y in (4, 8, 12)]
+        out["transfer_report"] = {
+            f"H={H},Y={Y}": {"C1": rep["C1_fitted"], "C2": rep["C2_observed"]}
+            for (H, Y), rep in transfer_grid(cells, np.random.default_rng(cfg.seed)).items()
+        }
     if not out:
         raise ValueError("arcs needs one of --member/--dirichlet/--lam/--transfer-report")
     return out, False

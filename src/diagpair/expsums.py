@@ -38,10 +38,6 @@ class SumValue:
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "SumValue":
-        return cls(z.real, z.imag)
-
 
 def scaled_coeff(alpha: float, mult: int = 1) -> int:
     """Integer A with A / 2**PHASE_BITS ~ frac(mult * alpha), exactly quantized.
@@ -63,55 +59,11 @@ def _exp_of_scaled(scaled_phases) -> tuple[float, float]:
     return math.fsum(np.cos(angles)), math.fsum(np.sin(angles))
 
 
-def _poly_scaled_phases(A1: int, A2: int, A3: int, X: int) -> list[int]:
-    # Finite differences of A1*x + A2*x^2 + A3*x^3 over x = 1..X, all mod 2**K.
-    # Third difference is the constant 6*A3.
-    p = (A1 + A2 + A3) % _SCALE
-    d1 = (A1 + 3 * A2 + 7 * A3) % _SCALE
-    d2 = (2 * A2 + 12 * A3) % _SCALE
-    d3 = (6 * A3) % _SCALE
-    out = []
-    for _ in range(X):
-        out.append(p)
-        p = (p + d1) % _SCALE
-        d1 = (d1 + d2) % _SCALE
-        d2 = (d2 + d3) % _SCALE
-    return out
-
-
-def weyl_sum(alpha: float, beta: float, X: int) -> SumValue:
-    """Sum of e(alpha*x^3 + beta*x^2) over 1 <= x <= X."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    re, im = _exp_of_scaled(
-        _poly_scaled_phases(0, scaled_coeff(beta), scaled_coeff(alpha), int(X))
-    )
-    return SumValue(re, im)
-
-
-def vinogradov_sum(a1: float, a2: float, a3: float, X: int) -> SumValue:
-    """Sum of e(a1*x + a2*x^2 + a3*x^3) over 1 <= x <= X."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    re, im = _exp_of_scaled(
-        _poly_scaled_phases(scaled_coeff(a1), scaled_coeff(a2), scaled_coeff(a3), int(X))
-    )
-    return SumValue(re, im)
-
-
-def block_sum(
-    a1: float, a2: float, a3: float, Y: int, H: int, starred: bool = False
-) -> SumValue:
-    """Double sum of e(h*a1 + h*y*a2 + h*y^2*a3) over 0 < |h| <= H, 1 <= y <= Y.
-
-    The starred variant substitutes (a1, 2*a2, 3*a3) before summing.
-    """
+def block_sum(a1: float, a2: float, a3: float, Y: int, H: int) -> SumValue:
+    """Double sum of e(h*a1 + h*y*a2 + h*y^2*a3) over 0 < |h| <= H, 1 <= y <= Y."""
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
-    if starred:
-        A1, A2, A3 = scaled_coeff(a1), scaled_coeff(a2, 2), scaled_coeff(a3, 3)
-    else:
-        A1, A2, A3 = scaled_coeff(a1), scaled_coeff(a2), scaled_coeff(a3)
+    A1, A2, A3 = scaled_coeff(a1), scaled_coeff(a2), scaled_coeff(a3)
     scaled = []
     for h in range(-H, H + 1):
         if h == 0:

@@ -436,12 +436,16 @@ def _grid_candidates(sys: DiagonalSystem, pk: int, tail) -> list[tuple[int, ...]
     return [(int(r), int(c), *map(int, tail)) for r, c in zip(rows, cols)]
 
 
+# padic_witness search: depths k = 1, 3, ..., 2 * _WITNESS_MAX_DEPTH + 1, and
+# _WITNESS_TRIES random tails at a depth too large to enumerate
+_WITNESS_MAX_DEPTH = 2
+_WITNESS_TRIES = 40
+
+
 def padic_witness(
     sys: DiagonalSystem,
     p: int,
     rng: Optional[np.random.Generator] = None,
-    tries: int = 40,
-    max_depth: int = 2,
 ) -> PadicWitness:
     """Search for a solution mod p^k whose Jacobian minors allow lifting.
 
@@ -456,7 +460,7 @@ def padic_witness(
     if sys.s < 2:
         raise ValueError("need at least two variables")
     found = None
-    for v_target in range(max_depth + 1):
+    for v_target in range(_WITNESS_MAX_DEPTH + 1):
         k = 2 * v_target + 1
         pk = p**k
         if pk > 2000:
@@ -464,7 +468,7 @@ def padic_witness(
         if pk ** (sys.s - 2) <= 10_000:
             tails = product(range(pk), repeat=sys.s - 2)
         else:
-            tails = (rng.integers(0, pk, size=sys.s - 2) for _ in range(tries))
+            tails = (rng.integers(0, pk, size=sys.s - 2) for _ in range(_WITNESS_TRIES))
         for tail in tails:
             for x in _grid_candidates(sys, pk, tail):
                 v = _best_minor_valuation(sys, x, p, cap=k)

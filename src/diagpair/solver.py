@@ -97,7 +97,6 @@ def find_real_anchor(
     sys: DiagonalSystem,
     rng: Optional[np.random.Generator] = None,
     starts: int = 200,
-    require_rank2: bool = True,
 ) -> RealAnchor:
     """Multi-start damped Newton search for Theta = Phi = 0 in (0, 1/2)^s.
 
@@ -127,14 +126,16 @@ def find_real_anchor(
         if np.any(np.abs(x) < 5e-3) or np.any(np.abs(x) >= 0.5):
             return None
         sv = np.linalg.svd(J, compute_uv=False)
-        return x, F, sv, int(np.sum(sv > 1e-6))
+        if np.sum(sv > 1e-6) < 2:  # Jacobian rank below 2
+            return None
+        return x, F, sv
 
-    def pack(x, F, sv, rank) -> RealAnchor:
+    def pack(x, F, sv) -> RealAnchor:
         theta, flips, normalized = _normalize_signs(sys, x)
         return RealAnchor(
             tuple(float(t) for t in theta),
             (float(abs(F[0])), float(abs(F[1]))),
-            rank,
+            2,
             (float(sv[0]), float(sv[1])),
             flips,
             normalized,
@@ -144,34 +145,17 @@ def find_real_anchor(
     # coordinate): downstream box integrals degrade when any theta_i is tiny
     best = None
     best_score = -1.0
-    fallback = None
     for x0 in random_starts():
         hit = polish(x0)
         if hit is None:
             continue
-        x, F, sv, rank = hit
-        if rank == 2:
-            score = float(np.min(np.abs(x)))
-            if score > best_score:
-                best, best_score = (x, F, sv), score
-        elif fallback is None:
-            fallback = pack(x, F, sv, rank)
+        score = float(np.min(np.abs(hit[0])))
+        if score > best_score:
+            best, best_score = hit, score
     if best is None:
-        for x0 in grid_starts():
-            hit = polish(x0)
-            if hit is None:
-                continue
-            x, F, sv, rank = hit
-            if rank == 2:
-                best = (x, F, sv)
-                break
-            if fallback is None:
-                fallback = pack(x, F, sv, rank)
+        best = next((hit for hit in map(polish, grid_starts()) if hit is not None), None)
     if best is not None:
-        x, F, sv = best
-        return pack(x, F, sv, 2)
-    if not require_rank2 and fallback is not None:
-        return fallback
+        return pack(*best)
     raise AnchorError(
         "no nonsingular real solution found in (0, 1/2)^s; "
         "the system may fail the real solubility condition"

@@ -1,10 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from diagpair import DEFAULT_LEDGER_BUDGET, cli, find_real_anchor, format_system, unit_singular_integral
+from diagpair import DEFAULT_LEDGER_BUDGET, cli, find_real_anchor, format_system, transfer_grid, unit_singular_integral
 from diagpair.oracles import brute_moment_T
 
 
@@ -139,6 +140,24 @@ def test_arcs_dirichlet(capsys):
     doc = run_json(capsys, "arcs", "--dirichlet", "0.14159265358979,10")
     approx = doc["result"]["dirichlet"]
     assert (approx["a"], approx["q"]) == ("1", "7")
+
+
+def test_arcs_transfer_report(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, _, err = run(capsys, "arcs", "--transfer-report", "--seed", "7", "--out", str(path))
+        assert code == 0, err
+    # byte identical once the single timestamp line is dropped
+    strip = lambda p: re.sub(r'^\s*"timestamp": "[^"]*",?\n', "", p.read_text(), flags=re.M)
+    assert strip(paths[0]) == strip(paths[1])
+    report = json.loads(paths[0].read_text())["result"]["transfer_report"]
+    cells = [(H, Y) for H in (4, 8, 12) for Y in (4, 8, 12)]
+    assert list(report) == [f"H={H},Y={Y}" for H, Y in cells]
+    assert all(math.isfinite(c["C1"]) and math.isfinite(c["C2"]) for c in report.values())
+    want = transfer_grid(cells, np.random.default_rng(7))
+    assert report == {
+        f"H={H},Y={Y}": {"C1": rep["C1_fitted"], "C2": rep["C2_observed"]} for (H, Y), rep in want.items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -4,15 +4,28 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import BoxSumSpec, block_sum, box_sum, vinogradov_sum, weyl_sum
+from diagpair import BoxSumSpec, block_sum, box_sum
 from diagpair.expsums import PHASE_BITS, scaled_coeff
 
 angles = st.floats(-4.0, 4.0, allow_nan=False)
-sizes = st.integers(1, 60)
+coeffs = st.integers(-3, 3)
 
 
-def direct_poly_sum(a1, a2, a3, X):
-    return sum(cmath.exp(2j * math.pi * (a1 * x + a2 * x**2 + a3 * x**3)) for x in range(1, X + 1))
+@st.composite
+def boxes(draw):
+    # theta * P up to 30, so x runs to 60 and the phases reach 3 * 60^3 alpha3
+    cubic, quad = draw(coeffs), draw(coeffs)
+    if cubic == 0 and quad == 0:
+        cubic = 1
+    theta = draw(st.floats(0.1, 0.5))
+    P = draw(st.floats(1.0, 60.0))
+    return BoxSumSpec(theta=theta, P=P, cubic=cubic, quad=quad)
+
+
+def direct_box_sum(spec, a2, a3):
+    return sum(
+        cmath.exp(2j * math.pi * (spec.cubic * a3 * x**3 + spec.quad * a2 * x**2)) for x in spec.members()
+    )
 
 
 def test_scaled_coeff_quantization():
@@ -23,34 +36,31 @@ def test_scaled_coeff_quantization():
     assert scaled_coeff(3.25) == scaled_coeff(0.25)
 
 
-@given(angles, angles, sizes)
-def test_weyl_matches_direct(alpha, beta, X):
-    direct = direct_poly_sum(0.0, beta, alpha, X)
-    got = weyl_sum(alpha, beta, X).as_complex()
-    assert abs(got - direct) <= 1e-7 * X
+# The Weyl sum of the circle method is the box sum f(alpha) = sum over the box
+# of e(cubic alpha3 x^3 + quad alpha2 x^2); these drive its 96-bit phase path.
+@given(boxes(), angles, angles)
+def test_weyl_matches_direct(spec, alpha2, alpha3):
+    n = len(spec.members())
+    got = box_sum(spec, alpha2, alpha3).as_complex()
+    assert abs(got - direct_box_sum(spec, alpha2, alpha3)) <= 1e-7 * max(n, 1)
 
 
-@given(angles, angles, angles, sizes)
-def test_vinogradov_matches_direct(a1, a2, a3, X):
-    direct = direct_poly_sum(a1, a2, a3, X)
-    got = vinogradov_sum(a1, a2, a3, X).as_complex()
-    assert abs(got - direct) <= 1e-7 * X
+@given(boxes(), angles, angles)
+def test_weyl_conjugate_symmetry(spec, alpha2, alpha3):
+    n = len(spec.members())
+    z = box_sum(spec, alpha2, alpha3).as_complex()
+    w = box_sum(spec, -alpha2, -alpha3).as_complex()
+    assert abs(w - z.conjugate()) <= 1e-10 * max(n, 1)
 
 
-@given(angles, angles, sizes)
-def test_weyl_conjugate_symmetry(alpha, beta, X):
-    z = weyl_sum(alpha, beta, X).as_complex()
-    w = weyl_sum(-alpha, -beta, X).as_complex()
-    assert abs(w - z.conjugate()) <= 1e-10 * X
+@given(boxes(), angles, angles)
+def test_weyl_trivial_bound(spec, alpha2, alpha3):
+    assert box_sum(spec, alpha2, alpha3).magnitude <= len(spec.members()) * (1 + 1e-12)
 
 
-@given(angles, angles, sizes)
-def test_weyl_trivial_bound(alpha, beta, X):
-    assert weyl_sum(alpha, beta, X).magnitude <= X * (1 + 1e-12)
-
-
-def test_weyl_at_zero_is_count():
-    assert weyl_sum(0.0, 0.0, 37).as_complex() == pytest.approx(37 + 0j)
+@given(boxes())
+def test_weyl_at_zero_is_count(spec):
+    assert box_sum(spec, 0.0, 0.0).as_complex() == pytest.approx(len(spec.members()) + 0j)
 
 
 @given(angles, angles, angles, st.integers(1, 12), st.integers(1, 12))
@@ -69,13 +79,6 @@ def test_block_sum_direct():
     )
     got = block_sum(a1, a2, a3, Y, H).as_complex()
     assert abs(got - direct) <= 1e-9 * (2 * H * Y)
-
-
-def test_block_sum_starred_substitution():
-    a1, a2, a3, Y, H = 0.11, 0.05, 0.02, 4, 2
-    starred = block_sum(a1, a2, a3, Y, H, starred=True)
-    plain = block_sum(a1, 2 * a2, 3 * a3, Y, H)
-    assert starred.as_complex() == pytest.approx(plain.as_complex(), abs=1e-12)
 
 
 def test_box_range_bounds():

@@ -56,13 +56,10 @@ def test_anchor_requires_real_solution(rng):
 
 
 def test_anchor_rank_relaxation(rng):
-    # x1 = x2 solutions all have rank-1 Jacobian
+    # x1 = x2 solutions all have rank-1 Jacobian, so none is an anchor
     degen = DiagonalSystem(a=(1, -1), b=(1, -1))
     with pytest.raises(AnchorError):
         find_real_anchor(degen, rng=rng)
-    relaxed = find_real_anchor(degen, rng=rng, require_rank2=False)
-    assert relaxed.jacobian_rank < 2
-    assert max(relaxed.residuals) <= 1e-10
 
 
 @given(B=st.integers(0, 25))
