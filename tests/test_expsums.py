@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diagpair import BoxSumSpec, block_sum, box_sum
-from diagpair.expsums import PHASE_BITS, scaled_coeff
+from diagpair.expsums import _SCALE, PHASE_BITS, _exp_of_scaled, scaled_coeff
 
 angles = st.floats(-4.0, 4.0, allow_nan=False)
 coeffs = st.integers(-3, 3)
+sizes = st.integers(1, 60)
 
 
 @st.composite
@@ -43,6 +44,16 @@ def test_weyl_matches_direct(spec, alpha2, alpha3):
     n = len(spec.members())
     got = box_sum(spec, alpha2, alpha3).as_complex()
     assert abs(got - direct_box_sum(spec, alpha2, alpha3)) <= 1e-7 * max(n, 1)
+
+
+# The 96-bit phase path over a full cubic a1 x + a2 x^2 + a3 x^3, linear term
+# included, which no box sum carries.
+@given(angles, angles, angles, sizes)
+def test_vinogradov_matches_direct(a1, a2, a3, X):
+    A1, A2, A3 = scaled_coeff(a1), scaled_coeff(a2), scaled_coeff(a3)
+    re, im = _exp_of_scaled([(A1 * x + A2 * x**2 + A3 * x**3) % _SCALE for x in range(1, X + 1)])
+    direct = sum(cmath.exp(2j * math.pi * (a1 * x + a2 * x**2 + a3 * x**3)) for x in range(1, X + 1))
+    assert abs(complex(re, im) - direct) <= 1e-7 * X
 
 
 @given(boxes(), angles, angles)
