@@ -21,11 +21,10 @@ from diagpair import (
     unit_singular_integral,
     volume_constant,
 )
+from diagpair.acceptance import LADDER6_THETA
 from diagpair.systems import BUILTIN_SYSTEMS
 
-ANCHORS = {
-    "ladder6": (0.3, 0.3, 0.25, 0.25, 0.35, 0.35),
-}
+ANCHORS = {"ladder6": LADDER6_THETA}
 
 
 def main() -> None:

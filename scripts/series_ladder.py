@@ -24,7 +24,8 @@ def main() -> None:
     args = ap.parse_args()
 
     sysd = load_system(args.spec) if args.spec else BUILTIN_SYSTEMS[args.builtin]
-    # the series' tables hold at most height^3 cells, so every height runs
+    # the series' orbit rows hold at most height^3 cells (at most 1 + 3k rows
+    # of q cells at each prime power q = p^k <= height), so every height runs
     res = singular_series(sysd, args.height, budget=max(DEFAULT_LEDGER_BUDGET, args.height**3))
 
     print(f"system s={sysd.s}, height {args.height}")

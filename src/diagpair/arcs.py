@@ -129,8 +129,13 @@ def transfer_lambda(alpha, b: int, r: int, Z):
     return r + Z * abs(r * alpha - b)
 
 
-def _near_coprime_pairs(alpha: float, r_max: int):
-    for r in range(1, r_max + 1):
+# transfer_bound_check tries the coprime (b, r) with r <= _R_MAX and b
+# within 2 of r * alpha
+_R_MAX = 20
+
+
+def _near_coprime_pairs(alpha: float):
+    for r in range(1, _R_MAX + 1):
         center = round(r * alpha)
         for b in range(center - 2, center + 3):
             if math.gcd(b, r) == 1:
@@ -143,7 +148,6 @@ def transfer_bound_check(
     Y: float,
     Z: float,
     theta: float,
-    r_max: int = 20,
 ) -> dict:
     """Empirical check of the approximation-transfer bound.
 
@@ -163,7 +167,7 @@ def transfer_bound_check(
         approx = dirichlet_approx(alpha, N)
         q = approx.q
         c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** theta))
-        for b, r in _near_coprime_pairs(alpha, r_max):
+        for b, r in _near_coprime_pairs(alpha):
             lam = transfer_lambda(alpha, b, r, Z)
             bound = X * (1 / lam + 1 / Y + lam / Z) ** theta
             ratio = mag / bound
@@ -176,7 +180,6 @@ def transfer_bound_check(
         "Y": Y,
         "Z": Z,
         "theta": theta,
-        "r_max": r_max,
         "C1_fitted": c1,
         "C2_observed": c2,
         "amplification": c2 / c1 if c1 > 0 else math.inf,

@@ -1,7 +1,7 @@
 """The one work-budget guard of the package.
 
 Every engine estimates its work up front (ledger support, fold tuples, key
-pairs, table cells, grid points, search nodes, a modulus) and passes it with
+pairs, row cells, grid points, search nodes, a modulus) and passes it with
 the caller's budget to `check_budget`, which refuses with `BudgetError`
 instead of thrashing mid-run.  The caller's budget is `--budget` on the
 command line, except in `complete_sum` and `oscillatory_v`, which check

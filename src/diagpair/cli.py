@@ -177,7 +177,6 @@ def _cmd_local(args, cfg: RunConfig):
             "imag": res.imag,
             "A": {str(q): v for q, v in sorted(res.A.items())},
             "partials_tail": [float(v) for v in res.partials[-5:]],
-            "tables": res.tables,
             "rows": res.rows,
             "cells": res.cells,
         }
@@ -278,7 +277,6 @@ def _cmd_solve(args, cfg: RunConfig):
         out["anchor"] = {
             "theta": anchor.theta,
             "residuals": anchor.residuals,
-            "jacobian_rank": anchor.jacobian_rank,
         }
     if args.b is not None:
         res = count_solutions(sysd, args.b, restriction=args.restriction, R=args.r, budget=cfg.budget)

@@ -11,15 +11,15 @@ complete sum S(q, r) covers all three blocks.
 
 The singular series is summed from prime powers.  A(q) and B(q) are
 multiplicative over coprime factors (CRT splits each primitive residue
-pair and each complete sum), so they are computed only at q = 1 and at
+pair and each complete sum), so A(1) = B(1) = 1, they are computed only at
 prime powers q = p^k, and every other A(q), B(q) is the product of its
-p-part's value and its cofactor's.  A prime p needs no p x p table: the
-substitution x -> lambda x leaves T(p, r) constant on scaling orbits, so
-g + 1 rows of length p (g = gcd(3, p - 1)) carry every sum.  Tables of
-T(q, r) are built only at q = 1 and at composite prime powers.
-Criterion 8 checks the product against `oracles.direct_series_term`,
-which sums direct complete sums at composite q with no tables, no orbits
-and no multiplicativity.
+p-part's value and its cofactor's.  No prime power needs a q x q table:
+the substitution x -> lambda x leaves T(q, r) constant on scaling orbits,
+so one row of length q per cube class of units mod each p^e (e <= k),
+plus the row r3 = 0, carries every sum (`_orbit_term`).  Criterion 8
+checks the product against `oracles.direct_series_term`, which sums
+direct complete sums at composite q with no orbits and no
+multiplicativity.
 
 The central identity tying the two local viewpoints together: with
 B(q) = sum over primitive (q, r2, r3) of T(q, r), the congruence count
@@ -89,7 +89,7 @@ def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
     return prod * float(q) ** (-sys.s)
 
 
-# -- tabulated route: all residues of one modulus at once ----------------
+# -- all residues of one modulus at once --------------------------------
 
 def _component_table(q: int, A3: int, A2: int) -> np.ndarray:
     """S[r2, r3] for one component, via the DFT of its phase histogram."""
@@ -101,114 +101,88 @@ def _component_table(q: int, A3: int, A2: int) -> np.ndarray:
     return q * q * np.fft.ifft2(hist)
 
 
-def _line_sum(q: int, j: np.ndarray) -> np.ndarray:
-    """S[r] = sum over u of e(j_u r / q), via the DFT of the histogram of j."""
-    return q * np.fft.ifft(np.bincount(j, minlength=q))
-
-
-def _prime_power_table(sys: DiagonalSystem, q: int) -> np.ndarray:
-    """T[r2, r3] = q^(-s) * product of the component sums, for all residues mod q.
-
-    Components are grouped by their residues (A3 mod q, A2 mod q): both
-    zero gives the constant q, a pure-quadratic pair a vector over r2, a
-    pure-cubic pair a vector over r3, and only a mixed pair needs a q x q
-    table.  Used at q = 1 and at composite prime powers, where coefficients
-    divisible by p reach the first three cases.
-    """
-    u = np.arange(1, q + 1, dtype=np.int64)
-    scale = float(q) ** (-sys.s)
-    over_r2 = np.ones(q, dtype=complex)
-    over_r3 = np.ones(q, dtype=complex)
-    mixed = Counter()
-    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        c3, c2 = A3 % q, A2 % q
-        if c3 == 0 and c2 == 0:
-            scale *= q
-        elif c3 == 0:
-            over_r2 *= _line_sum(q, c2 * (u * u % q) % q)
-        elif c2 == 0:
-            over_r3 *= _line_sum(q, c3 * (u**3 % q) % q)
-        else:
-            mixed[c3, c2] += 1
-    table = scale * np.outer(over_r2, over_r3)
-    for (c3, c2), n in mixed.items():
-        factor = _component_table(q, c3, c2)
-        for _ in range(n):
-            table *= factor
-    return table
-
-
 def _primitive_mask(q: int) -> np.ndarray:
     r = np.arange(q)
     return np.gcd.outer(np.gcd(r, q), r) == 1
 
 
-def _cube_class_reps(p: int) -> list[int]:
-    """One residue c from each of the g = gcd(3, p - 1) cube classes of units mod the prime p.
+def _cube_class_reps(p: int, e: int) -> list[int]:
+    """One unit c from each of the g = gcd(3, phi(p^e)) cube classes of units mod p^e.
 
-    c^((p - 1)/g) mod p is the same for all of one class and differs between classes.
+    c^(phi/g) mod p^e is the same for all of one class and differs between classes.
     """
-    g = math.gcd(3, p - 1)
+    q = p**e
+    phi = q - q // p
+    g = math.gcd(3, phi)
     reps: dict = {}
     c = 1
     while len(reps) < g:
-        reps.setdefault(pow(c, (p - 1) // g, p), c)
+        if c % p:
+            reps.setdefault(pow(c, phi // g, q), c)
         c += 1
     return list(reps.values())
 
 
-def _orbit_term(sys: DiagonalSystem, p: int) -> tuple[float, complex]:
-    """(A(p), B(p)) at a prime p from g + 1 rows of T instead of the p x p table.
+def _row_count(p: int, k: int) -> int:
+    """Rows of length p^k that `_orbit_term(sys, p, k)` builds: r3 = 0 and one per cube class mod each p^e."""
+    return 1 + sum(math.gcd(3, p**e - p ** (e - 1)) for e in range(1, k + 1))
+
+
+def _orbit_term(sys: DiagonalSystem, p: int, k: int) -> tuple[float, complex]:
+    """(A(q), B(q)) at q = p^k from a few rows of T instead of the q x q table.
 
     For a unit lambda, x -> lambda x gives T(lambda^2 r2, lambda^3 r3) =
-    T(r2, r3), so the row sum R(c) = sum over r2 of T(r2, c) depends only
-    on the cube class of c != 0.  With g = gcd(3, p - 1) classes of
-    (p - 1)/g units each,
+    T(r2, r3), and lambda^2 r2 is a unit exactly when r2 is, so a row sum
+    over r2 depends only on the scaling class of r3.  A primitive pair has
+    r3 a unit and any r2, or r3 = p^j v (0 < j <= k, v a unit mod p^(k-j))
+    and r2 a unit.  With g_e = gcd(3, phi(p^e)) cube classes of units mod
+    p^e, each of phi(p^e)/g_e units,
 
-        B(p) = sum_{r2 != 0} T(r2, 0) + ((p - 1)/g) * sum over class reps c of R(c),
+        B(q) = sum over classes c mod q of (phi(q)/g_k) sum_{all r2} T(r2, c)
+             + sum_{unit r2} T(r2, 0)
+             + sum_{0<j<k} sum over classes v mod p^(k-j) of
+               (phi(p^(k-j))/g_(k-j)) sum_{unit r2} T(r2, p^j v),
 
-    and A(p) is the same sum over |T|.  Each row r3 = c is a product over
-    the distinct (A3 mod p, A2 mod p) components of S[r2] = sum_j w_j e(j r2/p),
-    where w_j sums e(A3 c u^3/p) over the u with A2 u^2 = j: one length-p
+    and A(q) is the same sum over |T|.  Each row r3 is a product over the
+    distinct (A3 mod q, A2 mod q) components of S[r2] = sum_j w_j e(j r2/q),
+    where w_j sums e(A3 r3 u^3/q) over the u with A2 u^2 = j: one length-q
     inverse DFT per component and row.  Components with both residues 0
-    contribute the constant p.
+    contribute the constant q.
     """
-    reps = _cube_class_reps(p)
-    r3 = np.array([0, *reps], dtype=np.int64)
-    u = np.arange(p, dtype=np.int64)
-    u2 = u * u % p
-    u3 = u2 * u % p
-    comps = Counter((A3 % p, A2 % p) for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()))
-    scale = float(p) ** (comps.pop((0, 0), 0) - sys.s)
+    q = p**k
+    r3 = [0]
+    weight = [1]
+    for e in range(1, k + 1):
+        reps = _cube_class_reps(p, e)
+        r3 += [p ** (k - e) * v for v in reps]
+        weight += [(p**e - p ** (e - 1)) // len(reps)] * len(reps)
+    r3 = np.array(r3, dtype=np.int64)
+    u = np.arange(q, dtype=np.int64)
+    u2 = u * u % q
+    u3 = u2 * u % q
+    comps = Counter((A3 % q, A2 % q) for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()))
+    scale = float(q) ** (comps.pop((0, 0), 0) - sys.s)
     key = np.array(list(comps), dtype=np.int64).reshape(-1, 2)
     c3, c2 = key[:, 0, None, None], key[:, 1, None, None]
-    # w_j of component k in row i is bin (k * rows + i) * p + j of one histogram
-    phase = c3 * r3[:, None] % p * u3 % p
-    slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * p + c2 * u2 % p).ravel()
-    ang = (2.0 * math.pi * phase / p).ravel()  # not `_unity_table`: its cache would keep every prime's table
-    size = len(key) * len(r3) * p
+    # w_j of component i in row r is bin (i * rows + r) * q + j of one histogram
+    phase = c3 * r3[:, None] % q * u3 % q
+    slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * q + c2 * u2 % q).ravel()
+    ang = (2.0 * math.pi * phase / q).ravel()  # not `_unity_table`: its cache would keep every modulus's table
+    size = len(key) * len(r3) * q
     w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
-    sums = p * np.fft.ifft(w.reshape(len(key), len(r3), p), axis=-1)
-    rows = np.full((len(r3), p), scale, dtype=complex)
+    sums = q * np.fft.ifft(w.reshape(len(key), len(r3), q), axis=-1)
+    rows = np.full((len(r3), q), scale, dtype=complex)
     for factor, n in zip(sums, comps.values()):
         for _ in range(n):
             rows *= factor
-    coset = (p - 1) // len(reps)
-    A = np.abs(rows[0, 1:]).sum() + coset * np.abs(rows[1:]).sum()
-    B = rows[0, 1:].sum() + coset * rows[1:].sum()
+    unit = u % p != 0
+    A = 0.0
+    B = complex(0.0)
+    for row, r, n in zip(rows, r3, weight):
+        row = row if r % p else row[unit]  # r3 a unit pairs with every r2, else only with unit r2
+        A += n * np.abs(row).sum()
+        B += n * row.sum()
     return float(A), complex(B)
-
-
-def _series_term(sys: DiagonalSystem, q: int, spf: list[int]) -> tuple[float, complex]:
-    """(A(q), B(q)) at q = 1 or a prime power: sums of |T| and of T over primitive (r2, r3).
-
-    A prime q (spf[q] == q) takes the orbit rows of `_orbit_term`; q = 1 and
-    the composite prime powers take one table.
-    """
-    if q > 1 and spf[q] == q:
-        return _orbit_term(sys, q)
-    vals = _prime_power_table(sys, q)[_primitive_mask(q)]
-    return float(np.abs(vals).sum()), complex(vals.sum())
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -224,12 +198,7 @@ def _smallest_prime_factors(n: int) -> list[int]:
 
 
 def _prime_part(q: int, spf: list[int]) -> int:
-    """p^v_p(q) for the smallest prime p dividing q, and 1 for q = 1.
-
-    q is 1 or a prime power exactly when its prime part is q itself.
-    """
-    if q == 1:
-        return 1
+    """p^v_p(q) for the smallest prime p dividing q > 1."""
     p = spf[q]
     pk = p
     while q % (pk * p) == 0:
@@ -245,39 +214,38 @@ class LocalFactor:
     A: dict = field(default_factory=dict)  # q -> sum of |T| over primitive r
     B: dict = field(default_factory=dict)  # q -> sum of T  over primitive r
     partials: Optional[np.ndarray] = None  # running sums, index q-1
-    tables: int = 0  # q x q tables built: q = 1 and each composite prime power q <= Q
-    rows: int = 0  # length-p orbit rows built: g + 1 at each prime p <= Q
-    cells: int = 0  # cells in those tables and rows, the estimate checked against the budget
+    rows: int = 0  # orbit rows built: `_row_count(p, k)` of length q at each prime power q = p^k <= Q
+    cells: int = 0  # cells in those rows, the estimate checked against the budget
 
 
 def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> LocalFactor:
     """Partial singular series through modulus Q, with per-q diagnostics.
 
-    Terms are built only at q = 1 and at prime powers; every other
-    q = p^k m with p not dividing m takes A(q) = A(p^k) A(m) and the complex
-    B(q) = B(p^k) B(m).  A prime p <= Q builds g + 1 orbit rows of p cells
-    (g = gcd(3, p - 1)), and q = 1 and each composite prime power q <= Q a
-    table of q^2 cells; their total is checked against `budget` up front.
+    A(1) = B(1) = 1, and terms are built only at prime powers q = p^k, from
+    the orbit rows of `_orbit_term`; every other q = p^k m with p not
+    dividing m takes A(q) = A(p^k) A(m) and the complex B(q) = B(p^k) B(m).
+    The rows' cells are totalled and checked against `budget` up front.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     spf = _smallest_prime_factors(Q)
-    part = [0] + [_prime_part(q, spf) for q in range(1, Q + 1)]
-    primes = [q for q in range(2, Q + 1) if spf[q] == q]
-    tables = [1] + [q for q in range(2, Q + 1) if part[q] == q != spf[q]]
-    rows = {p: math.gcd(3, p - 1) + 1 for p in primes}
-    cells = check_budget(
-        sum(q * q for q in tables) + sum(n * p for p, n in rows.items()), budget, what="singular series table cells"
-    )
-    A: dict = {}
-    B: dict = {}
+    powers = {}  # q = p^k <= Q -> (p, k)
+    for p in (n for n in range(2, Q + 1) if spf[n] == n):
+        q, k = p, 1
+        while q <= Q:
+            powers[q] = (p, k)
+            q, k = q * p, k + 1
+    rows = {q: _row_count(p, k) for q, (p, k) in powers.items()}
+    cells = check_budget(sum(n * q for q, n in rows.items()), budget, what="singular series row cells")
+    A: dict = {1: 1.0}
+    B: dict = {1: complex(1.0)}
     running = np.empty(Q)
     total = complex(0.0)
     for q in range(1, Q + 1):
-        pk = part[q]
-        if pk == q:
-            A[q], B[q] = _series_term(sys, q, spf)
-        else:
+        if q in powers:
+            A[q], B[q] = _orbit_term(sys, *powers[q])
+        elif q > 1:
+            pk = _prime_part(q, spf)
             A[q] = A[pk] * A[q // pk]
             B[q] = B[pk] * B[q // pk]
         total += B[q]
@@ -289,7 +257,6 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
         A=A,
         B={q: b.real for q, b in B.items()},
         partials=running,
-        tables=len(tables),
         rows=sum(rows.values()),
         cells=cells,
     )
@@ -367,15 +334,15 @@ def chi_p_partial(sys: DiagonalSystem, p: int, t: int, budget: int = DEFAULT_LED
     """Both sides of sum_{h<=t} B(p^h) = p^(-t(s-2)) M(p^t).
 
     The count's budget check, on s p^(3t), runs first: it bounds the
-    sum of p^(2h) cells of the series tables, so none is built past it.
+    p^h `_row_count(p, h)` row cells of the series terms, so no row is
+    built past it.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     M = count_congruences(sys, p**t, budget=budget).M
-    spf = _smallest_prime_factors(p**t)
     total = complex(1.0)  # h = 0 term
     for h in range(1, t + 1):
-        total += _series_term(sys, p**h, spf)[1]
+        total += _orbit_term(sys, p, h)[1]
     count_side = M / float(p) ** (t * (sys.s - 2))
     return ChiPartial(p, t, total.real, count_side, M)
 

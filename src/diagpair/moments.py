@@ -25,7 +25,6 @@ from .ledger import Ledger, exact_dot
 class MomentResult:
     value: int
     params: dict
-    method: str = "ledger"
 
     def __int__(self) -> int:
         return self.value
@@ -197,7 +196,7 @@ def mixed_moment(
             spec = replace(spec, P=P)
         xs = spec.members()
         if not xs:
-            return MomentResult(0, {"factors": len(factors)}, "ledger")
+            return MomentResult(0, {"factors": len(factors)})
         est *= len(xs) ** (exp // 2)
         check_budget(est, budget)
         folds.append(([(spec.quad * x * x, spec.cubic * x**3) for x in xs], exp // 2))

@@ -39,7 +39,6 @@ class AnchorError(RuntimeError):
 class RealAnchor:
     theta: tuple[float, ...]
     residuals: tuple[float, float]
-    jacobian_rank: int
     singular_values: tuple[float, float]
     flips: tuple[int, ...]
     system: DiagonalSystem  # sign-normalized so that theta > 0 solves it
@@ -93,11 +92,11 @@ def _normalize_signs(sys: DiagonalSystem, x: np.ndarray):
     return np.abs(x), flips, normalized
 
 
-def find_real_anchor(
-    sys: DiagonalSystem,
-    rng: Optional[np.random.Generator] = None,
-    starts: int = 200,
-) -> RealAnchor:
+# find_real_anchor's random Newton starts before the sign-pattern sweep
+_RANDOM_STARTS = 200
+
+
+def find_real_anchor(sys: DiagonalSystem, rng: Optional[np.random.Generator] = None) -> RealAnchor:
     """Multi-start damped Newton search for Theta = Phi = 0 in (0, 1/2)^s.
 
     Starts are random sign/magnitude draws, then a deterministic sweep over
@@ -108,7 +107,7 @@ def find_real_anchor(
     s = sys.s
 
     def random_starts():
-        for _ in range(starts):
+        for _ in range(_RANDOM_STARTS):
             mag = rng.uniform(0.05, 0.45, size=s)
             sign = rng.choice([-1.0, 1.0], size=s)
             yield mag * sign
@@ -135,7 +134,6 @@ def find_real_anchor(
         return RealAnchor(
             tuple(float(t) for t in theta),
             (float(abs(F[0])), float(abs(F[1]))),
-            2,
             (float(sv[0]), float(sv[1])),
             flips,
             normalized,
@@ -373,7 +371,7 @@ def predict_and_compare(
 ) -> dict:
     """Compare exact box counts R(P) against the predicted C * S(Q) * P^(s-5).
 
-    `budget` caps the singular series tables, every exact count and the
+    `budget` caps the singular series rows, every exact count and the
     witness scan.  With eta given, also forms the smooth-restricted
     predictions: the smooth-y count carries one Dickman factor per
     pure-cubic variable and the smooth-x_l count a single factor; these

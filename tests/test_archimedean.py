@@ -23,8 +23,8 @@ from diagpair import (
     volume_constant,
 )
 from diagpair import archimedean
+from diagpair.acceptance import LADDER6_THETA as THETA6
 
-THETA6 = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 THETA4 = (0.3, 0.3, 0.3, 0.3)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

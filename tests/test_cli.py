@@ -126,8 +126,9 @@ def test_local_chi(capsys):
 
 def test_local_series_counters(capsys):
     series = run_json(capsys, "local", "--builtin", "sample5", "--series", "40")["result"]["series"]
-    # tables at q = 1 and the 7 composite prime powers q <= 40, rows at the 12 primes
-    assert (int(series["tables"]), int(series["rows"]), int(series["cells"])) == (8, 34, 3404)
+    # orbit rows at the 12 primes and the 7 composite prime powers q <= 40
+    assert "tables" not in series
+    assert (int(series["rows"]), int(series["cells"])) == (68, 1260)
 
 
 def test_smooth_outputs(capsys):
@@ -186,9 +187,9 @@ def test_config_error_exit_code(capsys, argv):
         ("moments", "--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
         ("moments", "--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
         ("solve", "--builtin", "tiny2", "--b", "10", "--budget", "10"),
-        # the series' tables and orbit rows through q = 40 hold 3404 cells
-        ("local", "--builtin", "sample5", "--series", "40", "--budget", "3403"),
-        ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "3403"),
+        # the series' orbit rows through q = 40 hold 1260 cells
+        ("local", "--builtin", "sample5", "--series", "40", "--budget", "1259"),
+        ("solve", "--builtin", "sample5", "--predict", "8", "--series-q", "40", "--budget", "1259"),
         # W(Q) grids past the default budget, and past a given one
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "10000000"),
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "64", "--budget", "1000"),

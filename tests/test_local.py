@@ -23,6 +23,14 @@ from diagpair.systems import BUILTIN_SYSTEMS
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
+# coefficients divisible by 2 and 3: at q = 2, 3, 4, 8, 9, 16 components
+# fall to both-zero residues or to pure-quadratic or pure-cubic residues
+DIV23 = DiagonalSystem(a=(2, 1), b=(3, 1), c=(4,), d=(6,))
+
+# 7 divides coefficients and 7 = 1 mod 3: at q = 7, x_1 is pure-quadratic,
+# x_2 pure-cubic and z_1 has both residues 0, so rows take every case
+DIV7 = DiagonalSystem(a=(7, 1, 2), b=(3, 14, 1), c=(5,), d=(7, 2))
+
 
 def direct_complete_sum(q, r2, r3, A3, A2):
     total = 0j
@@ -116,18 +124,36 @@ def test_congruence_budget():
         count_congruences(big, 10_000, budget=10**6)
 
 
-@pytest.mark.parametrize("p,t", [(2, 3), (3, 2), (5, 1), (7, 1)])
-def test_chi_identity(p, t, sample5):
-    part = chi_p_partial(sample5, p, t)
+# composite prime powers up to 2^6, 3^4, 5^2 and 7^2, where the series side
+# sums orbit rows over r3 = p^j v; the count side folds residues and uses no rows
+CHI_DEPTHS = [(2, 3), (3, 2), (5, 1), (7, 1), (2, 6), (3, 4), (5, 2), (7, 2)]
+CHI_SYSTEMS = {
+    "sample5": BUILTIN_SYSTEMS["sample5"],
+    "balanced11": BUILTIN_SYSTEMS["balanced11"],
+    "div23": DIV23,
+    "div7": DIV7,
+}
+
+
+@pytest.mark.parametrize(
+    "sysd,p,t",
+    [
+        pytest.param(sysd, p, t, id=f"{p}-{t}" if name == "sample5" else f"{name}-{p}-{t}")
+        for name, sysd in CHI_SYSTEMS.items()
+        for p, t in CHI_DEPTHS
+    ],
+)
+def test_chi_identity(sysd, p, t):
+    part = chi_p_partial(sysd, p, t)
     assert part.relative_gap <= 1e-9
-    assert part.M == count_congruences(sample5, p**t).M
+    assert part.M == count_congruences(sysd, p**t).M
 
 
 def test_chi_refuses_before_any_table(sample5, monkeypatch):
-    def no_tables(*args):
-        raise AssertionError("a series table was built before the budget check")
+    def no_rows(*args):
+        raise AssertionError("a series row was built before the budget check")
 
-    monkeypatch.setattr(local, "_series_term", no_tables)
+    monkeypatch.setattr(local, "_orbit_term", no_rows)
     with pytest.raises(BudgetError) as info:
         chi_p_partial(sample5, 3, 6, budget=1000)
     assert (info.value.what, info.value.cap) == ("congruence ledger", 1000)
@@ -150,37 +176,33 @@ def test_singular_series_partials(balanced11):
 
 
 def test_singular_series_height_cap(balanced11):
-    # 3125 = 5^5 takes a table, so the work through 3124 is 3125^2 cells less and fits
+    # the prime 17257 = 1 mod 3 takes 4 rows, so the work through 17256 is
+    # 4 * 17257 cells less and fits
     with pytest.raises(BudgetError) as info:
-        singular_series(balanced11, 3125)
-    assert info.value.estimate - 3125**2 <= DEFAULT_LEDGER_BUDGET < info.value.estimate
+        singular_series(balanced11, 17257)
+    assert info.value.estimate - 4 * 17257 <= DEFAULT_LEDGER_BUDGET < info.value.estimate
 
 
 def test_singular_series_budget(sample5):
-    # tables at q = 1 and the 7 composite prime powers q <= 40 hold 2796 cells,
-    # and (g + 1) p orbit rows at the 12 primes 608 more: 3404
-    res = singular_series(sample5, 40, budget=3404)
-    assert (res.Q, res.tables, res.rows, res.cells) == (40, 8, 34, 3404)
+    # (g + 1) p orbit rows at the 12 primes q <= 40 hold 608 cells, and the
+    # rows at the 7 composite prime powers 652 more: 1260
+    res = singular_series(sample5, 40, budget=1260)
+    assert (res.Q, res.rows, res.cells) == (40, 68, 1260)
     with pytest.raises(BudgetError) as info:
-        singular_series(sample5, 40, budget=3403)
-    assert info.value.estimate == 3404
-    assert info.value.what == "singular series table cells"
-
-
-# coefficients divisible by 2 and 3: at q = 2, 3, 4, 8, 9, 16 components
-# fall to both-zero residues or to pure 1-D tables
-DIV23 = DiagonalSystem(a=(2, 1), b=(3, 1), c=(4,), d=(6,))
+        singular_series(sample5, 40, budget=1259)
+    assert info.value.estimate == 1260
+    assert info.value.what == "singular series row cells"
 
 
 @pytest.mark.parametrize(
-    "sysd,Q,tables,rows,cells",
+    "sysd,Q,rows,cells",
     [
-        pytest.param(BUILTIN_SYSTEMS["balanced11"], 12, 4, 12, 232, id="balanced11"),
-        pytest.param(BUILTIN_SYSTEMS["sample5"], 24, 5, 24, 696, id="sample5"),
-        pytest.param(DIV23, 18, 5, 18, 574, id="div23"),
+        pytest.param(BUILTIN_SYSTEMS["balanced11"], 12, 24, 159, id="balanced11"),
+        pytest.param(BUILTIN_SYSTEMS["sample5"], 24, 41, 447, id="sample5"),
+        pytest.param(DIV23, 18, 35, 325, id="div23"),
     ],
 )
-def test_singular_series_matches_direct(sysd, Q, tables, rows, cells):
+def test_singular_series_matches_direct(sysd, Q, rows, cells):
     res = singular_series(sysd, Q)
     # B(q) can cancel to zero (every sum mod 2 here does), hence the 1e-14 floor
     running = 0.0
@@ -190,13 +212,8 @@ def test_singular_series_matches_direct(sysd, Q, tables, rows, cells):
         assert res.B[q] == pytest.approx(B.real, rel=1e-12, abs=1e-14)
         running += B.real
         assert res.partials[q - 1] == pytest.approx(running, rel=1e-12, abs=1e-14)
-    # tables at q = 1 and each composite prime power, g + 1 rows at each prime
-    assert (res.tables, res.rows, res.cells) == (tables, rows, cells)
-
-
-# 7 divides coefficients and 7 = 1 mod 3: at q = 7, x_1 is pure-quadratic,
-# x_2 pure-cubic and z_1 has both residues 0, so rows take every case
-DIV7 = DiagonalSystem(a=(7, 1, 2), b=(3, 14, 1), c=(5,), d=(7, 2))
+    # 1 + sum of g_e rows of length p^k at each prime power p^k
+    assert (res.rows, res.cells) == (rows, cells)
 
 
 @pytest.mark.parametrize(
@@ -205,12 +222,20 @@ DIV7 = DiagonalSystem(a=(7, 1, 2), b=(3, 14, 1), c=(5,), d=(7, 2))
     ids=["balanced11", "sample5", "ladder6", "div23", "div7"],
 )
 def test_orbit_rows_match_tables(sysd):
+    # every prime power q = p^k <= 200 against the full q x q table of T
+    # over the primitive pairs
     spf = local._smallest_prime_factors(200)
     for p in [q for q in range(2, 201) if spf[q] == q]:
-        table = local._prime_power_table(sysd, p)[local._primitive_mask(p)]
-        A, B = local._series_term(sysd, p, spf)
-        assert A == pytest.approx(float(np.abs(table).sum()), rel=1e-12, abs=1e-14)
-        assert B == pytest.approx(complex(table.sum()), rel=1e-12, abs=1e-14)
+        q, k = p, 1
+        while q <= 200:
+            table = np.full((q, q), float(q) ** -sysd.s, dtype=complex)
+            for A3, A2 in zip(sysd.cubic_coeffs(), sysd.quad_coeffs()):
+                table *= local._component_table(q, A3, A2)
+            vals = table[local._primitive_mask(q)]
+            A, B = local._orbit_term(sysd, p, k)
+            assert A == pytest.approx(float(np.abs(vals).sum()), rel=1e-12, abs=1e-14)
+            assert B == pytest.approx(complex(vals.sum()), rel=1e-12, abs=1e-14)
+            q, k = q * p, k + 1
 
 
 def test_padic_witness_found(balanced11, rng):

@@ -15,6 +15,7 @@ from diagpair import (
     verify_solution,
 )
 from diagpair import solver
+from diagpair.acceptance import LADDER6_THETA
 from diagpair.smooth import c_eta
 from diagpair.budget import DEFAULT_LEDGER_BUDGET
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
@@ -26,7 +27,7 @@ SAMPLE5_N5 = 101
 
 def test_anchor_balanced(balanced11, rng):
     anchor = find_real_anchor(balanced11, rng=rng)
-    assert anchor.jacobian_rank == 2
+    assert anchor.singular_values[1] > 1e-6  # Jacobian rank 2
     assert max(anchor.residuals) <= 1e-10
     assert all(0 < t < 0.5 for t in anchor.theta)
     # interior selection keeps every coordinate usable as a box anchor
@@ -119,7 +120,7 @@ def test_count_sign_flip_invariance(sample5):
 
 
 def test_box_count_matches_brute(ladder6):
-    theta = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
+    theta = LADDER6_THETA
     P = 14.0
     got = count_solutions(ladder6, (P, theta))
     ranges = []
@@ -178,7 +179,7 @@ def test_balanced11_box_pins(balanced11, P, want):
 
 
 def test_smooth_restriction_shrinks(ladder6):
-    theta = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
+    theta = LADDER6_THETA
     plain = count_solutions(ladder6, (30.0, theta))
     smooth = count_solutions(ladder6, (30.0, theta), restriction="smooth-y", R=3)
     assert 0 < smooth.count <= plain.count

@@ -77,7 +77,7 @@ def test_check_conditions_counts(balanced11, sample5):
 def test_check_conditions_witnesses(balanced11, rng):
     rep = check_conditions(balanced11, prime_bound=11, rng=rng)
     assert rep.real_solution is not None
-    assert rep.real_solution.jacobian_rank == 2
+    assert rep.real_solution.singular_values[1] > 1e-6  # Jacobian rank 2
     assert set(rep.padic_witnesses) == {2, 3, 5, 7, 11}
     assert all(w.found for w in rep.padic_witnesses.values())
 
