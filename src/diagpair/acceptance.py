@@ -19,8 +19,7 @@ from .arcs import transfer_grid, transfer_lambda
 from .archimedean import extrapolate_ladder, singular_integral, volume_constant
 from .expsums import BoxSumSpec
 from .local import (
-    _component_table,
-    _primitive_mask,
+    _primitive_max,
     chi_p_partial,
     complete_sum,
     count_congruences,
@@ -226,7 +225,13 @@ def criterion_6(profile: str = "desk") -> CriterionResult:
 
 
 def criterion_7(profile: str = "desk") -> CriterionResult:
-    """Gauss magnitudes, the trivial bound, and the recorded Weyl-ratio ceiling."""
+    """Gauss magnitudes, the trivial bound, and the recorded Weyl-ratio ceiling.
+
+    The Weyl ratio is max |S(q; r)| q^(-2/3-0.05) over the primitive r mod
+    q <= q_top for (A3, A2) = (1, 1) and (1, -1), each maximum read from
+    one scaling-orbit row per orbit of r3 (`local._primitive_max`), not
+    from the q x q table.
+    """
 
     def body():
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -247,10 +252,8 @@ def criterion_7(profile: str = "desk") -> CriterionResult:
         q_top = 200 if profile == "desk" else 100
         ratio = 0.0
         for q in range(1, q_top + 1):
-            mask = _primitive_mask(q)
-            for ab in ((1, 1), (1, -1)):
-                mags = np.abs(_component_table(q, ab[0], ab[1]))[mask]
-                ratio = max(ratio, float(mags.max()) * q ** (-2 / 3 - 0.05))
+            for mag in _primitive_max(q, ((1, 1), (1, -1))):
+                ratio = max(ratio, mag * q ** (-2 / 3 - 0.05))
         if ratio > WEYL_RATIO_CONST:
             return False, f"Weyl ratio {ratio:.4f} exceeds recorded {WEYL_RATIO_CONST}"
         return True, f"gauss exact, trivial bound held, Weyl ratio {ratio:.4f} <= {WEYL_RATIO_CONST}"

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .expsums import BoxSumSpec, block_sum, box_sum
+from .expsums import BoxSumSpec, block_sums, box_sum
 
 
 @dataclass(frozen=True)
@@ -97,27 +96,27 @@ class RationalApproximation:
 def dirichlet_approx(alpha, N: int) -> RationalApproximation:
     """Reduced a/q with q <= N and |q alpha - a| <= 1/N.
 
-    Walks the continued fraction of alpha (exact, via Fraction) and returns
-    the last convergent whose denominator fits; the next denominator
-    exceeding N is what certifies the Dirichlet error bound.
+    Walks the continued fraction of alpha = n/d, the exact ratio of
+    `as_integer_ratio()`, by the integer Euclid steps on (n, d), and
+    returns the last convergent whose denominator fits; the next
+    denominator exceeding N is what certifies the Dirichlet error bound.
+    The error |q n - a d| / d is one correctly rounded integer division.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    x = Fraction(alpha)
+    n, d = alpha.as_integer_ratio()
     p_prev, q_prev = 1, 0
-    p_cur, q_cur = math.floor(x), 1
-    frac = x - math.floor(x)
-    while frac != 0:
-        x = 1 / frac
-        a_i = math.floor(x)
-        frac = x - a_i
+    p_cur, q_cur = n // d, 1
+    num, den = d, n % d
+    while den != 0:
+        a_i, rem = divmod(num, den)
         p_nxt = a_i * p_cur + p_prev
         q_nxt = a_i * q_cur + q_prev
         if q_nxt > N:
             break
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
-    err = abs(q_cur * Fraction(alpha) - p_cur)
-    return RationalApproximation(p_cur, q_cur, float(err))
+        num, den = den, rem
+    return RationalApproximation(p_cur, q_cur, abs(q_cur * n - p_cur * d) / d)
 
 
 def transfer_lambda(alpha, b: int, r: int, Z):
@@ -132,14 +131,8 @@ def transfer_lambda(alpha, b: int, r: int, Z):
 # transfer_bound_check tries the coprime (b, r) with r <= _R_MAX and b
 # within 2 of r * alpha
 _R_MAX = 20
-
-
-def _near_coprime_pairs(alpha: float):
-    for r in range(1, _R_MAX + 1):
-        center = round(r * alpha)
-        for b in range(center - 2, center + 3):
-            if math.gcd(b, r) == 1:
-                yield b, r
+_R = np.arange(1, _R_MAX + 1)[:, None]
+_B_OFFSETS = np.arange(-2, 3)
 
 
 def transfer_bound_check(
@@ -156,24 +149,34 @@ def transfer_bound_check(
     |alpha - a/q| <= q^-2 hypothesis), then measures the worst constant C2
     needed for the transferred bound over nearby coprime (b, r).  Report
     only; the interesting output is C2 and its ratio to C1.
+
+    The pairs of all samples are one array in (sample, r, b) order, alpha
+    read as a float; each sample's first maximum is the pair a strict >
+    scan keeps.  The power is Python's float ** per pair, which numpy's
+    vectorized power need not match bit for bit.
     """
     if not samples:
         raise ValueError("need at least one sample")
     N = max(1, math.isqrt(int(Z)))
+    alphas = np.array([float(alpha) for alpha, _ in samples])[:, None, None]
+    b = np.rint(_R * alphas).astype(np.int64) + _B_OFFSETS
+    coprime = np.gcd(b, _R) == 1
+    lam = _R + Z * np.abs(_R * alphas - b)
+    base = (1 / lam + 1 / Y + lam / Z)[coprime]
+    bound = np.full(b.shape, np.inf)
+    bound[coprime] = X * np.array([v**theta for v in base.tolist()])
+    b, lam, bound = (a.reshape(len(samples), -1) for a in (b, lam, bound))
+    ratio = np.array([mag for _, mag in samples], dtype=float)[:, None] / bound
+    first = ratio.argmax(axis=1).tolist()
     c1 = 0.0
     c2 = 0.0
     worst = None
-    for alpha, mag in samples:
-        approx = dirichlet_approx(alpha, N)
-        q = approx.q
+    for k, ((alpha, mag), i) in enumerate(zip(samples, first)):
+        q = dirichlet_approx(alpha, N).q
         c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** theta))
-        for b, r in _near_coprime_pairs(alpha):
-            lam = transfer_lambda(alpha, b, r, Z)
-            bound = X * (1 / lam + 1 / Y + lam / Z) ** theta
-            ratio = mag / bound
-            if ratio > c2:
-                c2 = ratio
-                worst = {"alpha": alpha, "b": b, "r": r, "lambda": lam}
+        if ratio[k, i] > c2:
+            c2 = float(ratio[k, i])
+            worst = {"alpha": alpha, "b": int(b[k, i]), "r": i // len(_B_OFFSETS) + 1, "lambda": float(lam[k, i])}
     return {
         "samples": len(samples),
         "X": X,
@@ -192,12 +195,13 @@ def transfer_grid(cells: Iterable[tuple[int, int]], rng: np.random.Generator) ->
 
     Each cell takes 24 samples with a1 and a2 uniform on [0, 1): 16 with a3
     uniform and 8 with a3 = b/r + N(0, 1e-3) noise, r uniform in [1, 8] and
-    b uniform in [0, r].  The block sum is measured against X = H Y and
-    Z = H Y^2 at theta = 1/2.
+    b uniform in [0, r].  All 24 are drawn first, then their block sums come
+    from one `block_sums` call.  The block sum is measured against X = H Y
+    and Z = H Y^2 at theta = 1/2.
     """
     grid = {}
     for H, Y in cells:
-        samples = []
+        coeffs = []
         for k in range(24):
             if k < 16:
                 a3 = float(rng.random())
@@ -205,7 +209,9 @@ def transfer_grid(cells: Iterable[tuple[int, int]], rng: np.random.Generator) ->
                 r = int(rng.integers(1, 9))
                 a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
             a1, a2 = float(rng.random()), float(rng.random())
-            samples.append((a3, block_sum(a1, a2, a3, Y, H).magnitude))
+            coeffs.append((a1, a2, a3))
+        sums = block_sums(coeffs, Y, H)
+        samples = [(a3, s.magnitude) for (_, _, a3), s in zip(coeffs, sums)]
         grid[(H, Y)] = transfer_bound_check(
             samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5
         )

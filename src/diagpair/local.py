@@ -89,38 +89,75 @@ def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
     return prod * float(q) ** (-sys.s)
 
 
-# -- all residues of one modulus at once --------------------------------
+# -- rows of all r2 at once ------------------------------------------------
 
-def _component_table(q: int, A3: int, A2: int) -> np.ndarray:
-    """S[r2, r3] for one component, via the DFT of its phase histogram."""
-    u = np.arange(1, q + 1, dtype=np.int64)
-    j2 = (A2 % q) * (u * u % q) % q
-    j3 = (A3 % q) * (u**3 % q) % q
-    hist = np.zeros((q, q))
-    np.add.at(hist, (j2, j3), 1.0)
-    return q * q * np.fft.ifft2(hist)
+def _component_rows(q: int, key: np.ndarray, r3: np.ndarray) -> np.ndarray:
+    """S(q; r2, r3) of each component for every r2: shape (len(key), len(r3), q).
 
-
-def _primitive_mask(q: int) -> np.ndarray:
-    r = np.arange(q)
-    return np.gcd.outer(np.gcd(r, q), r) == 1
-
-
-def _cube_class_reps(p: int, e: int) -> list[int]:
-    """One unit c from each of the g = gcd(3, phi(p^e)) cube classes of units mod p^e.
-
-    c^(phi/g) mod p^e is the same for all of one class and differs between classes.
+    `key` holds one (A3 mod q, A2 mod q) pair per row.  Row r3 of a
+    component is sum_j w_j e(j r2/q), where w_j sums e(A3 r3 u^3/q) over
+    the u with A2 u^2 = j: one length-q inverse DFT per component and row.
     """
-    q = p**e
-    phi = q - q // p
-    g = math.gcd(3, phi)
+    u = np.arange(q, dtype=np.int64)
+    u2 = u * u % q
+    u3 = u2 * u % q
+    c3, c2 = key[:, 0, None, None], key[:, 1, None, None]
+    # w_j of component i in row r is bin (i * rows + r) * q + j of one histogram
+    phase = c3 * r3[:, None] % q * u3 % q
+    slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * q + c2 * u2 % q).ravel()
+    ang = (2.0 * math.pi * phase / q).ravel()  # not `_unity_table`: its cache would keep every modulus's table
+    size = len(key) * len(r3) * q
+    w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
+    return q * np.fft.ifft(w.reshape(len(key), len(r3), q), axis=-1)
+
+
+def _cube_coset_reps(m: int) -> list[int]:
+    """The least unit of each coset of the unit cubes mod m, ascending ([0] at m = 1).
+
+    Units and cubes mod m are the products of those mod each prime power
+    p^e exactly dividing m.  The units mod p^e are cyclic of order
+    phi = phi(p^e) for odd p, and of order 2^(e-1) (all cubes) for p = 2,
+    so c^(phi/g) mod p^e with g = gcd(3, phi) names the coset of c mod p^e,
+    and the tuple of those names its coset mod m.  Units are tried in
+    ascending order until all prod(g) cosets have a member.
+    """
+    parts = []  # (p^e, phi(p^e), g) for each prime power p^e exactly dividing m
+    n, p = m, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # no factor up to sqrt(n): n is prime
+        if n % p == 0:
+            pe = 1
+            while n % p == 0:
+                n //= p
+                pe *= p
+            phi = pe - pe // p
+            parts.append((pe, phi, math.gcd(3, phi)))
+        p += 1
+    cosets = math.prod(g for _, _, g in parts)
     reps: dict = {}
-    c = 1
-    while len(reps) < g:
-        if c % p:
-            reps.setdefault(pow(c, phi // g, q), c)
+    c = 0
+    while len(reps) < cosets:
+        if math.gcd(c, m) == 1:
+            reps.setdefault(tuple(pow(c, phi // g, pe) for pe, phi, g in parts), c)
         c += 1
     return list(reps.values())
+
+
+def _primitive_max(q: int, comps) -> list[float]:
+    """max |S(q; r2, r3)| over the primitive (r2, r3) mod q, one per (A3, A2) in `comps`.
+
+    (r2, r3) is primitive when gcd(r2, d) = 1 for d = gcd(r3, q).  A unit
+    lambda maps row r3 to row lambda^3 r3 by r2 -> lambda^2 r2 (substitute
+    u -> lambda u), which keeps that condition, so every row of one scaling
+    orbit has the same masked maximum.  The orbits of the r3 with
+    gcd(r3, q) = d are the r3 = d v, one v per coset of the unit cubes mod
+    q/d, so one row per orbit gives the maximum over all primitive pairs.
+    """
+    r3 = np.array([d * v for d in range(1, q + 1) if q % d == 0 for v in _cube_coset_reps(q // d)], dtype=np.int64)
+    key = np.array([(A3 % q, A2 % q) for A3, A2 in comps], dtype=np.int64).reshape(-1, 2)
+    primitive = np.gcd.outer(np.gcd(r3, q), np.arange(q)) == 1
+    return [float(rows[primitive].max()) for rows in np.abs(_component_rows(q, key, r3))]
 
 
 def _row_count(p: int, k: int) -> int:
@@ -144,38 +181,25 @@ def _orbit_term(sys: DiagonalSystem, p: int, k: int) -> tuple[float, complex]:
                (phi(p^(k-j))/g_(k-j)) sum_{unit r2} T(r2, p^j v),
 
     and A(q) is the same sum over |T|.  Each row r3 is a product over the
-    distinct (A3 mod q, A2 mod q) components of S[r2] = sum_j w_j e(j r2/q),
-    where w_j sums e(A3 r3 u^3/q) over the u with A2 u^2 = j: one length-q
-    inverse DFT per component and row.  Components with both residues 0
-    contribute the constant q.
+    distinct (A3 mod q, A2 mod q) components of their `_component_rows`.
+    Components with both residues 0 contribute the constant q.
     """
     q = p**k
     r3 = [0]
     weight = [1]
     for e in range(1, k + 1):
-        reps = _cube_class_reps(p, e)
+        reps = _cube_coset_reps(p**e)
         r3 += [p ** (k - e) * v for v in reps]
         weight += [(p**e - p ** (e - 1)) // len(reps)] * len(reps)
     r3 = np.array(r3, dtype=np.int64)
-    u = np.arange(q, dtype=np.int64)
-    u2 = u * u % q
-    u3 = u2 * u % q
     comps = Counter((A3 % q, A2 % q) for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()))
     scale = float(q) ** (comps.pop((0, 0), 0) - sys.s)
-    key = np.array(list(comps), dtype=np.int64).reshape(-1, 2)
-    c3, c2 = key[:, 0, None, None], key[:, 1, None, None]
-    # w_j of component i in row r is bin (i * rows + r) * q + j of one histogram
-    phase = c3 * r3[:, None] % q * u3 % q
-    slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * q + c2 * u2 % q).ravel()
-    ang = (2.0 * math.pi * phase / q).ravel()  # not `_unity_table`: its cache would keep every modulus's table
-    size = len(key) * len(r3) * q
-    w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
-    sums = q * np.fft.ifft(w.reshape(len(key), len(r3), q), axis=-1)
+    sums = _component_rows(q, np.array(list(comps), dtype=np.int64).reshape(-1, 2), r3)
     rows = np.full((len(r3), q), scale, dtype=complex)
     for factor, n in zip(sums, comps.values()):
         for _ in range(n):
             rows *= factor
-    unit = u % p != 0
+    unit = np.arange(q) % p != 0
     A = 0.0
     B = complex(0.0)
     for row, r, n in zip(rows, r3, weight):

@@ -20,7 +20,9 @@ block is scanned for zeros, or for zeros mod q.  Arrays are int64 when
 sum_i (|c_i| max|v|^3 + |d_i| max v^2) < 2^62, which bounds every partial
 sum, and object arrays of Python ints otherwise.
 
-`direct_series_term` sums complete sums term by term.
+`direct_series_term` sums every complete sum term by term, one q-term
+`math.fsum` per residue pair and variable, reading e(j/q) from
+`local._unity_table`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expsums import BoxSumSpec
-from .local import t_factor
+from .local import _unity_table
 from .systems import DiagonalSystem
 
 
@@ -175,18 +177,28 @@ def brute_count_congruences(sys: DiagonalSystem, q: int) -> int:
 
 
 def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
-    """A(q) and B(q) as sums of `t_factor` over the primitive (r2, r3) mod q.
+    """A(q) and B(q) as sums of T(q, r) over the primitive (r2, r3) mod q.
 
-    Each T(q, r) is a product of direct q-term complete sums: no tables, no
-    FFT and no multiplicativity, so composite q checks the Euler product.
-    Cost is about q^2 * s complete sums.
+    Each T(q, r) is q^(-s) times the product of its direct q-term complete
+    sums, the same sums as `local.t_factor`: no FFT, no orbits and no
+    multiplicativity, so composite q checks the Euler product.  The phase
+    indices of one variable's sums at every primitive pair are one array.
+    Cost is about q^3 * s terms.
     """
+    r2, r3 = np.divmod(np.arange(q * q), q)
+    keep = np.gcd(np.gcd(q, r2), r3) == 1
+    r2, r3 = r2[keep, None], r3[keep, None]
+    u = np.arange(1, q + 1, dtype=np.int64)
+    u2, u3 = u * u % q, u**3 % q
+    cos, sin = _unity_table(q)
+    terms = [complex(1.0)] * len(r2)
+    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
+        idx = ((A3 % q) * r3 % q * u3 + (A2 % q) * r2 % q * u2) % q
+        terms = [t * complex(math.fsum(re.tolist()), math.fsum(im.tolist())) for t, re, im in zip(terms, cos[idx], sin[idx])]
     A = 0.0
     B = complex(0.0)
-    for r2 in range(q):
-        for r3 in range(q):
-            if math.gcd(math.gcd(q, r2), r3) == 1:
-                t = t_factor(sys, q, r2, r3)
-                A += abs(t)
-                B += t
+    for t in terms:
+        t *= float(q) ** (-sys.s)
+        A += abs(t)
+        B += t
     return A, B

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +12,11 @@ from diagpair import (
     membership,
     minor_arc_weyl_check,
     transfer_bound_check,
+    transfer_grid,
     transfer_lambda,
 )
 from diagpair.arcs import _witnesses_at_q
+from diagpair.expsums import _SCALE, TWO_PI, scaled_coeff
 
 FAM = ArcFamily(Q=6.0, P=200.0, t=2)
 
@@ -84,6 +87,29 @@ def test_dirichlet_contract(alpha, N):
     assert approx.error <= 1 / N + 1e-15
 
 
+def fraction_dirichlet(alpha, N):
+    # the continued-fraction walk in Fraction arithmetic
+    x = Fraction(alpha)
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = math.floor(x), 1
+    frac = x - math.floor(x)
+    while frac != 0:
+        x = 1 / frac
+        a_i = math.floor(x)
+        frac = x - a_i
+        p_nxt, q_nxt = a_i * p_cur + p_prev, a_i * q_cur + q_prev
+        if q_nxt > N:
+            break
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
+    return p_cur, q_cur, float(abs(q_cur * Fraction(alpha) - p_cur))
+
+
+@given(st.one_of(st.floats(-4.0, 4.0, allow_nan=False), st.fractions(-4, 4, max_denominator=10**4)), st.integers(1, 10**6))
+def test_dirichlet_matches_fraction_walk(alpha, N):
+    approx = dirichlet_approx(alpha, N)
+    assert (approx.a, approx.q, approx.error) == fraction_dirichlet(alpha, N)
+
+
 def test_dirichlet_pi_tail():
     approx = dirichlet_approx(math.pi - 3, 10)
     assert (approx.a, approx.q) == (1, 7)
@@ -133,3 +159,58 @@ def test_minor_arc_check_height_cap():
     spec = BoxSumSpec(theta=0.4, P=1.0, cubic=1)
     with pytest.raises(ValueError):
         minor_arc_weyl_check(spec, Q=50.0, P=100.0, samples=5)
+
+
+def scalar_transfer_bound_check(samples, X, Y, Z, theta):
+    # the (b, r) pairs scanned one at a time with a strict >
+    c1 = c2 = 0.0
+    worst = None
+    for alpha, mag in samples:
+        q = dirichlet_approx(alpha, max(1, math.isqrt(int(Z)))).q
+        c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** theta))
+        for r in range(1, 21):
+            center = round(r * alpha)
+            for b in range(center - 2, center + 3):
+                if math.gcd(b, r) == 1:
+                    lam = transfer_lambda(alpha, b, r, Z)
+                    ratio = mag / (X * (1 / lam + 1 / Y + lam / Z) ** theta)
+                    if ratio > c2:
+                        c2, worst = ratio, {"alpha": alpha, "b": b, "r": r, "lambda": lam}
+    return {"samples": len(samples), "X": X, "Y": Y, "Z": Z, "theta": theta, "C1_fitted": c1,
+            "C2_observed": c2, "amplification": c2 / c1 if c1 > 0 else math.inf, "worst": worst}
+
+
+def scalar_transfer_grid(cells, rng):
+    # one block sum per sample from Python-int phases
+    grid = {}
+    for H, Y in cells:
+        samples = []
+        for k in range(24):
+            if k < 16:
+                a3 = float(rng.random())
+            else:
+                r = int(rng.integers(1, 9))
+                a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
+            a1, a2 = float(rng.random()), float(rng.random())
+            A1, A2, A3 = scaled_coeff(a1), scaled_coeff(a2), scaled_coeff(a3)
+            phases = [(h * A1 + h * y * A2 + h * y * y * A3) % _SCALE for h in range(-H, H + 1) if h for y in range(1, Y + 1)]
+            angles = TWO_PI * np.array([p / _SCALE for p in phases])
+            samples.append((a3, math.hypot(math.fsum(np.cos(angles)), math.fsum(np.sin(angles)))))
+        grid[(H, Y)] = scalar_transfer_bound_check(samples, float(H * Y), float(Y), float(H * Y * Y), 0.5)
+    return grid
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12])
+def test_transfer_grid_matches_scalar_route(seed):
+    # criterion 12's desk cells; == on every float of every report
+    cells = [(H, Y) for H in range(4, 13) for Y in range(4, 13)]
+    assert transfer_grid(cells, np.random.default_rng(seed)) == scalar_transfer_grid(cells, np.random.default_rng(seed))
+
+
+def test_transfer_report_keeps_first_maximum():
+    # at Z = 1 the pairs b = 0, 1 (r = 1) tie at lambda 1.5 for alpha = 1/2, and
+    # b = -1, 0 tie at the same ratio for alpha = -1/2: the first of all four wins
+    samples = [(0.5, 1.0), (-0.5, 1.0)]
+    rep = transfer_bound_check(samples, X=1.0, Y=1.0, Z=1.0, theta=0.5)
+    assert rep["worst"] == {"alpha": 0.5, "b": 0, "r": 1, "lambda": 1.5}
+    assert rep == scalar_transfer_bound_check(samples, 1.0, 1.0, 1.0, 0.5)

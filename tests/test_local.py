@@ -32,6 +32,22 @@ DIV23 = DiagonalSystem(a=(2, 1), b=(3, 1), c=(4,), d=(6,))
 DIV7 = DiagonalSystem(a=(7, 1, 2), b=(3, 14, 1), c=(5,), d=(7, 2))
 
 
+def component_table(q, A3, A2):
+    # S[r2, r3] for one component, via the 2-D DFT of its phase histogram
+    u = np.arange(1, q + 1, dtype=np.int64)
+    j2 = (A2 % q) * (u * u % q) % q
+    j3 = (A3 % q) * (u**3 % q) % q
+    hist = np.zeros((q, q))
+    np.add.at(hist, (j2, j3), 1.0)
+    return q * q * np.fft.ifft2(hist)
+
+
+def primitive_mask(q):
+    # [r2, r3] is True where gcd(q, r2, r3) = 1
+    r = np.arange(q)
+    return np.gcd.outer(np.gcd(r, q), r) == 1
+
+
 def direct_complete_sum(q, r2, r3, A3, A2):
     total = 0j
     for x in range(q):
@@ -230,12 +246,31 @@ def test_orbit_rows_match_tables(sysd):
         while q <= 200:
             table = np.full((q, q), float(q) ** -sysd.s, dtype=complex)
             for A3, A2 in zip(sysd.cubic_coeffs(), sysd.quad_coeffs()):
-                table *= local._component_table(q, A3, A2)
-            vals = table[local._primitive_mask(q)]
+                table *= component_table(q, A3, A2)
+            vals = table[primitive_mask(q)]
             A, B = local._orbit_term(sysd, p, k)
             assert A == pytest.approx(float(np.abs(vals).sum()), rel=1e-12, abs=1e-14)
             assert B == pytest.approx(complex(vals.sum()), rel=1e-12, abs=1e-14)
             q, k = q * p, k + 1
+
+
+def test_cube_coset_reps_partition_units():
+    # the cosets of the reps tile the units mod m once each, each led by its least member
+    for m in range(1, 201):
+        units = [v for v in range(m) if math.gcd(v, m) == 1]
+        cubes = {pow(v, 3, m) for v in units}
+        cosets = [sorted({c * k % m for k in cubes}) for c in local._cube_coset_reps(m)]
+        assert sorted(v for coset in cosets for v in coset) == units
+        assert [coset[0] for coset in cosets] == local._cube_coset_reps(m)
+
+
+def test_primitive_max_matches_tables():
+    # criterion 7's orbit-row maxima against the full q x q table over the primitive pairs
+    comps = [(1, 1), (1, -1), (2, 3), (3, 0)]
+    for q in range(1, 101):
+        mask = primitive_mask(q)
+        want = [float(np.abs(component_table(q, A3, A2))[mask].max()) for A3, A2 in comps]
+        assert local._primitive_max(q, comps) == pytest.approx(want, rel=1e-12)
 
 
 def test_padic_witness_found(balanced11, rng):

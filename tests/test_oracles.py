@@ -1,13 +1,14 @@
-"""The array point oracles against a plain point-by-point loop."""
+"""The array oracles against plain loops."""
 
+import math
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagpair import DiagonalSystem
+from diagpair import DiagonalSystem, t_factor
 from diagpair import oracles
-from diagpair.oracles import brute_count_box_solutions, brute_count_congruences, brute_count_solutions
+from diagpair.oracles import brute_count_box_solutions, brute_count_congruences, brute_count_solutions, direct_series_term
 
 
 def _loop_count(system, ranges, q=None) -> int:
@@ -85,3 +86,18 @@ def test_gappy_oracle_matches_loop(case):
 def test_oracle_rejects_wrong_arity(sample5):
     with pytest.raises(ValueError):
         brute_count_box_solutions(sample5, [range(2)] * 4)
+
+
+@pytest.mark.parametrize("name", ["tiny2", "sample5", "balanced11"])
+def test_direct_series_term_matches_t_factor_loop(name, request):
+    # the batched complete sums against one `t_factor` per primitive pair, in the same order
+    system = request.getfixturevalue(name)
+    for q in range(1, 16):
+        A, B = 0.0, complex(0.0)
+        for r2 in range(q):
+            for r3 in range(q):
+                if math.gcd(math.gcd(q, r2), r3) == 1:
+                    t = t_factor(system, q, r2, r3)
+                    A += abs(t)
+                    B += t
+        assert direct_series_term(system, q) == (A, B)
