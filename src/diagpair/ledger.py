@@ -12,6 +12,16 @@ than the query, and binary-searches the sorted keys otherwise.
 Keys and counts are int64 while the key span and the fold's total mass stay
 below 2^62; past that both are Python ints in object arrays.  Every count a
 ledger returns is an exact Python int.
+
+A convolution reduces its outer sum chunk by chunk.  A chunk of int64 keys
+is sorted as packed words (key - min) << b | count, with b the bit length of
+the chunk's largest count, whenever (span + 1) << b < 2^63: one in-place sort
+replaces an argsort and two gathers.  Object chunks, and int64 chunks whose
+word would not fit, take the argsort.  A square (a ledger convolved with
+itself) takes only the pairs i <= j and weights i < j by 2.  Reduced chunks
+go onto a stack of sorted runs that merges like a binary counter, so each
+key takes part in O(log chunks) merges; a merge binary-searches the shorter
+run in the longer one and never sorts.
 """
 
 from __future__ import annotations
@@ -22,19 +32,59 @@ import numpy as np
 
 _INT64_LIMIT = 2**62
 # Pairs per chunk of an outer sum or a pair sum: 16 MiB per int64 temporary.
-# Over the moment folds and box counts of perfbench's exact-ledgers workload,
-# 2^22-pair chunks ran ~10% faster but peaked at 251 MB against 207 MB.
+# Over the ops of perfbench's exact-ledgers workload, 2^22-pair chunks ran
+# ~10% faster but peaked at 192 MB against 123 MB (2^20: slower, 133 MB).
 _CHUNK_PAIRS = 2**21
 
 
-def _reduce(keys: np.ndarray, counts: np.ndarray, kind=None) -> tuple[np.ndarray, np.ndarray]:
-    """Sort keys and add up the counts of equal keys."""
-    order = np.argsort(keys, kind=kind)
-    keys = keys[order]
-    counts = counts[order]
-    del order
+def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys and add up the counts of equal keys.
+
+    Counts must be nonnegative.  The packed route sorts in the buffers of
+    its arguments, so callers pass arrays they no longer need.
+    """
+    lo = keys.min()
+    bits = int(counts.max()).bit_length()
+    if keys.dtype != object and (int(keys.max()) - int(lo) + 1) << bits < 2**63:
+        keys -= lo
+        keys <<= bits
+        keys |= counts
+        keys.sort()
+        np.bitwise_and(keys, (1 << bits) - 1, out=counts)
+        keys >>= bits
+        keys += lo
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        counts = counts[order]
+        del order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _merge(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two runs of sorted unique keys, adding the counts of shared keys.
+
+    The shorter run is binary-searched in the longer one.  Shared keys add
+    their counts into the longer run in place; the shorter run's other keys
+    go to their merged positions (np.insert's rule, applied once to keys and
+    counts alike) and the longer run fills the rest.
+    """
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    (ak, ac), (bk, bc) = a, b
+    pos = np.searchsorted(ak, bk)
+    shared = ak[np.minimum(pos, len(ak) - 1)] == bk
+    ac[pos[shared]] += bc[shared]
+    new = np.flatnonzero(~shared)
+    at = pos[new] + np.arange(len(new))
+    old = np.ones(len(ak) + len(new), dtype=bool)
+    old[at] = False
+    keys = np.empty(len(old), dtype=ak.dtype)
+    counts = np.empty(len(old), dtype=ac.dtype)
+    keys[at], keys[old] = bk[new], ak
+    counts[at], counts[old] = bc[new], ac
+    return keys, counts
 
 
 def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -70,21 +120,66 @@ class Ledger:
         return cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))
 
     def convolve(self, other: "Ledger") -> "Ledger":
-        """Ledger of the sums of one generator tuple from each side."""
+        """Ledger of the sums of one generator tuple from each side.
+
+        The outer sum is reduced in chunks of at most _CHUNK_PAIRS pairs
+        (one row of self at least).  Reduced chunks are pushed onto a stack
+        of runs, and the top two merge while the top one covers no more
+        chunks than the one below it, as in a binary counter.  Memory stays
+        near one chunk plus the runs, and merge work is O(N log chunks).
+        """
         if self.strides != other.strides:
             raise ValueError("ledgers are packed differently")
-        # Chunks of the outer sum are reduced and merged one at a time, so
-        # memory stays near one chunk plus the result.  A stable sort of two
-        # concatenated sorted runs is a linear merge.
-        rows = max(1, _CHUNK_PAIRS // len(other.keys))
-        keys, counts = self.keys[:0], self.counts[:0]
-        for i in range(0, len(self.keys), rows):
-            k, c = _reduce(
-                (self.keys[i : i + rows, None] + other.keys).ravel(),
-                (self.counts[i : i + rows, None] * other.counts).ravel(),
-            )
-            keys, counts = _reduce(np.concatenate((keys, k)), np.concatenate((counts, c)), "stable")
-        return Ledger(keys, counts, self.strides)
+        runs: list[tuple[np.ndarray, np.ndarray, int]] = []
+        for k, c in self._reduced_chunks(other):
+            covers = 1
+            while runs and runs[-1][2] <= covers:
+                pk, pc, pcovers = runs.pop()
+                k, c = _merge((pk, pc), (k, c))
+                covers += pcovers
+            runs.append((k, c, covers))
+        k, c, _ = runs.pop()
+        while runs:
+            k, c = _merge(runs.pop()[:2], (k, c))
+        return Ledger(k, c, self.strides)
+
+    def _reduced_chunks(self, other: "Ledger"):
+        """The outer sum of self and other, one reduced chunk of rows at a time.
+
+        A square (other is self) takes row r over the columns j >= r only,
+        so each chunk's rows are sized by the columns that remain.
+        """
+        n, square = len(other.keys), other is self
+        i = 0
+        while i < len(self.keys):
+            rows = min(max(1, _CHUNK_PAIRS // (n - i if square else n)), len(self.keys) - i)
+            if square:
+                yield _reduce(*self._upper_rows(i, rows))
+            else:
+                yield _reduce(
+                    (self.keys[i : i + rows, None] + other.keys).ravel(),
+                    (self.counts[i : i + rows, None] * other.counts).ravel(),
+                )
+            i += rows
+
+    def _upper_rows(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and counts of the pairs (r, j), j >= r, i <= r < i + rows, of self with itself.
+
+        A pair with r < j stands for both (r, j) and (j, r), so its count
+        product is doubled.
+        """
+        n = len(self.keys)
+        size = rows * (n - i) - rows * (rows - 1) // 2
+        keys = np.empty(size, dtype=self.keys.dtype)
+        counts = np.empty(size, dtype=self.counts.dtype)
+        at = 0
+        for r in range(i, i + rows):
+            end = at + n - r
+            np.add(self.keys[r], self.keys[r:], out=keys[at:end])
+            np.multiply(2 * self.counts[r], self.counts[r:], out=counts[at:end])
+            counts[at] = self.counts[r] * self.counts[r]
+            at = end
+        return keys, counts
 
     def power(self, e: int) -> "Ledger":
         """e-fold self-convolution by binary splitting."""

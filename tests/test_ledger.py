@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import Ledger
+from diagpair import Ledger, ledger
 
 
 def _dict_ledger(vectors) -> dict:
@@ -55,28 +55,71 @@ def _generator_sets(draw):
     return a, b
 
 
-@given(_generator_sets(), st.integers(1, 3), st.booleans())
-def test_ledger_matches_dict_reference(sets, e, huge_mass):
+def _check_against_dicts(sets, e, huge_mass):
     a, b = sets
     fields = len(a[0])
     top = [max(abs(v[j]) for v in a) for j in range(fields)]
     bounds = [max(e * ta, ta + max(abs(v[j]) for v in b)) for j, ta in enumerate(top)]
     # an oversized mass bound is allowed and forces the object dtype
     mass = 2**62 if huge_mass else max(len(a) ** e, len(a) * len(b))
-    La = Ledger.from_vectors(a, bounds, mass)
-    Lb = Ledger.from_vectors(b, bounds, mass)
     ra, rb = _dict_ledger(a), _dict_ledger(b)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        La = Ledger.from_vectors(a, bounds, mass)
+        Lb = Ledger.from_vectors(b, bounds, mass)
+        conv = La.convolve(Lb)
+        power = La.power(e)
+    if La.keys.dtype == object:
+        assert argsort.called
+    elif max(abs(x) for v in a + b for x in v) <= 20:
+        # key spans below 2^24 and counts below 2^13 fit the packed word
+        assert not argsort.called
 
-    conv = La.convolve(Lb)
     assert _decode(conv, bounds) == _dict_convolve(ra, rb)
     assert list(zip(*[f.tolist() for f in conv.fields()])) == list(_decode(conv, bounds))
     assert Lb.lookup(-La.keys).tolist() == [rb.get(tuple(-x for x in k), 0) for k in _decode(La, bounds)]
-    power = _dict_power(ra, e)
-    assert _decode(La.power(e), bounds) == power
-    assert La.power(e).sum_of_squares() == sum(c * c for c in power.values())
+    want = _dict_power(ra, e)
+    assert _decode(power, bounds) == want
+    assert power.sum_of_squares() == sum(c * c for c in want.values())
     negated = sum(c * rb.get(tuple(-x for x in k), 0) for k, c in ra.items())
     assert La.matched_negated(Lb) == negated
     assert isinstance(La.matched_negated(Lb), int)
+
+
+# e = 4 squares a square and e = 5 takes an odd split
+@given(_generator_sets(), st.integers(1, 5), st.booleans())
+def test_ledger_matches_dict_reference(sets, e, huge_mass):
+    _check_against_dicts(sets, e, huge_mass)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@given(_generator_sets(), st.integers(1, 5), st.booleans())
+def test_ledger_matches_dict_reference_in_small_chunks(chunk, sets, e, huge_mass):
+    # at most 6 generators a side never fill a default chunk: these run
+    # the run-stack merge and the square's triangular chunks
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
+        _check_against_dicts(sets, e, huge_mass)
+
+
+@pytest.mark.parametrize("chunk", [1, 2**21])
+def test_wide_int64_keys_take_the_argsort(chunk):
+    # int64 keys spanning about 2^61 in every chunk, with counts of 4 or 8
+    # (3 or 4 bits): the packed word would pass 2^63, so these chunks take
+    # the argsort, while the generators' own reductions (count 1) still pack
+    bounds = [2**60]
+    a = [(0,), (0,), (1,), (1,)]
+    b = [(-(2**60) + 1,)] * 2 + [(2**60 - 1,)] * 2
+    c = [(-(2**59),)] * 2 + [(2**59,)] * 2
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk), \
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        La, Lb, Lc = (Ledger.from_vectors(v, bounds, 12) for v in (a, b, c))
+        assert La.keys.dtype == np.int64 and not argsort.called
+        conv = La.convolve(Lb)
+        assert argsort.call_count == 1 + (chunk == 1)
+        square = Lc.power(2)
+        assert argsort.call_count == 2 + (chunk == 1)
+    assert int(conv.keys[-1]) - int(conv.keys[0]) == 2**61 - 1 and max(conv.counts) == 4
+    assert _decode(conv, bounds) == _dict_convolve(_dict_ledger(a), _dict_ledger(b))
+    assert _decode(square, bounds) == _dict_convolve(_dict_ledger(c), _dict_ledger(c))
 
 
 _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 2**62 + 1, 2**63 - 1]

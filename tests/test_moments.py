@@ -40,6 +40,13 @@ def test_T_matches_brute(s, X):
     assert moment_T(s, X).value == oracles.brute_moment_T(s, X)
 
 
+@pytest.mark.parametrize("s, X", [(3, 5), (4, 5), (5, 4), (6, 3)])
+def test_T_matches_brute_past_squares(s, X):
+    # power(s) squares a ledger from s = 2 on, squares a square at s = 4 and
+    # 6, and takes an odd split at s = 3 and 5
+    assert moment_T(s, X).value == oracles.brute_moment_T(s, X)
+
+
 @given(st.integers(1, 2), st.integers(1, 7))
 def test_J_matches_brute(s, X):
     assert moment_J(s, X).value == oracles.brute_moment_J(s, X)

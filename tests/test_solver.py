@@ -14,7 +14,7 @@ from diagpair import (
     search_witness,
     verify_solution,
 )
-from diagpair import solver
+from diagpair import ledger, solver
 from diagpair.acceptance import LADDER6_THETA
 from diagpair.smooth import c_eta
 from diagpair.budget import DEFAULT_LEDGER_BUDGET
@@ -85,8 +85,10 @@ def test_counts_match_brute_s4(B):
 
 
 def test_count_in_small_chunks(sample5, monkeypatch):
-    # one x-half key per chunk of the pair sum
+    # one x-half key per chunk of the pair sum, and one row per chunk of
+    # every fold (the solver binds its own name for the chunk size)
     monkeypatch.setattr(solver, "_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(ledger, "_CHUNK_PAIRS", 1)
     assert count_solutions(sample5, 5).count == SAMPLE5_N5
 
 
