@@ -1,8 +1,8 @@
 """The one work-budget guard of the package.
 
-Every engine estimates its work up front (ledger support, fold tuples, key
-pairs, row cells, grid points, search nodes, a modulus) and passes it with
-the caller's budget to `check_budget`, which refuses with `BudgetError`
+Every engine estimates its work up front (ledger generators, key pairs,
+row cells, grid points, search nodes, a modulus) and passes it with the
+caller's budget to `check_budget`, which refuses with `BudgetError`
 instead of thrashing mid-run.  The caller's budget is `--budget` on the
 command line, except in `complete_sum`, `block_sums`, `box_sum` and
 `oscillatory_v`, which check against the default: `verify` reaches
@@ -17,7 +17,7 @@ DEFAULT_LEDGER_BUDGET = 50_000_000
 class BudgetError(RuntimeError):
     """Raised when an estimated workload exceeds the caller's budget."""
 
-    def __init__(self, estimate, cap, what="ledger support"):
+    def __init__(self, estimate, cap, what):
         self.estimate = int(estimate)
         self.cap = int(cap)
         self.what = what
@@ -26,7 +26,7 @@ class BudgetError(RuntimeError):
         )
 
 
-def check_budget(estimate, budget, what="ledger support"):
+def check_budget(estimate, budget, what):
     """Raise BudgetError if `estimate` exceeds `budget`; otherwise return estimate."""
     if estimate > budget:
         raise BudgetError(estimate, budget, what)

@@ -1,19 +1,22 @@
 """Exact multiplicity ledgers over packed integer keys.
 
 A ledger maps integer form-value vectors to the number of generator tuples
-that produce them.  Vectors are packed in balanced signed form,
-key = sum_j v_j S_j with S_0 = 1 and S_{j+1} = S_j (2 B_j + 1), where B_j
-bounds |v_j| over the whole fold.  Within those bounds packing is a bijection
-that commutes with addition and negation, so folding generators is an outer
-sum of keys and a negated match is a lookup of -key.  A lookup gathers from
-a dense count table over the ledger's key span when that span is no larger
-than the query, and binary-searches the sorted keys otherwise.
+that produce them.  `Ledger.fold` builds it from parts (vectors, e), each
+the sum of e generators drawn from `vectors`, packed in balanced signed
+form: key = sum_j v_j S_j with S_0 = 1 and S_{j+1} = S_j (2 B_j + 1), where
+B_j = sum over the parts of e max |v_j| bounds |v_j| over the whole fold.
+Within those bounds packing is a bijection that commutes with addition and
+negation, so folding generators is an outer sum of keys and a negated match
+is a lookup of -key.  A lookup gathers from a dense count table over the
+ledger's key span when that span is no larger than the query, and
+binary-searches the sorted keys otherwise.
 
-Keys and counts are int64 while the key span and the fold's total mass stay
-below 2^62; past that both are Python ints in object arrays.  Every count a
-ledger returns is an exact Python int.
+Keys and counts are int64 while the key span and the fold's tuple count
+prod len(vectors)^e stay below 2^62; past that both are Python ints in
+object arrays.  Every count a ledger returns is an exact Python int.
 
-A convolution reduces its outer sum chunk by chunk.  A chunk of int64 keys
+A convolution checks its key pairs against the fold's budget before it
+forms any, then reduces its outer sum chunk by chunk.  A chunk of int64 keys
 is sorted as packed words (key - min) << b | count, with b the bit length of
 the chunk's largest count, whenever (span + 1) << b < 2^63: one in-place sort
 replaces an argsort and two gathers.  Object chunks, and int64 chunks whose
@@ -26,9 +29,12 @@ run in the longer one and never sorts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .budget import check_budget
 
 _INT64_LIMIT = 2**62
 # Pairs per chunk of an outer sum or a pair sum: 16 MiB per int64 temporary.
@@ -105,31 +111,42 @@ class Ledger:
     strides: tuple[int, ...]
 
     @classmethod
-    def from_vectors(cls, vectors, bounds, mass: int) -> "Ledger":
-        """Ledger of one generator per vector.
+    def fold(cls, parts, budget: int) -> "Ledger":
+        """Ledger of the sums of e generators from each part (vectors, e).
 
-        `bounds[j]` bounds |field j| and `mass` the number of tuples over the
-        whole fold this ledger enters; ledgers convolved together must be
-        built with the same bounds and mass.
+        Takes at least one part, vectors of one common length and e >= 1.
+        Bounds, strides and dtype come from the parts (module docstring).
+        Each part's generators are raised to the power e by binary splitting
+        and the powers are convolved in order.  The caller checks the
+        generators against the budget before it builds them.
         """
+        if any(e < 1 for _, e in parts):
+            raise ValueError("fold needs e >= 1 in every part")
+        bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in parts) for j in range(len(parts[0][0][0]))]
         strides = [1]
         for B in bounds:
             strides.append(strides[-1] * (2 * B + 1))
-        dtype = object if max(strides[-1], mass) >= _INT64_LIMIT else np.int64
-        keys = np.array([sum(v * S for v, S in zip(vec, strides)) for vec in vectors], dtype=dtype)
-        return cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))
+        tuples = math.prod(len(vectors) ** e for vectors, e in parts)
+        dtype = object if max(strides[-1], tuples) >= _INT64_LIMIT else np.int64
+        out = None
+        for vectors, e in parts:
+            keys = np.array([sum(v * S for v, S in zip(vec, strides)) for vec in vectors], dtype=dtype)
+            power = cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))._power(e, budget)
+            out = power if out is None else out._convolve(power, budget)
+        return out
 
-    def convolve(self, other: "Ledger") -> "Ledger":
+    def _convolve(self, other: "Ledger", budget: int) -> "Ledger":
         """Ledger of the sums of one generator tuple from each side.
 
-        The outer sum is reduced in chunks of at most _CHUNK_PAIRS pairs
-        (one row of self at least).  Reduced chunks are pushed onto a stack
-        of runs, and the top two merge while the top one covers no more
+        First the key pairs (n(n + 1) / 2 for a square) are checked against
+        `budget`.  The outer sum is reduced in chunks of at most _CHUNK_PAIRS
+        pairs (one row of self at least).  Reduced chunks are pushed onto a
+        stack of runs, and the top two merge while the top one covers no more
         chunks than the one below it, as in a binary counter.  Memory stays
         near one chunk plus the runs, and merge work is O(N log chunks).
         """
-        if self.strides != other.strides:
-            raise ValueError("ledgers are packed differently")
+        n = len(other.keys)
+        check_budget(n * (n + 1) // 2 if other is self else len(self.keys) * n, budget, what="ledger key pairs")
         runs: list[tuple[np.ndarray, np.ndarray, int]] = []
         for k, c in self._reduced_chunks(other):
             covers = 1
@@ -181,15 +198,13 @@ class Ledger:
             at = end
         return keys, counts
 
-    def power(self, e: int) -> "Ledger":
+    def _power(self, e: int, budget: int) -> "Ledger":
         """e-fold self-convolution by binary splitting."""
-        if e < 1:
-            raise ValueError("power needs e >= 1")
         if e == 1:
             return self
-        half = self.power(e // 2)
-        out = half.convolve(half)
-        return out.convolve(self) if e % 2 else out
+        half = self._power(e // 2, budget)
+        out = half._convolve(half, budget)
+        return out._convolve(self, budget) if e % 2 else out
 
     def sum_of_squares(self) -> int:
         """Number of pairs of tuples with equal keys."""
@@ -226,8 +241,6 @@ class Ledger:
         out.append(rest)
         return out
 
-    def matched_negated(self, other: "Ledger") -> int:
-        """Number of pairs (one tuple from each side) whose keys sum to zero."""
-        if self.strides != other.strides:
-            raise ValueError("ledgers are packed differently")
-        return exact_dot(self.counts, other.lookup(-self.keys))
+    def matched_negated(self) -> int:
+        """Number of pairs of tuples whose keys sum to zero."""
+        return exact_dot(self.counts, self.lookup(-self.keys))

@@ -2,9 +2,11 @@
 
 By orthogonality, every even moment here equals the number of integer
 solutions of a system of diagonal equations, so it is computed exactly:
-fold the generators of one side into a `Ledger` of form-value vectors by
-repeated convolution, then match keys (equal keys, negated keys, or keys
-within a window of the linear field).  All counts are exact integers;
+fold the generators of one side into a `Ledger` of form-value vectors with
+`Ledger.fold`, then match keys (equal keys, negated keys, or keys within a
+window of the linear field).  Each function checks the number of
+generators it is about to build against its budget (`ledger generators`);
+the fold checks its own key pairs.  All counts are exact integers;
 nothing is accumulated in floats.
 """
 
@@ -39,9 +41,9 @@ def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
-    check_budget(min(X**s, (s * X**3 + 1) * (s * X**2 + 1)), budget)
-    single = Ledger.from_vectors([(x * x, x**3) for x in range(1, X + 1)], (s * X * X, s * X**3), X**s)
-    return MomentResult(single.power(s).sum_of_squares(), {"s": s, "X": X})
+    check_budget(X, budget, what="ledger generators")
+    c_s = Ledger.fold([([(x * x, x**3) for x in range(1, X + 1)], s)], budget)
+    return MomentResult(c_s.sum_of_squares(), {"s": s, "X": X})
 
 
 def moment_T_shifted(
@@ -61,11 +63,8 @@ def moment_T_shifted(
         h_max = s * X
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    check_budget(min(X**s, (s * X + 1) * (s * X**2 + 1) * (s * X**3 + 1)), budget)
-    single = Ledger.from_vectors(
-        [(x, x * x, x**3) for x in range(1, X + 1)], (s * X, s * X * X, s * X**3), X**s
-    )
-    c_s = single.power(s)
+    check_budget(X, budget, what="ledger generators")
+    c_s = Ledger.fold([([(x, x * x, x**3) for x in range(1, X + 1)], s)], budget)
     # The linear field has stride 1 and spans at most s(X-1) inside one
     # (quadratic, cubic) group, while keys of different groups lie more than
     # s(X-1) apart, so a key window of half-width h never leaves its group.
@@ -94,10 +93,9 @@ def moment_I(s: int, Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Mom
     """
     if s < 1 or Y < 1 or H < 1:
         raise ValueError("s, Y, H must be >= 1")
-    check_budget((2 * H * Y) ** s, budget)
-    single = Ledger.from_vectors(_block_generators(Y, H), (s * H, s * H * Y, s * H * Y * Y), (2 * H * Y) ** s)
-    n_s = single.power(s)
-    return MomentResult(n_s.matched_negated(n_s), {"s": s, "Y": Y, "H": H})
+    check_budget(2 * H * Y, budget, what="ledger generators")
+    n_s = Ledger.fold([(list(_block_generators(Y, H)), s)], budget)
+    return MomentResult(n_s.matched_negated(), {"s": s, "Y": Y, "H": H})
 
 
 @dataclass(frozen=True)
@@ -159,14 +157,9 @@ def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     """Count of h1 y1 + h2 y2 = h3 y3 + h4 y4 with h1 + h2 = h3 + h4."""
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
-    check_budget((2 * H * Y) ** 2, budget)
-    single = Ledger.from_vectors(
-        [(h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)],
-        (2 * H, 2 * H * Y),
-        (2 * H * Y) ** 2,
-    )
-    n_2 = single.power(2)
-    return MomentResult(n_2.matched_negated(n_2), {"Y": Y, "H": H})
+    check_budget(2 * H * Y, budget, what="ledger generators")
+    n_2 = Ledger.fold([([(h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)], 2)], budget)
+    return MomentResult(n_2.matched_negated(), {"Y": Y, "H": H})
 
 
 def mixed_moment(
@@ -185,8 +178,7 @@ def mixed_moment(
     """
     if len(factors) != len(exponents):
         raise ValueError("factors and exponents length mismatch")
-    folds = []
-    est = 1
+    parts = []
     for spec, exp in zip(factors, exponents):
         if exp < 0 or exp % 2 != 0:
             raise ValueError(f"exponents must be even and >= 0, got {exp}")
@@ -194,17 +186,14 @@ def mixed_moment(
             continue
         if P is not None:
             spec = replace(spec, P=P)
+        lo, hi = spec.range_bounds()
+        check_budget(hi - lo + 1, budget, what="ledger generators")
         xs = spec.members()
         if not xs:
             return MomentResult(0, {"factors": len(factors)})
-        est *= len(xs) ** (exp // 2)
-        check_budget(est, budget)
-        folds.append(([(spec.quad * x * x, spec.cubic * x**3) for x in xs], exp // 2))
-    bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in folds) for j in (0, 1)]
-    ledger = Ledger.from_vectors([(0, 0)], bounds, est)
-    for vectors, e in folds:
-        ledger = ledger.convolve(Ledger.from_vectors(vectors, bounds, est).power(e))
-    return MomentResult(ledger.sum_of_squares(), {"exponents": list(exponents), "P": P})
+        parts.append(([(spec.quad * x * x, spec.cubic * x**3) for x in xs], exp // 2))
+    value = Ledger.fold(parts, budget).sum_of_squares() if parts else 1
+    return MomentResult(value, {"exponents": list(exponents), "P": P})
 
 
 def fit_exponent(series) -> tuple[float, float]:

@@ -8,9 +8,9 @@ each folded into a `Ledger` over (Phi, Theta).  The count is then
 
     R = sum over key pairs (a, b) of n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b),
 
-evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps the tuples
-of each fold, the number of key pairs and the nodes of the witness scan.
-All counts are exact integers.
+evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps each
+variable's range, the key pairs of each fold's convolutions and of the sum,
+and the nodes of the witness scan.  All counts are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .ledger import _CHUNK_PAIRS, Ledger
+from .ledger import _CHUNK_PAIRS, _INT64_LIMIT, Ledger
 from .smooth import smooth_set
 from .systems import DiagonalSystem
 
@@ -179,31 +179,28 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     quad = sys.quad_coeffs()
     l, m = sys.l, sys.m
     blocks = (range(l // 2), range(l // 2, l), range(l, l + m), range(l + m, sys.s))
-    check_budget(max(math.prod(len(ranges[i]) for i in idx) for idx in blocks), budget, what="count fold tuples")
-    # Every product of counts below is at most the total mass, so the folds
-    # stay int64 while it is below 2^62 and are object arrays past that.
-    mass = math.prod(len(r) for r in ranges)
+    check_budget(max(len(r) for r in ranges), budget, what="ledger generators")
 
     def fold(idx, forms) -> Ledger:
-        """Ledger over the values of the given (coefficients, exponent) forms."""
-        bounds = [sum(abs(c[i]) * max(abs(v) ** e for v in ranges[i]) for i in idx) for c, e in forms]
-        out = Ledger.from_vectors([(0,) * len(forms)], bounds, mass)
-        for i in idx:
-            gen = [tuple(c[i] * v**e for c, e in forms) for v in ranges[i]]
-            out = out.convolve(Ledger.from_vectors(gen, bounds, mass))
-        return out
+        """Ledger over the given (coefficients, exponent) forms; an empty block holds the empty tuple."""
+        parts = [([tuple(c[i] * v**e for c, e in forms) for v in ranges[i]], 1) for i in idx]
+        return Ledger.fold(parts or [([(0,) * len(forms)], 1)], budget)
 
     half_a, half_b = (fold(idx, ((quad, 2), (cubic, 3))) for idx in blocks[:2])
     r_y = fold(blocks[2], ((cubic, 3),))
     r_z = fold(blocks[3], ((quad, 2),))
     check_budget(len(half_a.keys) * len(half_b.keys), budget, what="count key pairs")
     (phi_a, theta_a), (phi_b, theta_b) = half_a.fields(), half_b.fields()
+    # Folds pick their own dtypes; products of counts reach the number of points.
+    dtype = object if math.prod(len(r) for r in ranges) >= _INT64_LIMIT else np.int64
+    n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
     rows = max(1, _CHUNK_PAIRS // len(half_b.keys))
     total = 0
     for i in range(0, len(half_a.keys), rows):
         chunk = slice(i, i + rows)
-        weight = r_y.lookup(-(theta_a[chunk, None] + theta_b)) * r_z.lookup(-(phi_a[chunk, None] + phi_b))
-        total += int((half_a.counts[chunk, None] * half_b.counts * weight).sum())
+        weight = r_y.lookup(-(theta_a[chunk, None] + theta_b)).astype(dtype, copy=False)
+        weight *= r_z.lookup(-(phi_a[chunk, None] + phi_b)).astype(dtype, copy=False)
+        total += int((n_a[chunk, None] * n_b * weight).sum())
     return total
 
 
@@ -273,13 +270,13 @@ def _build_ranges(
     bounds: Union[int, tuple],
     restriction: str,
     R: Optional[int],
-) -> tuple[_WitnessRanges, str]:
+) -> _WitnessRanges:
     if isinstance(bounds, int):
         if bounds < 0:
             raise ValueError("B must be >= 0")
         if restriction != "none":
             raise ValueError("smooth restrictions apply to box counts, not |x| <= B counts")
-        return [range(-bounds, bounds + 1)] * sys.s, "N"
+        return [range(-bounds, bounds + 1)] * sys.s
     P, theta = bounds
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
@@ -291,7 +288,7 @@ def _build_ranges(
             raise ValueError(f"box for variable {i} is empty at P={P}")
         ranges.append(range(lo, hi + 1))
     if restriction == "none":
-        return ranges, "R"
+        return ranges
     if R is None:
         raise ValueError("smooth restriction needs R")
     allowed = set(smooth_set(max(r.stop for r in ranges), R))
@@ -309,7 +306,7 @@ def _build_ranges(
         if not vals:
             raise ValueError(f"smooth restriction empties the box of variable {i}")
         out[i] = vals
-    return out, "R"
+    return out
 
 
 def count_solutions(
@@ -326,12 +323,12 @@ def count_solutions(
     or a pair (P, theta) for the boxes (theta_i P/2, 2 theta_i P].
     Restrictions: "smooth-y" intersects the pure-cubic block with the
     R-smooth set, "smooth-xl" restricts the last shared variable.
-    `budget` caps the count's folds and key pairs and the witness scan's
-    nodes; witness_limit = 0 skips the witness scan.
+    `budget` caps the count's generators and key pairs and the witness
+    scan's nodes; witness_limit = 0 skips the witness scan.
     """
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
-    ranges, style = _build_ranges(sys, bounds, restriction, R)
+    ranges = _build_ranges(sys, bounds, restriction, R)
     count = _count_via_ledgers(sys, ranges, budget)
     if witness_limit == 0:
         return SolutionCount(bounds, count, restriction, (), False)

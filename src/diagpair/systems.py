@@ -106,8 +106,8 @@ def classify(sys: DiagonalSystem) -> SystemClass:
 
     A: m = n = 0, or n in {1, 2};  B: 1 <= m <= 5 and n in {0, 3};
     C: m = 0 and n = 3.  The B/C overlap cannot arise (B wants m >= 1,
-    C wants m = 0).  Systems with m >= 6 or n >= 4 stay unclassified and
-    are refused by the asymptotic-prediction path.
+    C wants m = 0).  Systems with m >= 6 or n >= 4 stay unclassified.  The
+    class is only reported: the prediction path runs on any system.
     """
     m, n = sys.m, sys.n
     if m >= 6 or n >= 4:

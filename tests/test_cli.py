@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from diagpair import DEFAULT_LEDGER_BUDGET, cli, find_real_anchor, format_system, transfer_grid, unit_singular_integral
+from diagpair import (
+    DEFAULT_LEDGER_BUDGET,
+    cli,
+    find_real_anchor,
+    format_system,
+    moment_T_shifted,
+    transfer_grid,
+    unit_singular_integral,
+)
 from diagpair.oracles import brute_moment_T
 
 
@@ -179,10 +187,15 @@ def test_config_error_exit_code(capsys, argv):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+# the top square of T_16 at X = 10, refused before any of its pairs is formed
+T16_SQUARE = ("moments", "--kind", "T", "--s", "16", "--x", "10")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("moments", "--kind", "T", "--s", "6", "--x", "200", "--budget", "100000"),
+        T16_SQUARE,
         ("moments", "--kind", "I", "--s", "2", "--y", "8", "--h", "8", "--budget", "5"),
         ("moments", "--kind", "J", "--s", "3", "--x", "150", "--budget", "5"),
         ("moments", "--kind", "J1", "--y", "20", "--h", "20", "--budget", "5"),
@@ -196,7 +209,7 @@ def test_config_error_exit_code(capsys, argv):
         ("solve", "--builtin", "tiny2", "--witness-bound", "5", "--budget", "5"),
         ("local", "--builtin", "sample5", "--chi", "3", "6", "--budget", "1000"),
     ],
-    ids=["T", "I", "J", "J1", "solve-B", "local-series", "solve-predict", "arch-panels", "arch-budget",
+    ids=["T", "T-square", "I", "J", "J1", "solve-B", "local-series", "solve-predict", "arch-panels", "arch-budget",
          "solve-witness", "local-chi"],
 )
 def test_budget_error_exit_code(capsys, argv):
@@ -208,6 +221,13 @@ def test_budget_error_exit_code(capsys, argv):
     # every refusal is against --budget, or its default
     budget = argv[argv.index("--budget") + 1] if "--budget" in argv else str(DEFAULT_LEDGER_BUDGET)
     assert payload["cap"] == budget
+    if argv == T16_SQUARE:
+        assert (payload["what"], payload["estimate"]) == ("ledger key pairs", "226429840")
+
+
+def test_moments_T6_admitted_at_the_default_budget(capsys):
+    doc = run_json(capsys, "moments", "--kind", "T", "--s", "6", "--x", "24")
+    assert doc["result"]["value"] == str(moment_T_shifted(6, 24, 138).value) == "126925310616"
 
 
 def test_witness_search_gives_up_exit_code(capsys):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from unittest import mock
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import Ledger, ledger
+from diagpair import BudgetError, Ledger, ledger, moment_T
+from diagpair.budget import DEFAULT_LEDGER_BUDGET
+from diagpair.oracles import brute_moment_T
 
 
 def _dict_ledger(vectors) -> dict:
@@ -45,59 +48,73 @@ def _decode(ledger: Ledger, bounds) -> dict:
     return out
 
 
+def _fold_bounds(parts) -> list:
+    """|field j| over the whole fold is at most sum over parts of e max |v_j|."""
+    return [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in parts) for j in range(len(parts[0][0][0]))]
+
+
 @st.composite
-def _generator_sets(draw):
+def _fold_parts(draw):
+    # one part up to e = 5 (a square of a square, an odd split), or up to
+    # three parts with different e, six generators each at most
     fields = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([3, 20, 10**12]))
     vec = st.tuples(*[st.integers(-scale, scale)] * fields)
-    a = draw(st.lists(vec, min_size=1, max_size=6))
-    b = draw(st.lists(vec, min_size=1, max_size=6))
-    return a, b
+    es = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(lambda es: sum(es) <= 6))
+    return [(draw(st.lists(vec, min_size=1, max_size=6)), e) for e in es]
 
 
-def _check_against_dicts(sets, e, huge_mass):
-    a, b = sets
-    fields = len(a[0])
-    top = [max(abs(v[j]) for v in a) for j in range(fields)]
-    bounds = [max(e * ta, ta + max(abs(v[j]) for v in b)) for j, ta in enumerate(top)]
-    # an oversized mass bound is allowed and forces the object dtype
-    mass = 2**62 if huge_mass else max(len(a) ** e, len(a) * len(b))
-    ra, rb = _dict_ledger(a), _dict_ledger(b)
+def _check_against_dicts(parts):
+    bounds = _fold_bounds(parts)
+    want: dict = {(0,) * len(bounds): 1}
+    for vectors, e in parts:
+        want = _dict_convolve(want, _dict_power(_dict_ledger(vectors), e))
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        La = Ledger.from_vectors(a, bounds, mass)
-        Lb = Ledger.from_vectors(b, bounds, mass)
-        conv = La.convolve(Lb)
-        power = La.power(e)
-    if La.keys.dtype == object:
+        fold = Ledger.fold(parts, DEFAULT_LEDGER_BUDGET)
+    strides = [math.prod(2 * B + 1 for B in bounds[:j]) for j in range(len(bounds))]
+    assert fold.strides == tuple(strides)
+    # int64 exactly while the key span and the tuple count stay below 2^62
+    tuples = math.prod(len(vectors) ** e for vectors, e in parts)
+    wide = max(strides[-1] * (2 * bounds[-1] + 1), tuples) >= 2**62
+    assert (fold.keys.dtype == object) == wide
+    if wide:
         assert argsort.called
-    elif max(abs(x) for v in a + b for x in v) <= 20:
-        # key spans below 2^24 and counts below 2^13 fit the packed word
+    elif max(abs(x) for vectors, _ in parts for v in vectors for x in v) <= 20:
+        # key spans below 2^24 and counts below 2^16 fit the packed word
         assert not argsort.called
 
-    assert _decode(conv, bounds) == _dict_convolve(ra, rb)
-    assert list(zip(*[f.tolist() for f in conv.fields()])) == list(_decode(conv, bounds))
-    assert Lb.lookup(-La.keys).tolist() == [rb.get(tuple(-x for x in k), 0) for k in _decode(La, bounds)]
-    want = _dict_power(ra, e)
-    assert _decode(power, bounds) == want
-    assert power.sum_of_squares() == sum(c * c for c in want.values())
-    negated = sum(c * rb.get(tuple(-x for x in k), 0) for k, c in ra.items())
-    assert La.matched_negated(Lb) == negated
-    assert isinstance(La.matched_negated(Lb), int)
+    got = _decode(fold, bounds)  # in key order
+    assert got == want
+    assert list(zip(*[f.tolist() for f in fold.fields()])) == list(got)
+    assert fold.lookup(-fold.keys).tolist() == [want.get(tuple(-x for x in k), 0) for k in got]
+    assert fold.sum_of_squares() == sum(c * c for c in want.values())
+    negated = sum(c * want.get(tuple(-x for x in k), 0) for k, c in want.items())
+    assert fold.matched_negated() == negated
+    assert isinstance(fold.matched_negated(), int)
 
 
-# e = 4 squares a square and e = 5 takes an odd split
-@given(_generator_sets(), st.integers(1, 5), st.booleans())
-def test_ledger_matches_dict_reference(sets, e, huge_mass):
-    _check_against_dicts(sets, e, huge_mass)
+@given(_fold_parts())
+def test_ledger_matches_dict_reference(parts):
+    _check_against_dicts(parts)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5])
-@given(_generator_sets(), st.integers(1, 5), st.booleans())
-def test_ledger_matches_dict_reference_in_small_chunks(chunk, sets, e, huge_mass):
-    # at most 6 generators a side never fill a default chunk: these run
+@given(_fold_parts())
+def test_ledger_matches_dict_reference_in_small_chunks(chunk, parts):
+    # at most 6 generators a part never fill a default chunk: these run
     # the run-stack merge and the square's triangular chunks
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
-        _check_against_dicts(sets, e, huge_mass)
+        _check_against_dicts(parts)
+
+
+@pytest.mark.parametrize("e", [61, 62])
+def test_fold_dtype_follows_its_tuple_count(e):
+    # 2^e tuples of two generators over a key span of e + 1: the counts are
+    # binomial coefficients, and the fold turns object once 2^e reaches 2^62
+    fold = Ledger.fold([([(0,), (1,)], e)], DEFAULT_LEDGER_BUDGET)
+    assert (fold.keys.dtype == object) == (e == 62)
+    assert fold.keys.tolist() == list(range(e + 1))
+    assert fold.counts.tolist() == [math.comb(e, k) for k in range(e + 1)]
 
 
 @pytest.mark.parametrize("chunk", [1, 2**21])
@@ -105,21 +122,36 @@ def test_wide_int64_keys_take_the_argsort(chunk):
     # int64 keys spanning about 2^61 in every chunk, with counts of 4 or 8
     # (3 or 4 bits): the packed word would pass 2^63, so these chunks take
     # the argsort, while the generators' own reductions (count 1) still pack
-    bounds = [2**60]
     a = [(0,), (0,), (1,), (1,)]
     b = [(-(2**60) + 1,)] * 2 + [(2**60 - 1,)] * 2
     c = [(-(2**59),)] * 2 + [(2**59,)] * 2
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk), \
             mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        La, Lb, Lc = (Ledger.from_vectors(v, bounds, 12) for v in (a, b, c))
-        assert La.keys.dtype == np.int64 and not argsort.called
-        conv = La.convolve(Lb)
-        assert argsort.call_count == 1 + (chunk == 1)
-        square = Lc.power(2)
+        conv = Ledger.fold([(a, 1), (b, 1)], DEFAULT_LEDGER_BUDGET)
+        assert conv.keys.dtype == np.int64 and argsort.call_count == 1 + (chunk == 1)
+        square = Ledger.fold([(c, 2)], DEFAULT_LEDGER_BUDGET)
         assert argsort.call_count == 2 + (chunk == 1)
+    assert conv.strides == square.strides == (1,)
     assert int(conv.keys[-1]) - int(conv.keys[0]) == 2**61 - 1 and max(conv.counts) == 4
-    assert _decode(conv, bounds) == _dict_convolve(_dict_ledger(a), _dict_ledger(b))
-    assert _decode(square, bounds) == _dict_convolve(_dict_ledger(c), _dict_ledger(c))
+    assert _decode(conv, [2**60]) == _dict_convolve(_dict_ledger(a), _dict_ledger(b))
+    assert _decode(square, [2**60]) == _dict_convolve(_dict_ledger(c), _dict_ledger(c))
+
+
+def test_fold_checks_key_pairs_before_forming_them():
+    # moment_T(3, 10): the square of 10 generators takes 55 pairs into 55
+    # keys, and those times the 10 generators take 550, the most of the fold
+    X = 10
+    pairs = len({(x * x + y * y, x**3 + y**3) for x in range(1, X + 1) for y in range(x, X + 1)}) * X
+    assert pairs == 550
+    assert moment_T(3, X, budget=pairs).value == brute_moment_T(3, X)
+    for budget, refused, reduced in ((pairs - 1, pairs, X + 55), (54, 55, X)):
+        with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy, \
+                pytest.raises(BudgetError) as exc:
+            moment_T(3, X, budget=budget)
+        assert (exc.value.what, exc.value.estimate, exc.value.cap) == ("ledger key pairs", refused, budget)
+        # the generators and the admitted convolutions' pairs were reduced,
+        # and not one pair of the refused convolution
+        assert sum(len(call.args[0]) for call in spy.call_args_list) == reduced
 
 
 _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 2**62 + 1, 2**63 - 1]
@@ -128,11 +160,12 @@ _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 
 @pytest.mark.parametrize("path", ["table", "search"])
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12),
        st.booleans(), st.data())
-def test_lookup_matches_dict_reference(path, vectors, huge_mass, data):
-    bounds = [9, 9]
-    # an oversized mass bound makes an object-dtype ledger, queried with int64 keys
-    ledger = Ledger.from_vectors(vectors, bounds, 2**62 if huge_mass else len(vectors))
-    reference = Counter(x + 19 * y for x, y in vectors)
+def test_lookup_matches_dict_reference(path, vectors, wide, data):
+    ledger = Ledger.fold([(vectors, 1)], DEFAULT_LEDGER_BUDGET)
+    if wide:
+        # the same ledger in object arrays, queried with int64 keys
+        ledger = Ledger(ledger.keys.astype(object), ledger.counts.astype(object), ledger.strides)
+    reference = Counter(x + ledger.strides[1] * y for x, y in vectors)
     lo, hi = min(reference), max(reference)
     span = hi - lo + 1
     # the direct table needs a query at least as large as the key span
@@ -148,7 +181,7 @@ def test_lookup_matches_dict_reference(path, vectors, huge_mass, data):
     keys = np.array(query, dtype=np.int64).reshape(-1, cols)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
         got = ledger.lookup(keys)
-    assert search.called == (path == "search" or huge_mass)
+    assert search.called == (path == "search" or wide)
     assert got.shape == keys.shape
     assert got.ravel().tolist() == [reference.get(k, 0) for k in query]
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,30 @@ def test_budget_refusal():
         moment_T(6, 100, budget=10_000)
     with pytest.raises(BudgetError):
         moment_I(4, 50, 50, budget=10_000)
+
+
+@pytest.mark.parametrize("s, X, value", [(5, 40, 11911828440), (6, 24, 126925310616)])
+def test_default_budget_admits_T5_and_T6(s, X, value):
+    # the fold's own pair counts admit these; with the linear slot wide
+    # open the shifted count is the same number by another key layout
+    assert moment_T(s, X).value == moment_T_shifted(s, X, s * (X - 1)).value == value
+
+
+def test_top_square_is_refused_up_front():
+    # L^8 holds 21280 keys, so its square would form 21280 * 21281 / 2 pairs
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as exc:
+        moment_T(16, 10)
+    assert time.perf_counter() - start < 0.5
+    assert (exc.value.what, exc.value.estimate) == ("ledger key pairs", 226429840)
+
+
+def test_mixed_moment_checks_generators_before_listing_them():
+    # about 4.5e11 box members: refused before any is listed
+    with pytest.raises(BudgetError) as exc:
+        mixed_moment([BoxSumSpec(theta=0.3, P=1e12, cubic=1, quad=1)], [2])
+    assert exc.value.what == "ledger generators"
+    assert exc.value.estimate == 450_000_000_000
 
 
 def test_budget_error_carries_sizes():

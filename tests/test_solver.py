@@ -104,6 +104,25 @@ def test_count_past_int64():
     assert all(verify_solution(wide, w) for w in res.witnesses)
 
 
+def _signed_digit_sums(n: int, t: int) -> int:
+    """Number of ways n digits from {-1, 0, 1} sum to t."""
+    return sum(math.comb(n, k) * math.comb(n - k, k + t) for k in range(n + 1) if 0 <= k + t <= n - k)
+
+
+def test_count_past_int64_with_int64_folds():
+    # every fold here has at most 3^30 < 2^62 tuples, so each one is int64,
+    # while the 3^62 points push products of counts past 2^63: y^3 = y
+    # gives Theta = x1^3 - x2^3 + sum y, and Phi = #nonzero z - 10 (x1^2 + x2^2)
+    wide = DiagonalSystem(a=(1, -1), b=(-10, -10), c=(1,) * 30, d=(1,) * 30)
+    want = 0
+    for x1 in (-1, 0, 1):
+        for x2 in (-1, 0, 1):
+            f = 10 * (x1 * x1 + x2 * x2)
+            want += _signed_digit_sums(30, x2**3 - x1**3) * math.comb(30, f) * 2**f
+    assert want == 2195324002100019976344814621
+    assert count_solutions(wide, 1, witness_limit=0).count == want
+
+
 def test_count_monotone_in_B(sample5):
     counts = [count_solutions(sample5, B).count for B in range(6)]
     assert counts == sorted(counts)
@@ -257,7 +276,7 @@ def test_count_budget_boundaries(tiny2):
     # at B = 10 each x-half of tiny2 folds 21 tuples into 21 keys: 441 pairs
     with pytest.raises(BudgetError) as exc:
         count_solutions(tiny2, 10, budget=20)
-    assert (exc.value.what, exc.value.estimate) == ("count fold tuples", 21)
+    assert (exc.value.what, exc.value.estimate) == ("ledger generators", 21)
     with pytest.raises(BudgetError) as exc:
         count_solutions(tiny2, 10, budget=440)
     assert (exc.value.what, exc.value.estimate) == ("count key pairs", 441)
