@@ -1,8 +1,8 @@
 """Exact multiplicity ledgers over packed integer keys.
 
 A ledger maps integer form-value vectors to the number of generator tuples
-that produce them.  `Ledger.fold` builds it from parts (vectors, e), each
-the sum of e generators drawn from `vectors`, packed in balanced signed
+that produce them.  `Ledger.fold` builds it from parts (n, vectors, e), each
+the sum of e of the n generators `vectors` yields, packed in balanced signed
 form: key = sum_j v_j S_j with S_0 = 1 and S_{j+1} = S_j (2 B_j + 1), where
 B_j = sum over the parts of e max |v_j| bounds |v_j| over the whole fold.
 Within those bounds packing is a bijection that commutes with addition and
@@ -12,14 +12,15 @@ ledger's key span when that span is no larger than the query, and
 binary-searches the sorted keys otherwise.
 
 Keys and counts are int64 while the key span and the fold's tuple count
-prod len(vectors)^e stay below 2^62; past that both are Python ints in
-object arrays.  Every count a ledger returns is an exact Python int.
+prod n^e stay below 2^62; past that both are Python ints in object arrays
+(`dtype_for`).  Every count a ledger returns is an exact Python int.
 
-A convolution checks its key pairs against the fold's budget before it
-forms any, then reduces its outer sum chunk by chunk.  A chunk of int64 keys
-is sorted as packed words (key - min) << b | count, with b the bit length of
-the chunk's largest count, whenever (span + 1) << b < 2^63: one in-place sort
-replaces an argsort and two gathers.  Object chunks, and int64 chunks whose
+The fold checks the work its generator counts bound before it reads a
+generator (`check_fold`), and each convolution checks its own key pairs
+before it forms any, then reduces its outer sum chunk by chunk.  A chunk of
+int64 keys is sorted as packed words (key - min) << b | count, with b the
+bit length of the chunk's largest count, whenever (span + 1) << b < 2^63:
+one in-place sort replaces an argsort and two gathers.  Object chunks, and int64 chunks whose
 word would not fit, take the argsort.  A square (a ledger convolved with
 itself) takes only the pairs i <= j and weights i < j by 2.  Reduced chunks
 go onto a stack of sorted runs that merges like a binary counter, so each
@@ -93,6 +94,11 @@ def _merge(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts
 
 
+def dtype_for(*sizes: int):
+    """int64 while every size (a key span, a number of tuples) stays below 2^62, else object."""
+    return object if max(sizes) >= _INT64_LIMIT else np.int64
+
+
 def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     """sum(a * b) as an exact Python int, for nonnegative counts."""
     if a.dtype == object or b.dtype == object or (
@@ -100,6 +106,29 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     ):
         return int(np.dot(a.astype(object), b.astype(object)))
     return int(np.dot(a, b))
+
+
+def form_values(values, terms):
+    """The vector (c v^e for (c, e) in terms) of each v in values, lazily."""
+    for v in values:
+        yield tuple(c * v**e for c, e in terms)
+
+
+def check_fold(parts, budget: int) -> None:
+    """Refuse the fold of parts (n, vectors, e) before any generator is read.
+
+    Checks each part's n generators (`ledger generators`) and the key pairs
+    that the counts alone bound (`ledger key pairs`): n(n + 1) / 2 for the
+    first square of a part with e >= 2, and n_0 n_1 when the fold opens
+    with two parts of e = 1.  Both are exact when no two generators of a
+    part share a key.
+    """
+    for n, _, _ in parts:
+        check_budget(n, budget, what="ledger generators")
+    pairs = [n * (n + 1) // 2 for n, _, e in parts if e >= 2]
+    if len(parts) > 1 and parts[0][2] == parts[1][2] == 1:
+        pairs.append(parts[0][0] * parts[1][0])
+    check_budget(max(pairs, default=0), budget, what="ledger key pairs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,24 +141,27 @@ class Ledger:
 
     @classmethod
     def fold(cls, parts, budget: int) -> "Ledger":
-        """Ledger of the sums of e generators from each part (vectors, e).
+        """Ledger of the sums of e generators from each part (n, vectors, e).
 
-        Takes at least one part, vectors of one common length and e >= 1.
+        Takes a list of at least one part, with e >= 1; `vectors` yields n
+        vectors of one common length and is read only after `check_fold`.
         Bounds, strides and dtype come from the parts (module docstring).
         Each part's generators are raised to the power e by binary splitting
-        and the powers are convolved in order.  The caller checks the
-        generators against the budget before it builds them.
+        and the powers are convolved in order.
         """
-        if any(e < 1 for _, e in parts):
+        if any(e < 1 for _, _, e in parts):
             raise ValueError("fold needs e >= 1 in every part")
-        bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in parts) for j in range(len(parts[0][0][0]))]
+        check_fold(parts, budget)
+        built = [(list(vectors), e) for _, vectors, e in parts]
+        if [len(vectors) for vectors, _ in built] != [n for n, _, _ in parts]:
+            raise ValueError("a part yielded other than its n generators")
+        bounds = [sum(e * max(abs(v[j]) for v in vectors) for vectors, e in built) for j in range(len(built[0][0][0]))]
         strides = [1]
         for B in bounds:
             strides.append(strides[-1] * (2 * B + 1))
-        tuples = math.prod(len(vectors) ** e for vectors, e in parts)
-        dtype = object if max(strides[-1], tuples) >= _INT64_LIMIT else np.int64
+        dtype = dtype_for(strides[-1], math.prod(n**e for n, _, e in parts))
         out = None
-        for vectors, e in parts:
+        for vectors, e in built:
             keys = np.array([sum(v * S for v, S in zip(vec, strides)) for vec in vectors], dtype=dtype)
             power = cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))._power(e, budget)
             out = power if out is None else out._convolve(power, budget)

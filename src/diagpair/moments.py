@@ -4,10 +4,8 @@ By orthogonality, every even moment here equals the number of integer
 solutions of a system of diagonal equations, so it is computed exactly:
 fold the generators of one side into a `Ledger` of form-value vectors with
 `Ledger.fold`, then match keys (equal keys, negated keys, or keys within a
-window of the linear field).  Each function checks the number of
-generators it is about to build against its budget (`ledger generators`);
-the fold checks its own key pairs.  All counts are exact integers;
-nothing is accumulated in floats.
+window of the linear field).  All counts are exact integers; nothing is
+accumulated in floats.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .expsums import BoxSumSpec
-from .ledger import Ledger, exact_dot
+from .ledger import Ledger, exact_dot, form_values
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,7 @@ def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
-    check_budget(X, budget, what="ledger generators")
-    c_s = Ledger.fold([([(x * x, x**3) for x in range(1, X + 1)], s)], budget)
+    c_s = Ledger.fold([(X, ((x * x, x**3) for x in range(1, X + 1)), s)], budget)
     return MomentResult(c_s.sum_of_squares(), {"s": s, "X": X})
 
 
@@ -63,8 +60,7 @@ def moment_T_shifted(
         h_max = s * X
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    check_budget(X, budget, what="ledger generators")
-    c_s = Ledger.fold([([(x, x * x, x**3) for x in range(1, X + 1)], s)], budget)
+    c_s = Ledger.fold([(X, ((x, x * x, x**3) for x in range(1, X + 1)), s)], budget)
     # The linear field has stride 1 and spans at most s(X-1) inside one
     # (quadratic, cubic) group, while keys of different groups lie more than
     # s(X-1) apart, so a key window of half-width h never leaves its group.
@@ -93,8 +89,7 @@ def moment_I(s: int, Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Mom
     """
     if s < 1 or Y < 1 or H < 1:
         raise ValueError("s, Y, H must be >= 1")
-    check_budget(2 * H * Y, budget, what="ledger generators")
-    n_s = Ledger.fold([(list(_block_generators(Y, H)), s)], budget)
+    n_s = Ledger.fold([(2 * H * Y, _block_generators(Y, H), s)], budget)
     return MomentResult(n_s.matched_negated(), {"s": s, "Y": Y, "H": H})
 
 
@@ -157,8 +152,8 @@ def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     """Count of h1 y1 + h2 y2 = h3 y3 + h4 y4 with h1 + h2 = h3 + h4."""
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
-    check_budget(2 * H * Y, budget, what="ledger generators")
-    n_2 = Ledger.fold([([(h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)], 2)], budget)
+    pairs = ((h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1))
+    n_2 = Ledger.fold([(2 * H * Y, pairs, 2)], budget)
     return MomentResult(n_2.matched_negated(), {"Y": Y, "H": H})
 
 
@@ -191,7 +186,7 @@ def mixed_moment(
         xs = spec.members()
         if not xs:
             return MomentResult(0, {"factors": len(factors)})
-        parts.append(([(spec.quad * x * x, spec.cubic * x**3) for x in xs], exp // 2))
+        parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))
     value = Ledger.fold(parts, budget).sum_of_squares() if parts else 1
     return MomentResult(value, {"exponents": list(exponents), "P": P})
 

@@ -10,7 +10,9 @@ each folded into a `Ledger` over (Phi, Theta).  The count is then
 
 evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps each
 variable's range, the key pairs of each fold's convolutions and of the sum,
-and the nodes of the witness scan.  All counts are exact integers.
+and the nodes of the witness scan; every block's fold is checked on its
+generator counts (`check_fold`) before any block is built.  All counts
+are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -26,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .ledger import _CHUNK_PAIRS, _INT64_LIMIT, Ledger
+from .ledger import _CHUNK_PAIRS, Ledger, check_fold, dtype_for, form_values
 from .smooth import smooth_set
 from .systems import DiagonalSystem
 
@@ -179,20 +181,20 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     quad = sys.quad_coeffs()
     l, m = sys.l, sys.m
     blocks = (range(l // 2), range(l // 2, l), range(l, l + m), range(l + m, sys.s))
-    check_budget(max(len(r) for r in ranges), budget, what="ledger generators")
-
-    def fold(idx, forms) -> Ledger:
-        """Ledger over the given (coefficients, exponent) forms; an empty block holds the empty tuple."""
-        parts = [([tuple(c[i] * v**e for c, e in forms) for v in ranges[i]], 1) for i in idx]
-        return Ledger.fold(parts or [([(0,) * len(forms)], 1)], budget)
-
-    half_a, half_b = (fold(idx, ((quad, 2), (cubic, 3))) for idx in blocks[:2])
-    r_y = fold(blocks[2], ((cubic, 3),))
-    r_z = fold(blocks[3], ((quad, 2),))
+    forms = (((quad, 2), (cubic, 3)),) * 2 + (((cubic, 3),), ((quad, 2),))
+    # one part per variable; an empty block holds the empty tuple
+    folds = [
+        [(len(ranges[i]), form_values(ranges[i], [(c[i], e) for c, e in f]), 1) for i in idx]
+        or [(1, [(0,) * len(f)], 1)]
+        for idx, f in zip(blocks, forms)
+    ]
+    for parts in folds:
+        check_fold(parts, budget)
+    half_a, half_b, r_y, r_z = (Ledger.fold(parts, budget) for parts in folds)
     check_budget(len(half_a.keys) * len(half_b.keys), budget, what="count key pairs")
     (phi_a, theta_a), (phi_b, theta_b) = half_a.fields(), half_b.fields()
     # Folds pick their own dtypes; products of counts reach the number of points.
-    dtype = object if math.prod(len(r) for r in ranges) >= _INT64_LIMIT else np.int64
+    dtype = dtype_for(math.prod(len(r) for r in ranges))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
     rows = max(1, _CHUNK_PAIRS // len(half_b.keys))
     total = 0

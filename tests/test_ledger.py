@@ -64,13 +64,18 @@ def _fold_parts(draw):
     return [(draw(st.lists(vec, min_size=1, max_size=6)), e) for e in es]
 
 
+def _counted(parts) -> list:
+    """Fold parts (n, vectors, e) that hand over their generators as one-pass iterators."""
+    return [(len(vectors), iter(vectors), e) for vectors, e in parts]
+
+
 def _check_against_dicts(parts):
     bounds = _fold_bounds(parts)
     want: dict = {(0,) * len(bounds): 1}
     for vectors, e in parts:
         want = _dict_convolve(want, _dict_power(_dict_ledger(vectors), e))
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        fold = Ledger.fold(parts, DEFAULT_LEDGER_BUDGET)
+        fold = Ledger.fold(_counted(parts), DEFAULT_LEDGER_BUDGET)
     strides = [math.prod(2 * B + 1 for B in bounds[:j]) for j in range(len(bounds))]
     assert fold.strides == tuple(strides)
     # int64 exactly while the key span and the tuple count stay below 2^62
@@ -111,7 +116,7 @@ def test_ledger_matches_dict_reference_in_small_chunks(chunk, parts):
 def test_fold_dtype_follows_its_tuple_count(e):
     # 2^e tuples of two generators over a key span of e + 1: the counts are
     # binomial coefficients, and the fold turns object once 2^e reaches 2^62
-    fold = Ledger.fold([([(0,), (1,)], e)], DEFAULT_LEDGER_BUDGET)
+    fold = Ledger.fold([(2, [(0,), (1,)], e)], DEFAULT_LEDGER_BUDGET)
     assert (fold.keys.dtype == object) == (e == 62)
     assert fold.keys.tolist() == list(range(e + 1))
     assert fold.counts.tolist() == [math.comb(e, k) for k in range(e + 1)]
@@ -127,9 +132,9 @@ def test_wide_int64_keys_take_the_argsort(chunk):
     c = [(-(2**59),)] * 2 + [(2**59,)] * 2
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk), \
             mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        conv = Ledger.fold([(a, 1), (b, 1)], DEFAULT_LEDGER_BUDGET)
+        conv = Ledger.fold(_counted([(a, 1), (b, 1)]), DEFAULT_LEDGER_BUDGET)
         assert conv.keys.dtype == np.int64 and argsort.call_count == 1 + (chunk == 1)
-        square = Ledger.fold([(c, 2)], DEFAULT_LEDGER_BUDGET)
+        square = Ledger.fold(_counted([(c, 2)]), DEFAULT_LEDGER_BUDGET)
         assert argsort.call_count == 2 + (chunk == 1)
     assert conv.strides == square.strides == (1,)
     assert int(conv.keys[-1]) - int(conv.keys[0]) == 2**61 - 1 and max(conv.counts) == 4
@@ -144,7 +149,9 @@ def test_fold_checks_key_pairs_before_forming_them():
     pairs = len({(x * x + y * y, x**3 + y**3) for x in range(1, X + 1) for y in range(x, X + 1)}) * X
     assert pairs == 550
     assert moment_T(3, X, budget=pairs).value == brute_moment_T(3, X)
-    for budget, refused, reduced in ((pairs - 1, pairs, X + 55), (54, 55, X)):
+    # the top convolution is refused on its own pairs; the first square is
+    # refused on the generator count, before a generator is reduced
+    for budget, refused, reduced in ((pairs - 1, pairs, X + 55), (54, 55, 0)):
         with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy, \
                 pytest.raises(BudgetError) as exc:
             moment_T(3, X, budget=budget)
@@ -154,6 +161,32 @@ def test_fold_checks_key_pairs_before_forming_them():
         assert sum(len(call.args[0]) for call in spy.call_args_list) == reduced
 
 
+def _unread():
+    raise AssertionError("the fold read a generator it refuses")
+    yield
+
+
+@pytest.mark.parametrize(
+    "parts, what, estimate",
+    [
+        ([(10**6, 2)], "ledger key pairs", 10**6 * (10**6 + 1) // 2),
+        ([(5, 1), (10**5, 3)], "ledger key pairs", 10**5 * (10**5 + 1) // 2),
+        ([(2000, 1), (3000, 1), (1, 1)], "ledger key pairs", 6_000_000),
+        ([(2, 1), (2, 1), (10**7, 1)], "ledger generators", 10**7),
+    ],
+    ids=["square", "later-square", "first-pair", "generators"],
+)
+def test_fold_refuses_before_reading_a_generator(parts, what, estimate):
+    with pytest.raises(BudgetError) as exc:
+        Ledger.fold([(n, _unread(), e) for n, e in parts], 10**6)
+    assert (exc.value.what, exc.value.estimate) == (what, estimate)
+
+
+def test_fold_holds_a_part_to_its_count():
+    with pytest.raises(ValueError, match="other than its n generators"):
+        Ledger.fold([(3, [(1,), (2,)], 1)], DEFAULT_LEDGER_BUDGET)
+
+
 _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 2**62 + 1, 2**63 - 1]
 
 
@@ -161,7 +194,7 @@ _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12),
        st.booleans(), st.data())
 def test_lookup_matches_dict_reference(path, vectors, wide, data):
-    ledger = Ledger.fold([(vectors, 1)], DEFAULT_LEDGER_BUDGET)
+    ledger = Ledger.fold([(len(vectors), vectors, 1)], DEFAULT_LEDGER_BUDGET)
     if wide:
         # the same ledger in object arrays, queried with int64 keys
         ledger = Ledger(ledger.keys.astype(object), ledger.counts.astype(object), ledger.strides)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from diagpair import (
 from diagpair import ledger, solver
 from diagpair.acceptance import LADDER6_THETA
 from diagpair.smooth import c_eta
+from diagpair.systems import BUILTIN_SYSTEMS
 from diagpair.budget import DEFAULT_LEDGER_BUDGET
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
 
@@ -121,6 +123,23 @@ def test_count_past_int64_with_int64_folds():
             want += _signed_digit_sums(30, x2**3 - x1**3) * math.comb(30, f) * 2**f
     assert want == 2195324002100019976344814621
     assert count_solutions(wide, 1, witness_limit=0).count == want
+
+
+@pytest.mark.parametrize("name, B", [("balanced11", 10**7), ("sample5", 10**4)])
+def test_count_refuses_before_building_generators(name, B):
+    # the first two variables of a block, 2B + 1 values each, would form
+    # (2B + 1)^2 key pairs: balanced11's first x-half refuses at once (its
+    # generator tuples alone would take GBs), and sample5's two-variable
+    # z-block refuses before its single-variable blocks are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as exc:
+            count_solutions(BUILTIN_SYSTEMS[name], B, witness_limit=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.what, exc.value.estimate) == ("ledger key pairs", (2 * B + 1) ** 2)
+    assert peak < 10**6
 
 
 def test_count_monotone_in_B(sample5):
