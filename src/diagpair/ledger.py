@@ -17,15 +17,16 @@ prod n^e stay below 2^62; past that both are Python ints in object arrays
 
 The fold checks the work its generator counts bound before it reads a
 generator (`check_fold`), and each convolution checks its own key pairs
-before it forms any, then reduces its outer sum chunk by chunk.  A chunk of
-int64 keys is sorted as packed words (key - min) << b | count, with b the
-bit length of the chunk's largest count, whenever (span + 1) << b < 2^63:
-one in-place sort replaces an argsort and two gathers.  Object chunks, and int64 chunks whose
-word would not fit, take the argsort.  A square (a ledger convolved with
-itself) takes only the pairs i <= j and weights i < j by 2.  Reduced chunks
-go onto a stack of sorted runs that merges like a binary counter, so each
-key takes part in O(log chunks) merges; a merge binary-searches the shorter
-run in the longer one and never sorts.
+before it forms any.  A convolution cuts the key axis of its outer sum into
+bands of at most _CHUNK_PAIRS pairs (one key, if that key alone holds more),
+found by bisection on the exact pair count below a key, and reduces each
+band once.  No key falls in two bands, so the reduced bands concatenate in
+key order and nothing merges.  A square (a ledger convolved with itself)
+takes only the pairs i <= j and weights i < j by 2.  A band of int64 keys is
+sorted as packed words (key - min) << b | count, with b the bit length of
+the band's largest count, whenever (span + 1) << b < 2^63: one in-place sort
+replaces an argsort and two gathers.  Object bands, and int64 bands whose
+word would not fit, take the argsort.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ import numpy as np
 from .budget import check_budget
 
 _INT64_LIMIT = 2**62
-# Pairs per chunk of an outer sum or a pair sum: 16 MiB per int64 temporary.
-# Over the ops of perfbench's exact-ledgers workload, 2^22-pair chunks ran
-# ~10% faster but peaked at 192 MB against 123 MB (2^20: slower, 133 MB).
+# Pairs per band of a convolution or per chunk of the solver's pair sum: 16 MiB
+# per int64 temporary.  Over the ops of perfbench's exact-ledgers workload,
+# 2^20 and 2^22 pairs ran no faster than 2^21 (0.66-0.68 s a pass each) but
+# peaked at 119 and 163 MB against 107 MB.
 _CHUNK_PAIRS = 2**21
 
 
@@ -67,31 +69,6 @@ def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         del order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], np.add.reduceat(counts, starts)
-
-
-def _merge(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two runs of sorted unique keys, adding the counts of shared keys.
-
-    The shorter run is binary-searched in the longer one.  Shared keys add
-    their counts into the longer run in place; the shorter run's other keys
-    go to their merged positions (np.insert's rule, applied once to keys and
-    counts alike) and the longer run fills the rest.
-    """
-    if len(a[0]) < len(b[0]):
-        a, b = b, a
-    (ak, ac), (bk, bc) = a, b
-    pos = np.searchsorted(ak, bk)
-    shared = ak[np.minimum(pos, len(ak) - 1)] == bk
-    ac[pos[shared]] += bc[shared]
-    new = np.flatnonzero(~shared)
-    at = pos[new] + np.arange(len(new))
-    old = np.ones(len(ak) + len(new), dtype=bool)
-    old[at] = False
-    keys = np.empty(len(old), dtype=ak.dtype)
-    counts = np.empty(len(old), dtype=ac.dtype)
-    keys[at], keys[old] = bk[new], ak
-    counts[at], counts[old] = bc[new], ac
-    return keys, counts
 
 
 def dtype_for(*sizes: int):
@@ -168,67 +145,52 @@ class Ledger:
         return out
 
     def _convolve(self, other: "Ledger", budget: int) -> "Ledger":
-        """Ledger of the sums of one generator tuple from each side.
+        """Ledger of the sums of one generator tuple from each side, in bands.
 
         First the key pairs (n(n + 1) / 2 for a square) are checked against
-        `budget`.  The outer sum is reduced in chunks of at most _CHUNK_PAIRS
-        pairs (one row of self at least).  Reduced chunks are pushed onto a
-        stack of runs, and the top two merge while the top one covers no more
-        chunks than the one below it, as in a binary counter.  Memory stays
-        near one chunk plus the runs, and merge work is O(N log chunks).
+        `budget`.  The shorter side gives the rows.  Row i's columns below a
+        key K end at searchsorted(b, K - a_i), clamped to j >= i in a square,
+        so a band [K0, K1) has an exact pair count to bisect K1 on.  Each band
+        starts at the smallest key no row has used and is formed row by row.
         """
-        n = len(other.keys)
-        check_budget(n * (n + 1) // 2 if other is self else len(self.keys) * n, budget, what="ledger key pairs")
-        runs: list[tuple[np.ndarray, np.ndarray, int]] = []
-        for k, c in self._reduced_chunks(other):
-            covers = 1
-            while runs and runs[-1][2] <= covers:
-                pk, pc, pcovers = runs.pop()
-                k, c = _merge((pk, pc), (k, c))
-                covers += pcovers
-            runs.append((k, c, covers))
-        k, c, _ = runs.pop()
-        while runs:
-            k, c = _merge(runs.pop()[:2], (k, c))
-        return Ledger(k, c, self.strides)
+        square = other is self
+        a, b = (other, self) if len(self.keys) > len(other.keys) else (self, other)
+        n = len(b.keys)
+        check_budget(n * (n + 1) // 2 if square else len(a.keys) * n, budget, what="ledger key pairs")
+        start = np.arange(n) if square else np.zeros(len(a.keys), dtype=np.intp)
+        top = int(a.keys[-1]) + int(b.keys[-1]) + 1
 
-    def _reduced_chunks(self, other: "Ledger"):
-        """The outer sum of self and other, one reduced chunk of rows at a time.
+        def ends(K):
+            return np.maximum(np.searchsorted(b.keys, K - a.keys), start)
 
-        A square (other is self) takes row r over the columns j >= r only,
-        so each chunk's rows are sized by the columns that remain.
-        """
-        n, square = len(other.keys), other is self
-        i = 0
-        while i < len(self.keys):
-            rows = min(max(1, _CHUNK_PAIRS // (n - i if square else n)), len(self.keys) - i)
-            if square:
-                yield _reduce(*self._upper_rows(i, rows))
-            else:
-                yield _reduce(
-                    (self.keys[i : i + rows, None] + other.keys).ravel(),
-                    (self.counts[i : i + rows, None] * other.counts).ravel(),
-                )
-            i += rows
-
-    def _upper_rows(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and counts of the pairs (r, j), j >= r, i <= r < i + rows, of self with itself.
-
-        A pair with r < j stands for both (r, j) and (j, r), so its count
-        product is doubled.
-        """
-        n = len(self.keys)
-        size = rows * (n - i) - rows * (rows - 1) // 2
-        keys = np.empty(size, dtype=self.keys.dtype)
-        counts = np.empty(size, dtype=self.counts.dtype)
-        at = 0
-        for r in range(i, i + rows):
-            end = at + n - r
-            np.add(self.keys[r], self.keys[r:], out=keys[at:end])
-            np.multiply(2 * self.counts[r], self.counts[r:], out=counts[at:end])
-            counts[at] = self.counts[r] * self.counts[r]
-            at = end
-        return keys, counts
+        bands = []
+        while (rows := np.flatnonzero(start < n)).size:
+            used = int(start.sum())
+            # K1 in [K0 + 1, top]: the whole rest when it fits, else bisected
+            lo, hi = int((a.keys[rows] + b.keys[start[rows]]).min()) + 1, top
+            if len(a.keys) * n - used <= _CHUNK_PAIRS:
+                lo = top
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if int(ends(mid).sum()) - used <= _CHUNK_PAIRS:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            end = ends(lo)
+            keys = np.empty(int(end.sum()) - used, dtype=a.keys.dtype)
+            counts = np.empty(len(keys), dtype=a.counts.dtype)
+            at = 0
+            for i in np.flatnonzero(end > start).tolist():
+                j, k = int(start[i]), int(end[i])
+                np.add(a.keys[i], b.keys[j:k], out=keys[at : at + k - j])
+                np.multiply(a.counts[i] * (1 + square), b.counts[j:k], out=counts[at : at + k - j])
+                if square and j == i:
+                    counts[at] = a.counts[i] * a.counts[i]
+                at += k - j
+            bands.append(_reduce(keys, counts))
+            start = end
+        keys, counts = zip(*bands)
+        return Ledger(np.concatenate(keys), np.concatenate(counts), self.strides)
 
     def _power(self, e: int, budget: int) -> "Ledger":
         """e-fold self-convolution by binary splitting."""

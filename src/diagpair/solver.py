@@ -27,8 +27,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import ledger
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .ledger import _CHUNK_PAIRS, Ledger, check_fold, dtype_for, form_values
+from .ledger import Ledger, check_fold, dtype_for, form_values
 from .smooth import smooth_set
 from .systems import DiagonalSystem
 
@@ -175,7 +176,7 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     """Exact count of points in the ranges where Theta = Phi = 0.
 
     Sums n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b) over the key
-    pairs (a, b) of the two x-half ledgers, in chunks of _CHUNK_PAIRS pairs.
+    pairs (a, b) of the two x-half ledgers, in chunks of ledger._CHUNK_PAIRS pairs.
     """
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
@@ -196,7 +197,7 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     # Folds pick their own dtypes; products of counts reach the number of points.
     dtype = dtype_for(math.prod(len(r) for r in ranges))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
-    rows = max(1, _CHUNK_PAIRS // len(half_b.keys))
+    rows = max(1, ledger._CHUNK_PAIRS // len(half_b.keys))
     total = 0
     for i in range(0, len(half_a.keys), rows):
         chunk = slice(i, i + rows)

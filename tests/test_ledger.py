@@ -106,8 +106,8 @@ def test_ledger_matches_dict_reference(parts):
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 @given(_fold_parts())
 def test_ledger_matches_dict_reference_in_small_chunks(chunk, parts):
-    # at most 6 generators a part never fill a default chunk: these run
-    # the run-stack merge and the square's triangular chunks
+    # at most 6 generators a part never fill a default band: these cut
+    # squares and products into many bands, some of one key
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
         _check_against_dicts(parts)
 
@@ -124,22 +124,40 @@ def test_fold_dtype_follows_its_tuple_count(e):
 
 @pytest.mark.parametrize("chunk", [1, 2**21])
 def test_wide_int64_keys_take_the_argsort(chunk):
-    # int64 keys spanning about 2^61 in every chunk, with counts of 4 or 8
-    # (3 or 4 bits): the packed word would pass 2^63, so these chunks take
-    # the argsort, while the generators' own reductions (count 1) still pack
+    # int64 keys spanning about 2^61, with counts of 4 or 8 (3 or 4 bits):
+    # in one band of all the pairs the packed word would pass 2^63, so that
+    # band takes the argsort; a one-key band (chunk 1) spans nothing and
+    # packs, as do the generators' own reductions (count 1)
     a = [(0,), (0,), (1,), (1,)]
     b = [(-(2**60) + 1,)] * 2 + [(2**60 - 1,)] * 2
     c = [(-(2**59),)] * 2 + [(2**59,)] * 2
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk), \
             mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         conv = Ledger.fold(_counted([(a, 1), (b, 1)]), DEFAULT_LEDGER_BUDGET)
-        assert conv.keys.dtype == np.int64 and argsort.call_count == 1 + (chunk == 1)
+        assert conv.keys.dtype == np.int64 and argsort.call_count == (chunk > 1)
         square = Ledger.fold(_counted([(c, 2)]), DEFAULT_LEDGER_BUDGET)
-        assert argsort.call_count == 2 + (chunk == 1)
+        assert argsort.call_count == 2 * (chunk > 1)
     assert conv.strides == square.strides == (1,)
     assert int(conv.keys[-1]) - int(conv.keys[0]) == 2**61 - 1 and max(conv.counts) == 4
     assert _decode(conv, [2**60]) == _dict_convolve(_dict_ledger(a), _dict_ledger(b))
     assert _decode(square, [2**60]) == _dict_convolve(_dict_ledger(c), _dict_ledger(c))
+
+
+def test_bands_are_final_and_never_empty():
+    # one pair per band: the square of {0, 1, 10^12} has 6 keys of one pair
+    # each, and its product with the generators 10 keys, some of two or three
+    # pairs (a one-key band each); the keys from 10^12 up lie past a gap of
+    # about 10^12 keys that no band may start in or step through
+    gens = [(0,), (1,), (10**12,)]
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), \
+            mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy:
+        fold = Ledger.fold(_counted([(gens, 3)]), DEFAULT_LEDGER_BUDGET)
+    # the first call reduces the three generators; then one call a key
+    bands = [set(call.args[0].tolist()) for call in spy.call_args_list[1:]]
+    assert all(len(keys) == 1 for keys in bands)
+    assert len(bands) == 6 + 10
+    assert np.all(np.diff(fold.keys) > 0)
+    assert _decode(fold, [3 * 10**12]) == _dict_power(_dict_ledger(gens), 3)
 
 
 def test_fold_checks_key_pairs_before_forming_them():

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from diagpair import (
     moment_T,
     moment_T_shifted,
 )
-from diagpair import oracles
+from diagpair import ledger, oracles
 
 # frozen from the brute-force enumerations in oracles.py
 FROZEN = {
@@ -45,8 +46,12 @@ def test_T_matches_brute(s, X):
 @pytest.mark.parametrize("s, X", [(3, 5), (4, 5), (5, 4), (6, 3)])
 def test_T_matches_brute_past_squares(s, X):
     # power(s) squares a ledger from s = 2 on, squares a square at s = 4 and
-    # 6, and takes an odd split at s = 3 and 5
-    assert moment_T(s, X).value == oracles.brute_moment_T(s, X)
+    # 6, and takes an odd split at s = 3 and 5; bands of 1 and 7 pairs cut
+    # each of those convolutions into many bands
+    want = oracles.brute_moment_T(s, X)
+    for chunk in (1, 7, ledger._CHUNK_PAIRS):
+        with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
+            assert moment_T(s, X).value == want, chunk
 
 
 @given(st.integers(1, 2), st.integers(1, 7))

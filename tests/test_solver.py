@@ -87,9 +87,8 @@ def test_counts_match_brute_s4(B):
 
 
 def test_count_in_small_chunks(sample5, monkeypatch):
-    # one x-half key per chunk of the pair sum, and one row per chunk of
-    # every fold (the solver binds its own name for the chunk size)
-    monkeypatch.setattr(solver, "_CHUNK_PAIRS", 1)
+    # one x-half key per chunk of the pair sum, and one key per band of
+    # every fold
     monkeypatch.setattr(ledger, "_CHUNK_PAIRS", 1)
     assert count_solutions(sample5, 5).count == SAMPLE5_N5
 
