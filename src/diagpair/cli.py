@@ -282,7 +282,7 @@ def _cmd_solve(args, cfg: RunConfig):
         res = count_solutions(sysd, args.b, restriction=args.restriction, R=args.r, budget=cfg.budget)
         out["count"] = {"B": args.b, "N": res.count, "restriction": res.restriction,
                         "witnesses": [list(w) for w in res.witnesses],
-                        "witnesses_truncated": res.witnesses_truncated}
+                        "witnesses_truncated": res.witnesses_truncated, "pairs": res.pairs}
     if args.witness_bound is not None:
         out["witness"] = search_witness(sysd, args.witness_bound, budget=cfg.budget)
     if args.predict is not None:

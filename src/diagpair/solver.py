@@ -4,15 +4,19 @@ Counting uses the block structure Theta = Theta_x + Theta_y and
 Phi = Phi_x + Phi_z.  The pure-cubic y-block folds into a 1-D `Ledger` r_y
 over Theta and the pure-quadratic z-block into a 1-D `Ledger` r_z over Phi.
 The shared x-block splits into halves A (its first l // 2 variables) and B,
-each folded into a `Ledger` over (Phi, Theta).  The count is then
+each folded into a `Ledger` over (Theta, Phi), so that A's keys run in
+order of Phi_a.  The count is then
 
-    R = sum over key pairs (a, b) of n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b),
+    R = sum over Phi-runs u of A, over keys a with Phi_a = u, and over keys b
+        with r_z(-u - Phi_b) != 0, of n_a n_b r_y(-Theta_a - Theta_b) r_z(-u - Phi_b),
 
-evaluated chunk by chunk over the |A| |B| pairs.  `--budget` caps each
-variable's range, the key pairs of each fold's convolutions and of the sum,
-and the nodes of the witness scan; every block's fold is checked on its
-generator counts (`check_fold`) before any block is built.  All counts
-are exact integers.
+evaluated chunk by chunk.  Only the pairs that the z-block can close are
+formed, at most the |A| |B| that `count key pairs` checks.  r_y and r_z are
+each read once, into a table, when the keys are int64 and their span over
+the sum is no larger than |A| |B|.  `--budget` caps each variable's range,
+the key pairs of each fold's convolutions and of the sum, and the nodes of
+the witness scan; every block's fold is checked on its generator counts
+(`check_fold`) before any block is built.  All counts are exact integers.
 
 Witness enumeration orders each coordinate 0, 1, -1, 2, -2, ... so the
 first solution found is the smallest in that by-magnitude ordering; plain
@@ -172,17 +176,33 @@ def _ordered_values(rng: Sequence[int]) -> list[int]:
     return sorted(rng, key=lambda v: (abs(v), v < 0))
 
 
-def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int) -> int:
-    """Exact count of points in the ranges where Theta = Phi = 0.
+def _negated_weights(r: Ledger, lo: int, hi: int, table_cap: int, dtype):
+    """k -> r(-k), as `dtype`, for key arrays k with values in [lo, hi].
 
-    Sums n_a n_b r_y(-Theta_a - Theta_b) r_z(-Phi_a - Phi_b) over the key
-    pairs (a, b) of the two x-half ledgers, in chunks of ledger._CHUNK_PAIRS pairs.
+    One `lookup` fills a table over [lo, hi] when that span is at most
+    `table_cap`; otherwise every call looks its own keys up.
+    """
+    if hi - lo + 1 <= table_cap:
+        table = r.lookup(-np.arange(lo, hi + 1))
+        return lambda k: table[k - lo].astype(dtype, copy=False)
+    return lambda k: r.lookup(-k).astype(dtype, copy=False)
+
+
+def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int) -> tuple[int, int]:
+    """Exact count of points in the ranges where Theta = Phi = 0, and its pairs.
+
+    The x-halves pack (Theta, Phi), so the keys of half A run in order of
+    Phi_a.  For each run of one Phi_a = u, only the keys b with
+    r_z(-u - Phi_b) != 0 pair with the run; the sum adds
+    n_a n_b r_y(-Theta_a - Theta_b) r_z(-u - Phi_b) over those pairs, at most
+    ledger._CHUNK_PAIRS of them at a time.  Returns the count and the pairs
+    formed, at most the |A| |B| that `budget` caps.
     """
     cubic = sys.cubic_coeffs()
     quad = sys.quad_coeffs()
     l, m = sys.l, sys.m
     blocks = (range(l // 2), range(l // 2, l), range(l, l + m), range(l + m, sys.s))
-    forms = (((quad, 2), (cubic, 3)),) * 2 + (((cubic, 3),), ((quad, 2),))
+    forms = (((cubic, 3), (quad, 2)),) * 2 + (((cubic, 3),), ((quad, 2),))
     # one part per variable; an empty block holds the empty tuple
     folds = [
         [(len(ranges[i]), form_values(ranges[i], [(c[i], e) for c, e in f]), 1) for i in idx]
@@ -192,19 +212,33 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     for parts in folds:
         check_fold(parts, budget)
     half_a, half_b, r_y, r_z = (Ledger.fold(parts, budget) for parts in folds)
-    check_budget(len(half_a.keys) * len(half_b.keys), budget, what="count key pairs")
-    (phi_a, theta_a), (phi_b, theta_b) = half_a.fields(), half_b.fields()
+    bound = len(half_a.keys) * len(half_b.keys)
+    check_budget(bound, budget, what="count key pairs")
+    (theta_a, phi_a), (theta_b, phi_b) = half_a.fields(), half_b.fields()
     # Folds pick their own dtypes; products of counts reach the number of points.
     dtype = dtype_for(math.prod(len(r) for r in ranges))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
-    rows = max(1, ledger._CHUNK_PAIRS // len(half_b.keys))
-    total = 0
-    for i in range(0, len(half_a.keys), rows):
-        chunk = slice(i, i + rows)
-        weight = r_y.lookup(-(theta_a[chunk, None] + theta_b)).astype(dtype, copy=False)
-        weight *= r_z.lookup(-(phi_a[chunk, None] + phi_b)).astype(dtype, copy=False)
-        total += int((n_a[chunk, None] * n_b * weight).sum())
-    return total
+    # lookup's own rule, a table no larger than its query, over the whole
+    # sum; object keys take no table.  One half may be int64 and the other
+    # object, so bounds add as Python ints and keys as arrays.  Phi is the
+    # high field, so phi_a and phi_b are sorted.
+    table_cap = bound if object not in (half_a.keys.dtype, half_b.keys.dtype) else 0
+    w_z = _negated_weights(r_z, int(phi_a[0]) + int(phi_b[0]), int(phi_a[-1]) + int(phi_b[-1]), table_cap, dtype)
+    w_y = _negated_weights(r_y, int(theta_a.min()) + int(theta_b.min()), int(theta_a.max()) + int(theta_b.max()), table_cap, dtype)
+    total = pairs = i = 0
+    while i < len(phi_a):
+        run_end = int(np.searchsorted(phi_a, phi_a[i], side="right"))
+        wz = w_z(phi_a[i : i + 1] + phi_b)
+        nz = np.flatnonzero(wz)
+        if not nz.size:
+            i = run_end
+            continue
+        end = min(run_end, i + max(1, ledger._CHUNK_PAIRS // nz.size))
+        weight = w_y(theta_a[i:end, None] + theta_b[nz])
+        total += int((weight * n_a[i:end, None] * (n_b[nz] * wz[nz])).sum())
+        pairs += (end - i) * nz.size
+        i = end
+    return total, pairs
 
 
 def _witness_scan(
@@ -266,6 +300,7 @@ class SolutionCount:
     restriction: str
     witnesses: tuple[tuple[int, ...], ...]
     witnesses_truncated: bool  # the witness scan gave up before witness_limit hits
+    pairs: int  # x-half key pairs the count formed, at most its `count key pairs`
 
 
 def _build_ranges(
@@ -332,11 +367,11 @@ def count_solutions(
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
     ranges = _build_ranges(sys, bounds, restriction, R)
-    count = _count_via_ledgers(sys, ranges, budget)
+    count, pairs = _count_via_ledgers(sys, ranges, budget)
     if witness_limit == 0:
-        return SolutionCount(bounds, count, restriction, (), False)
+        return SolutionCount(bounds, count, restriction, (), False, pairs)
     witnesses, visited = _witness_scan(sys, ranges, witness_limit, budget)
-    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > budget)
+    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > budget, pairs)
 
 
 def search_witness(sys: DiagonalSystem, B: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Optional[tuple[int, ...]]:

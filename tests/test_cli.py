@@ -114,6 +114,8 @@ def test_solve_builtin_counts(capsys):
     assert doc["result"]["count"]["witnesses"][0] == ["1", "1"]
     assert doc["result"]["witness"] == ["1", "1"]
     assert doc["result"]["count"]["witnesses_truncated"] is False
+    # of 21 * 21 key pairs, each x1 != 0 meets x2 = x1 and x2 = -x1, and 0 meets 0
+    assert doc["result"]["count"]["pairs"] == "41"
 
 
 def test_solve_spec_file(tmp_path, capsys):

@@ -196,11 +196,49 @@ def _blocked_systems(draw):
 @settings(max_examples=150)
 @given(_blocked_systems())
 @example((DiagonalSystem(a=(10**17, -(10**17)), b=(1, -1), c=(2,), d=(1,)), [range(-2, 3)] * 4))
+# one x-half int64 and the other object, with values past int64
+@example((DiagonalSystem(a=(1, 10**17), b=(1, 1)), [range(0, 1), [0, 5]]))
+@example((DiagonalSystem(a=(1, 1), b=(10**18, 1)), [[0, 5], range(0, 1)]))
 def test_block_count_matches_brute(case):
     system, ranges = case
-    got = solver._count_via_ledgers(system, ranges, DEFAULT_LEDGER_BUDGET)
+    got, pairs = solver._count_via_ledgers(system, ranges, DEFAULT_LEDGER_BUDGET)
     assert got == brute_count_box_solutions(system, ranges)
     assert isinstance(got, int)
+    assert 0 <= pairs <= math.prod(len(r) for r in ranges[: system.l])
+
+
+_QUAD4 = DiagonalSystem(a=(1, 1, -1, -1), b=(1, -1, 1, -1), c=(1,), d=(1, -1))
+
+
+@pytest.mark.parametrize(
+    "system, B, calls",
+    [
+        # x-halves of 21 keys each: the Theta span 65 and the Phi span 17 fit
+        # in 441 pairs, so each of r_y and r_z is read once, into a table
+        (_QUAD4, 2, 2),
+        # the Phi span 201 fits in 21 * 21 = 441 pairs and r_z becomes a
+        # table; the Theta span 4001 does not, so r_y is looked up once per
+        # run of Phi_a = x1^2, eleven runs
+        (BUILTIN_SYSTEMS["tiny2"], 10, 1 + 11),
+        # object keys take no table: both are looked up once per run of
+        # Phi_a = x1^2 in {0, 1, 4}
+        (DiagonalSystem(a=(10**17, -(10**17)), b=(1, -1), c=(2,), d=(1,)), 2, 2 * 3),
+    ],
+)
+def test_pair_sum_routes(system, B, calls, monkeypatch):
+    seen = []
+    lookup = ledger.Ledger.lookup
+    monkeypatch.setattr(ledger.Ledger, "lookup", lambda self, keys: seen.append(1) or lookup(self, keys))
+    assert count_solutions(system, B, witness_limit=0).count == brute_count_solutions(system, B)
+    assert len(seen) == calls
+
+
+def test_pair_sum_skips_pairs_r_z_cannot_close(balanced11):
+    # 2915 keys in each x-half bound the sum at 8,497,225 pairs; only the
+    # pairs whose Phi the z-block can close are formed
+    res = count_solutions(balanced11, 12, witness_limit=0)
+    assert res.count == 1424773077
+    assert res.pairs == 2625543
 
 
 @pytest.mark.parametrize("P, want", [(26, 44199), (40, 570521), (60, 6566691)])
