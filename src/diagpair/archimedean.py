@@ -9,11 +9,17 @@ P^(s-5) factor and the v values themselves.  A variable enters through its
 (cubic, quadratic) coefficient pair (A3, A2), with A2 = 0 on the y-block and
 A3 = 0 on the z-block.
 
-Quadrature is plain Gauss-Legendre on equal panels.  The first pass sizes
-each grid so a panel sees at most a fixed number of turns of the local phase;
-every later pass doubles the panel count of every grid exactly, and the
-refinement stops at the first pass that agrees with the one before it to
-the requested tolerance.  That difference is the reported error estimate.
+Quadrature is plain Gauss-Legendre on equal panels: node i of panel p is
+mid_p + h x_i, with one half-width h per grid and the 12 Legendre nodes x_i.
+By e(u + v) = e(u) e(v), a W(Q) phase table e(c g b) over gamma nodes g and
+b nodes is the product of a per-panel factor e(c g mid_p) and a per-node
+factor e(c g h x_i), so it costs one complex exponential per (gamma, panel)
+and (gamma, reference node), not one per entry, and equals the direct table
+up to rounding.  The first pass sizes each grid so a panel sees at most a
+fixed number of turns of the local phase; every later pass doubles the panel
+count of every grid exactly, and the refinement stops at the first pass that
+agrees with the one before it to the requested tolerance.  That difference is
+the reported error estimate.
 Before it builds anything, each W(Q) pass checks its (b2 x b3) grid points
 against the caller's budget, and each v pass its nodes against the default
 budget, so a refinement that cannot converge in budget is refused by
@@ -21,9 +27,11 @@ budget, so a refinement that cannot converge in budget is refused by
 
 W(Q) follows the block structure.  A pure-cubic variable's gamma integral
 depends on b3 only and a pure-quadratic one's on b2 only, so each is a 1-D
-factor table; only the shared x-block needs (b2 x b3) tables.  A 1-D phase
-table is built in gamma-row chunks and a 2-D factor in b2-row chunks, each
-of at most `_CHUNK_ENTRIES` entries.
+factor table, the matrix product of its two panel factors; only the shared
+x-block needs (b2 x b3) tables, products of the (b2 x gamma) and
+(gamma x b3) phase tables.  A 1-D factor is summed over gamma-row chunks
+and a 2-D factor built in chunks of whole b2 panels, each chunk of at most
+`_CHUNK_ENTRIES` entries (or one panel).
 
 The volume constant, the density of {Theta = Phi = 0} in the box, is a coarea
 Monte Carlo: two variables solved in closed form (roots, or for an all-shared
@@ -46,6 +54,21 @@ from .systems import DiagonalSystem
 
 TWO_PI = 2.0 * math.pi
 _GL_NODES = 12
+# the 12-point Gauss-Legendre rule on [-1, 1], as numpy's leggauss(12) gives
+# it.  Spelled out because importing numpy.polynomial and running the
+# eigensolver costs every import of the package about 2 MB of resident memory
+_GL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 # phase turns per panel on the first pass; later passes halve it exactly.
 # v starts fine because its tolerance is loose; W starts coarse because it
 # converges to rounding level within a few doublings from there
@@ -60,14 +83,40 @@ _CHUNK_ENTRIES = 1_500_000
 _MC_CHUNK_ROWS = 1 << 17
 
 
-def _gl_grid(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
+class _Panels:
+    """Gauss-Legendre on equal panels: node i of panel p is mid[p] + half * x_i.
+
+    x_i and w_i are the `_GL_NODES`-point Legendre rule on [-1, 1]; `half` is
+    one half-width for every panel, so nodes, weights and the panel phase
+    factors all come from `mid` and `half`.
+    """
+
+    __slots__ = ("mid", "half")
+
+    def __init__(self, mid: np.ndarray, half: float):
+        self.mid, self.half = mid, half
+
+    @classmethod
+    def over(cls, lo: float, hi: float, n_panels: int) -> "_Panels":
+        # mids are offsets from the centre, so each is rounded to its own size
+        # and the panels of a b grid meet to within rounding near b = 0, where
+        # its factors are largest; counted from lo, every mid carries lo's
+        # rounding, and the gaps lifted the ladder6 W(2048) pass difference
+        # from 3e-17 to 9e-15
+        half = (hi - lo) / (2.0 * n_panels)
+        return cls((lo + hi) / 2.0 + half * np.arange(1 - n_panels, n_panels, 2), half)
+
+    @property
+    def size(self) -> int:
+        return self.mid.size * _GL_NODES
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return (self.mid[:, None] + self.half * _GL_X).ravel()
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.tile(self.half * _GL_W, self.mid.size)
 
 
 def _phase_rate(c3: float, c2: float, lo: float, hi: float) -> float:
@@ -139,28 +188,61 @@ def oscillatory_v(
 
     def integrate(m: int) -> complex:
         check_budget(n * m * _GL_NODES, DEFAULT_LEDGER_BUDGET, what="quadrature nodes")
-        nodes, wts = _gl_grid(lo, hi, n * m)
+        grid = _Panels.over(lo, hi, n * m)
+        nodes = grid.nodes
         phase = TWO_PI * (c3 * nodes**3 + c2 * nodes * nodes)
-        return complex(np.dot(wts, np.exp(1j * phase)))
+        return complex(np.dot(grid.weights, np.exp(1j * phase)))
 
     value, err, _ = _refine(integrate, tol, 1.0)
     return OscillatoryValue(beta2, beta3, P, theta_i, value, err)
 
 
-def _factor_1d(coef: int, gp: np.ndarray, wg: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_g wg e(coef gp b) at every node b: one pure variable's factor.
+def _phase_factors(
+    coef: int, gp: np.ndarray, grid: _Panels, weights: Optional[np.ndarray] = None, panels: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The panel factor e(coef gp mid_p) and the node factor weights[g] e(coef gp half x_i).
 
-    `gp` holds the gamma nodes raised to the variable's degree.  The
-    (gamma x b) phase table is built in gamma-row chunks of at most
-    `_CHUNK_ENTRIES` entries and exponentiated in place.
+    `gp` holds G gamma nodes raised to a variable's degree; the factors are
+    (G x panels) over the given panels of `grid` and (G x `_GL_NODES`).  By
+    e(u + v) = e(u) e(v) their product at (g, p, i) is weights[g] e(coef gp b)
+    at the node b = mid_p + half x_i, so a phase table costs
+    G x (panels + `_GL_NODES`) exponentials, not one per entry.
     """
-    out = np.zeros(b.size, dtype=complex)
-    rows = max(1, _CHUNK_ENTRIES // b.size)
+    turns = TWO_PI * 1j * coef * gp[:, None]
+    at_mid, at_node = turns * grid.mid[panels], turns * (grid.half * _GL_X)
+    np.exp(at_mid, out=at_mid)
+    np.exp(at_node, out=at_node)
+    if weights is not None:
+        at_node *= weights[:, None]
+    return at_mid, at_node
+
+
+def _phase_table(
+    coef: int, gp: np.ndarray, grid: _Panels, weights: Optional[np.ndarray] = None, panels: slice = slice(None)
+) -> np.ndarray:
+    """weights[g] e(coef gp b) at every gamma node and every node b of the panels: (G x nodes).
+
+    The broadcast product of the two `_phase_factors`, nodes in grid order.
+    """
+    at_mid, at_node = _phase_factors(coef, gp, grid, weights, panels)
+    return (at_mid[:, :, None] * at_node[:, None, :]).reshape(gp.size, -1)
+
+
+def _factor_1d(coef: int, gp: np.ndarray, wg: np.ndarray, grid: _Panels) -> np.ndarray:
+    """sum_g wg e(coef gp b) at every node b of `grid`: one pure variable's factor.
+
+    `gp` holds the gamma nodes raised to the variable's degree.  Summed over
+    gamma-row chunks whose panel factor has at most `_CHUNK_ENTRIES` entries,
+    the (`_GL_NODES` x panels) factor is the matrix product of the two
+    `_phase_factors`.
+    """
+    out = np.zeros((_GL_NODES, grid.mid.size), dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // grid.mid.size)
     for start in range(0, gp.size, rows):
         sl = slice(start, start + rows)
-        E = TWO_PI * 1j * coef * np.outer(gp[sl], b)
-        out += wg[sl] @ np.exp(E, out=E)
-    return out
+        at_mid, at_node = _phase_factors(coef, gp[sl], grid, wg[sl])
+        out += at_node.T @ at_mid
+    return out.T.ravel()
 
 
 def unit_singular_integral(
@@ -175,10 +257,10 @@ def unit_singular_integral(
     pure-cubic variable's factor depends on b3 alone and a pure-quadratic
     one's on b2 alone: these are 1-D tables, multiplied into Y(b3) and
     Z(b2).  Only a mixed (shared) variable needs a 2-D (b2 x b3) table, a
-    matrix product built in b2-row chunks that start from outer(Z, Y).
-    With no mixed variable W is (w2 . Z)(w3 . Y).  A variable whose
-    coefficient pair is the negative of one already built, on the same
-    anchor, reuses its table conjugated.
+    matrix product built in chunks of whole b2 panels that start from
+    outer(Z, Y).  With no mixed variable W is (w2 . Z)(w3 . Y).  A variable
+    whose coefficient pair is the negative of one already built, on the
+    same anchor, reuses its table conjugated.
 
     The b2, b3 and gamma grids start at `_W_START_TURNS` phase turns per panel
     and every pass doubles all of their panel counts; the passes stop when
@@ -210,20 +292,21 @@ def unit_singular_integral(
 
     def compute(m: int) -> complex:
         check_budget(n2 * m * _GL_NODES * n3 * m * _GL_NODES, budget, what="quadrature grid points")
-        b2, w2 = _gl_grid(-Q, Q, n2 * m)
-        b3, w3 = _gl_grid(-Q, Q, n3 * m)
+        b2, b3 = _Panels.over(-Q, Q, n2 * m), _Panels.over(-Q, Q, n3 * m)
         # per distinct pair up to sign: the 1-D factor of a pure variable, or
-        # the gamma grid and gamma->b3 table E3g of a mixed one
+        # the squared gamma nodes and weighted gamma->b3 table E3g of a mixed one
         factors: dict = {}
         grids: dict = {}
         for (A3, A2, th), n_g in n_gamma.items():
-            g, wg = _gl_grid(th / 2.0, 2.0 * th, n_g * m)
+            gamma = _Panels.over(th / 2.0, 2.0 * th, n_g * m)
+            g, wg = gamma.nodes, gamma.weights
             if A2 == 0:
                 factors[(A3, A2, th)] = _factor_1d(A3, g**3, wg, b3)
             elif A3 == 0:
                 factors[(A3, A2, th)] = _factor_1d(A2, g * g, wg, b2)
             else:
-                grids[(A3, A2, th)] = (g, wg[:, None] * np.exp(TWO_PI * 1j * A3 * np.outer(g**3, b3)))
+                grids[(A3, A2, th)] = (g * g, _phase_table(A3, g**3, b3, wg))
+        w2, w3 = b2.weights, b3.weights
         Y = np.ones(b3.size, dtype=complex)
         Z = np.ones(b2.size, dtype=complex)
         mixed = []
@@ -238,12 +321,14 @@ def unit_singular_integral(
                 Z *= f
         if not mixed:
             return complex((w2 @ Z) * (w3 @ Y))
-        # each live chunk array is chunk*b3 complex entries and the per-chunk
-        # cache holds one per distinct mixed coefficient pair
-        chunk = max(1, _CHUNK_ENTRIES // b3.size)
+        # chunks are whole b2 panels; each (chunk x b3) array is at most
+        # _CHUNK_ENTRIES complex entries (or one panel's rows) and the
+        # per-chunk cache holds one per distinct mixed coefficient pair
+        chunk = max(1, _CHUNK_ENTRIES // (_GL_NODES * b3.size))
         acc = np.zeros(b3.size, dtype=complex)
-        for start in range(0, b2.size, chunk):
-            rows = slice(start, min(start + chunk, b2.size))
+        for start in range(0, b2.mid.size, chunk):
+            panels = slice(start, start + chunk)
+            rows = slice(start * _GL_NODES, (start + chunk) * _GL_NODES)
             Vc = np.outer(Z[rows], Y)
             cache: dict = {}
             for A3, A2, th in mixed:
@@ -253,9 +338,8 @@ def unit_singular_integral(
                         cache[key] = np.conj(cache[(-A3, -A2, th)])
                     else:
                         # neither sign seen yet: key is the pair's first, built one
-                        g, E3g = grids[key]
-                        E2 = np.exp(TWO_PI * 1j * A2 * np.outer(b2[rows], g * g))
-                        cache[key] = E2 @ E3g
+                        g2, E3g = grids[key]
+                        cache[key] = _phase_table(A2, g2, b2, panels=panels).T @ E3g
                 Vc = Vc * cache[key]
             acc += w2[rows] @ Vc
         return complex(acc @ w3)

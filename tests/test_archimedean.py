@@ -158,16 +158,96 @@ def test_unit_integral_block_layout_pins(layout):
     assert (diag["factors_1d"], diag["factors_2d"]) == (f1, f2)
 
 
+def _direct_phases(coef, gp, b):
+    """e(coef gp b) for every (gamma, b) pair, one complex exponential per entry."""
+    return np.exp(2j * math.pi * coef * np.outer(gp, b))
+
+
+@pytest.mark.parametrize("one_row_chunks", [False, True], ids=["default-chunks", "one-row-chunks"])
+@pytest.mark.parametrize("n_panels", [1, 7])
+@pytest.mark.parametrize("coef", [3, -2])
+def test_factor_1d_matches_direct_sum(monkeypatch, coef, n_panels, one_row_chunks):
+    # the factor is built from per-panel and per-node phase factors; the direct
+    # sum exponentiates every (gamma, b) entry
+    if one_row_chunks:
+        monkeypatch.setattr(archimedean, "_CHUNK_ENTRIES", 1)
+    gamma = archimedean._Panels.over(0.15, 0.6, 5)
+    b = archimedean._Panels.over(-16.0, 16.0, n_panels)
+    g, wg = gamma.nodes, gamma.weights
+    for gp in (g**3, g * g):
+        got = archimedean._factor_1d(coef, gp, wg, b)
+        want = wg @ _direct_phases(coef, gp, b.nodes)
+        assert got.shape == (12 * n_panels,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(wg))
+
+
+def test_legendre_rule():
+    # the spelled-out rule is numpy's, and exact to degree 23
+    x, w = archimedean._GL_X, archimedean._GL_W
+    ref_x, ref_w = np.polynomial.legendre.leggauss(archimedean._GL_NODES)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=4e-16)
+    for k in range(24):
+        assert w @ x**k == pytest.approx(2 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("Q, n_panels", [(16.0, 28), (1024.0, 1520), (1000.0 / 3.0, 7)])
+def test_panels_meet_to_local_rounding(Q, n_panels):
+    # a b grid is symmetric and its panels meet within a few ulps of the mids
+    # themselves, not of Q: near b = 0, where the factors are largest, a gap
+    # of ulp(Q) per panel is a quadrature error that no refinement removes
+    b = archimedean._Panels.over(-Q, Q, n_panels)
+    assert np.array_equal(b.mid, -b.mid[::-1])
+    gaps = np.diff(b.mid) - 2 * b.half
+    assert np.all(np.abs(gaps) <= 4 * np.spacing(np.maximum(np.abs(b.mid[1:]), np.abs(b.mid[:-1]))))
+    assert b.weights.sum() == pytest.approx(2 * Q, rel=1e-15)
+
+
+def test_unit_integral_error_stays_at_rounding_at_large_height(ladder6):
+    # pass differences of rounding size, far below _W_RTOL, at the largest
+    # height the README runs; panels counted from -Q read 3.6e-15 here
+    W, diag = unit_singular_integral(ladder6, THETA6, 1024.0, budget=10**8)
+    assert diag["passes"] == 3
+    assert diag["error_estimate"] <= 1e-15 * W
+
+
+@pytest.mark.parametrize("A3, A2", [(2, -1), (-1, 3)])
+def test_mixed_table_product_matches_direct_sum(A3, A2):
+    # one mixed variable's (b2 x b3) factor, built in chunks of whole b2
+    # panels (the last one short) from the panel-factored phase tables
+    gamma = archimedean._Panels.over(0.15, 0.6, 4)
+    b2, b3 = archimedean._Panels.over(-8.0, 8.0, 7), archimedean._Panels.over(-8.0, 8.0, 3)
+    g, wg = gamma.nodes, gamma.weights
+    want = _direct_phases(A2, g * g, b2.nodes).T @ (wg[:, None] * _direct_phases(A3, g**3, b3.nodes))
+    E3g = archimedean._phase_table(A3, g**3, b3, wg)
+    got = np.vstack([archimedean._phase_table(A2, g * g, b2, panels=slice(p, p + 3)).T @ E3g for p in (0, 3, 6)])
+    assert got.shape == want.shape == (b2.size, b3.size)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(wg))
+
+
+@pytest.mark.parametrize("layout", ["mixed-only", "all-three"])
+def test_unit_integral_mixed_chunks_of_whole_panels(monkeypatch, layout):
+    # on the last pass, chunks of seven b2 panels each, the last one short,
+    # give the pinned W
+    sysd, theta, Q, W_pin, passes, nodes_b2, nodes_b3, _ = BLOCK_LAYOUT_PINS[layout]
+    monkeypatch.setattr(archimedean, "_CHUNK_ENTRIES", 7 * 12 * nodes_b3)
+    assert (nodes_b2 // 12) % 7 != 0
+    W, diag = unit_singular_integral(sysd, theta, Q)
+    assert W == pytest.approx(W_pin, rel=1e-13)
+    assert (diag["passes"], diag["nodes_b2"], diag["nodes_b3"]) == (passes, nodes_b2, nodes_b3)
+
+
 def test_unit_integral_memory_is_bounded(ladder6):
-    # 1-D factors for the pure variables and chunked phase tables; a full
-    # (b2 x b3) product per variable peaked at about 80 MB here
+    # 1-D factors for the pure variables, built from panel phase factors:
+    # about 1.4 MB here; exponentiating every (gamma x b) entry in chunks
+    # peaked at about 18 MB and a full (b2 x b3) product per variable at 80 MB
     tracemalloc.start()
     try:
         unit_singular_integral(ladder6, THETA6, 64.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6
 
 
 def test_unit_integral_refuses_past_budget(ladder6):
