@@ -105,42 +105,48 @@ class I2Classification:
 def classify_I2(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> I2Classification:
     """Tabulate every solution of the s = 2 block system and bucket it.
 
-    Buckets use the literal defining predicates, applied without any index
-    reshuffling, so they may overlap and need not cover: t0 has all y equal,
-    t1 has h3 y3^2 + h4 y4^2 = 0, t2 has y3 != y4 and h3 y3^2 + h4 y4^2 != 0.
-    Every solution is also checked against the exact identity
-    h1 h2 (y1 - y2)^2 = h3 h4 (y3 - y4)^2; violations are counted (and are
-    always zero, the identity being algebraic).
+    All (2HY)^2 ordered generator pairs are keyed by their summed
+    (h, h y, h y^2); one sort and `searchsorted` find, for each front pair,
+    the back pairs with the negated key, and the (front, back) solutions are
+    expanded as arrays once their exact count has been checked against
+    `budget`.  Buckets use the literal defining predicates, applied to those
+    arrays without any index reshuffling, so they may overlap and need not
+    cover: t0 has all y equal, t1 has h3 y3^2 + h4 y4^2 = 0, t2 has
+    y3 != y4 and h3 y3^2 + h4 y4^2 != 0.  Every solution is also checked
+    against the exact identity h1 h2 (y1 - y2)^2 = h3 h4 (y3 - y4)^2;
+    violations are counted (and are always zero, the identity being
+    algebraic).
     """
-    check_budget((2 * H * Y) ** 2, budget, what="pair enumeration")
-    pairs: dict = {}
-    gens = list(_block_generators(Y, H))
-    decoded = []
-    for g in gens:
-        h = g[0]
-        decoded.append((h, g[1] // h))
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            key = (gi[0] + gj[0], gi[1] + gj[1], gi[2] + gj[2])
-            pairs.setdefault(key, []).append((decoded[i], decoded[j]))
-    t0 = t1 = t2 = bad = total = 0
-    for key, front in pairs.items():
-        back = pairs.get((-key[0], -key[1], -key[2]))
-        if not back:
-            continue
-        for (h1, y1), (h2, y2) in front:
-            for (h3, y3), (h4, y4) in back:
-                total += 1
-                if h1 * h2 * (y1 - y2) ** 2 != h3 * h4 * (y3 - y4) ** 2:
-                    bad += 1
-                if y1 == y2 == y3 == y4:
-                    t0 += 1
-                back_quad = h3 * y3 * y3 + h4 * y4 * y4
-                if back_quad == 0:
-                    t1 += 1
-                if y3 != y4 and back_quad != 0:
-                    t2 += 1
-    return I2Classification(t0, t1, t2, bad, total)
+    m = 2 * H * Y
+    check_budget(m * m, budget, what="pair enumeration")
+    gens = np.array(list(_block_generators(Y, H)), dtype=np.int64).reshape(m, 3)
+    h, y = gens[:, 0], gens[:, 1] // gens[:, 0]
+    first, second = np.divmod(np.arange(m * m), m)
+    # Mixed-radix key with offsets symmetric about 0: negating a key maps its
+    # code c to top - 1 - c.  The radix product is below 16 m^3, inside int64
+    # while m^2 pairs fit in memory.
+    code = np.zeros(m * m, dtype=np.int64)
+    top = 1
+    for j, span in enumerate((2 * H, 2 * H * Y, 2 * H * Y * Y)):
+        code = code * (2 * span + 1) + (gens[first, j] + gens[second, j] + span)
+        top *= 2 * span + 1
+    order = np.argsort(code, kind="stable")
+    codes = code[order]
+    lo = np.searchsorted(codes, top - 1 - code, side="left")
+    hi = np.searchsorted(codes, top - 1 - code, side="right")
+    n_back = hi - lo
+    total = check_budget(int(n_back.sum()), budget, what="I_2 solutions")
+    front = np.repeat(np.arange(m * m), n_back)
+    # solution k of front pair f reads order[lo[f] + k - (f's first solution)]
+    back = order[np.repeat(lo - np.cumsum(n_back) + n_back, n_back) + np.arange(total)]
+    h1, y1, h2, y2 = h[first[front]], y[first[front]], h[second[front]], y[second[front]]
+    h3, y3, h4, y4 = h[first[back]], y[first[back]], h[second[back]], y[second[back]]
+    bad = np.count_nonzero(h1 * h2 * (y1 - y2) ** 2 != h3 * h4 * (y3 - y4) ** 2)
+    t0 = np.count_nonzero((y1 == y2) & (y2 == y3) & (y3 == y4))
+    back_quad = h3 * y3 * y3 + h4 * y4 * y4
+    t1 = np.count_nonzero(back_quad == 0)
+    t2 = np.count_nonzero((y3 != y4) & (back_quad != 0))
+    return I2Classification(int(t0), int(t1), int(t2), int(bad), total)
 
 
 def moment_J(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:

@@ -6,10 +6,17 @@ agreement with the ledger implementations is evidence rather than
 tautology.  The point oracles below share no code with `ledger`, `solver`
 or `local`.
 
-The pair-scan oracles (moments, J1, mixed moments) materialise all
-half-tuples with their component sums in Python integers, then scan all
-pairs quadratically; their cost is (number of half-tuples)^2, and callers
-keep instances at or below about 10^7 of those comparisons.
+The pair-scan oracles (moments, J1, mixed moments) build the component
+sums of all half-tuples as arrays, one per component, by outer sums of the
+generator values, then compare every ordered pair of half-tuples: rows run
+in blocks of about _BLOCK_PAIRS pairs, each block ANDs one mask per
+component (a == b, a == -b for the negated counts I and J1, or
+|a - b| <= h on the linear column of the shifted count) and counts what
+passes.  Their cost is still (number of half-tuples)^2 comparisons per
+component, and callers keep instances at or below about 10^7 pairs.
+Columns are int64 when s max|g_j| < 2^62, summed over the factors of a
+mixed moment, so no row, sum or difference of rows can wrap, and object
+arrays of Python ints otherwise.
 
 The point oracles (solution and congruence counts) visit every point of a
 product of value lists.  The trailing variables form one array block of at
@@ -38,40 +45,68 @@ from .local import _unity_table
 from .systems import DiagonalSystem
 
 
-def _half_sums(gens, s: int, ncomp: int):
-    out = []
-    for tup in product(gens, repeat=s):
-        sums = [0] * ncomp
-        for g in tup:
-            for j in range(ncomp):
-                sums[j] += g[j]
-        out.append(tuple(sums))
-    return out
+_INT64_LIMIT = 2**62
+# Pairs per array block of the pair-scan oracles: 1 MiB per boolean mask.
+_BLOCK_PAIRS = 2**20
+
+
+def _half_sums(parts):
+    """Component sums of every half-tuple, one array per component.
+
+    `parts` lists (gens, k): k generators drawn with repetition from gens,
+    each generator a tuple of component values.  Each draw adds the
+    generator values to every row so far (an outer sum), so the rows are the
+    multiset of component sums over product(gens, repeat=k), part after
+    part.  Columns are int64 when sum k * max|g_j| < 2^62, so that neither a
+    row nor the sum or difference of two rows can wrap, and object arrays of
+    Python ints otherwise.
+    """
+    bound = sum(k * max(abs(v) for g in gens for v in g) for gens, k in parts)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    cols = [np.zeros(1, dtype=dtype) for _ in parts[0][0][0]]
+    for gens, k in parts:
+        table = np.array(gens, dtype=dtype)
+        for _ in range(k):
+            cols = [(c[:, None] + table[:, j]).ravel() for j, c in enumerate(cols)]
+    return cols
+
+
+def _count_pairs(cols, negate: bool = False, window: Optional[int] = None) -> int:
+    """Ordered pairs (a, b) of half rows with b = a in every column.
+
+    With `negate` the test is a = -b; with `window` the last column only
+    needs |a - b| <= window.  Rows of a run in blocks of about _BLOCK_PAIRS
+    pairs, each block compared against every row of b.
+    """
+    other = [-c for c in cols] if negate else cols
+    n = len(cols[0])
+    rows = max(1, _BLOCK_PAIRS // n)
+    count = 0
+    for start in range(0, n, rows):
+        mask = np.ones((min(rows, n - start), n), dtype=bool)
+        for j, (a, b) in enumerate(zip(cols, other)):
+            a = a[start : start + rows, None]
+            if window is not None and j == len(cols) - 1:
+                mask &= abs(a - b) <= window
+            else:
+                mask &= a == b
+        count += int(np.count_nonzero(mask))
+    return count
 
 
 def brute_moment_T(s: int, X: int) -> int:
-    gens = [(x**3, x * x) for x in range(1, X + 1)]
-    half = _half_sums(gens, s, 2)
-    return sum(1 for a in half for b in half if a == b)
+    return _count_pairs(_half_sums([([(x**3, x * x) for x in range(1, X + 1)], s)]))
 
 
 def brute_moment_T_shifted(s: int, X: int, h_max: Optional[int] = None) -> int:
     if h_max is None:
         h_max = s * X
-    gens = [(x**3, x * x, x) for x in range(1, X + 1)]
-    half = _half_sums(gens, s, 3)
-    return sum(
-        1
-        for a in half
-        for b in half
-        if a[0] == b[0] and a[1] == b[1] and abs(a[2] - b[2]) <= h_max
-    )
+    half = _half_sums([([(x**3, x * x, x) for x in range(1, X + 1)], s)])
+    return _count_pairs(half, window=h_max)
 
 
 def brute_moment_J(s: int, X: int) -> int:
-    gens = [(x**3, x * x, x) for x in range(1, X + 1)]
-    half = _half_sums(gens, s, 3)
-    return sum(1 for a in half for b in half if a == b)
+    return _count_pairs(_half_sums([([(x**3, x * x, x) for x in range(1, X + 1)], s)]))
 
 
 def _block_gens(Y: int, H: int):
@@ -84,28 +119,21 @@ def _block_gens(Y: int, H: int):
 
 
 def brute_moment_I(s: int, Y: int, H: int) -> int:
-    half = _half_sums(_block_gens(Y, H), s, 3)
-    return sum(
-        1
-        for a in half
-        for b in half
-        if a[0] + b[0] == 0 and a[1] + b[1] == 0 and a[2] + b[2] == 0
-    )
+    return _count_pairs(_half_sums([(_block_gens(Y, H), s)]), negate=True)
 
 
 def brute_count_J1(Y: int, H: int) -> int:
     gens = [
         (h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)
     ]
-    half = _half_sums(gens, 2, 2)
-    return sum(1 for a in half for b in half if a[0] + b[0] == 0 and a[1] + b[1] == 0)
+    return _count_pairs(_half_sums([(gens, 2)]), negate=True)
 
 
 def brute_mixed_moment(
     factors: Sequence[BoxSumSpec], exponents: Sequence[int]
 ) -> int:
-    """Plus-side tuples enumerated factor by factor, then a quadratic scan."""
-    half = [(0, 0)]
+    """Plus-side tuples built factor by factor as outer sums, then a pair scan."""
+    parts = []
     for spec, exp in zip(factors, exponents):
         if exp % 2 != 0 or exp < 0:
             raise ValueError("exponents must be even and >= 0")
@@ -114,15 +142,12 @@ def brute_mixed_moment(
         gens = [(spec.cubic * x**3, spec.quad * x * x) for x in spec.members()]
         if not gens:
             return 0
-        half = [
-            (a[0] + sum(g[0] for g in tup), a[1] + sum(g[1] for g in tup))
-            for a in half
-            for tup in product(gens, repeat=exp // 2)
-        ]
-    return sum(1 for a in half for b in half if a == b)
+        parts.append((gens, exp // 2))
+    if not parts:
+        return 1
+    return _count_pairs(_half_sums(parts))
 
 
-_INT64_LIMIT = 2**62
 # Points per array block of the point oracles: 16 MiB per int64 array.
 _BLOCK_POINTS = 2**21
 

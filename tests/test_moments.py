@@ -1,6 +1,8 @@
 import tracemalloc
 from unittest import mock
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from diagpair import (
     moment_T_shifted,
 )
 from diagpair import ledger, oracles
+from diagpair.moments import I2Classification
 
 # frozen from the brute-force enumerations in oracles.py
 FROZEN = {
@@ -94,11 +97,77 @@ def test_diagonal_lower_bound():
         assert moment_T(s, X).value >= X**s
 
 
+@pytest.mark.parametrize(
+    "moment, args",
+    [
+        (moment_T, (3, 12)),
+        (moment_T, (4, 6)),
+        (moment_J, (3, 12)),
+        (moment_T_shifted, (3, 10, 4)),
+        (moment_I, (3, 3, 3)),
+        (moment_I, (2, 6, 5)),
+        (count_J1, (5, 5)),
+    ],
+)
+def test_ledgers_match_brute_at_larger_sizes(moment, args):
+    brute = {
+        moment_T: oracles.brute_moment_T,
+        moment_J: oracles.brute_moment_J,
+        moment_T_shifted: oracles.brute_moment_T_shifted,
+        moment_I: oracles.brute_moment_I,
+        count_J1: oracles.brute_count_J1,
+    }[moment]
+    assert moment(*args).value == brute(*args)
+
+
+def _classify_I2_by_dict(Y, H):
+    """Reference: group ordered generator pairs by key in a dict, then loop."""
+    gens = [(h, h * y, h * y * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1)]
+    pairs: dict = {}
+    for gi in gens:
+        for gj in gens:
+            key = (gi[0] + gj[0], gi[1] + gj[1], gi[2] + gj[2])
+            pairs.setdefault(key, []).append(((gi[0], gi[1] // gi[0]), (gj[0], gj[1] // gj[0])))
+    t0 = t1 = t2 = bad = total = 0
+    for key, front in pairs.items():
+        for (h1, y1), (h2, y2) in front:
+            for (h3, y3), (h4, y4) in pairs.get((-key[0], -key[1], -key[2]), []):
+                total += 1
+                bad += h1 * h2 * (y1 - y2) ** 2 != h3 * h4 * (y3 - y4) ** 2
+                t0 += y1 == y2 == y3 == y4
+                back_quad = h3 * y3 * y3 + h4 * y4 * y4
+                t1 += back_quad == 0
+                t2 += y3 != y4 and back_quad != 0
+    return I2Classification(t0, t1, t2, bad, total)
+
+
 def test_classify_I2_buckets():
     cls = classify_I2(4, 3)
     assert cls.identity_violations == 0
     assert cls.total == moment_I(2, 4, 3).value
     assert cls.t0 + cls.t1 + cls.t2 >= cls.total  # buckets may overlap
+
+
+@pytest.mark.parametrize("Y", [1, 2, 3, 4])
+@pytest.mark.parametrize("H", [1, 2, 3, 4])
+def test_classify_I2_matches_dict_loops(Y, H):
+    assert classify_I2(Y, H) == _classify_I2_by_dict(Y, H)
+
+
+def test_classify_I2_refuses_solutions_before_expanding_them():
+    # (Y, H) = (8, 8): 16384 generator pairs pass at the boundary, the 65744
+    # solutions do not, and no solution array is built
+    total = moment_I(2, 8, 8).value
+    assert (2 * 8 * 8) ** 2 == 16384 < total
+    for budget in (16384, total - 1):
+        with mock.patch.object(np, "repeat", side_effect=AssertionError("expanded")):
+            with pytest.raises(BudgetError) as exc:
+                classify_I2(8, 8, budget=budget)
+        assert (exc.value.what, exc.value.estimate, exc.value.cap) == ("I_2 solutions", total, budget)
+    assert classify_I2(8, 8, budget=total).total == total
+    with pytest.raises(BudgetError) as exc:
+        classify_I2(8, 8, budget=16383)
+    assert exc.value.what == "pair enumeration"
 
 
 def test_mixed_moment_matches_brute():
