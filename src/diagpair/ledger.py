@@ -15,18 +15,33 @@ Keys and counts are int64 while the key span and the fold's tuple count
 prod n^e stay below 2^62; past that both are Python ints in object arrays
 (`dtype_for`).  Every count a ledger returns is an exact Python int.
 
+A part's power e, over its n distinct generator keys g_i with counts c_i,
+ends in whichever top step forms fewer key pairs (`Ledger._power`): binary
+splitting, the square of the half power c_h (C(|c_h| + 1, 2) pairs) or for
+odd e the product of c_(e-1) with the generators (|c_(e-1)| n pairs), or
+the multiset step, which forms each nondecreasing index tuple
+i_1 <= ... <= i_e once (C(n + e - 1, e) pairs), weighted
+e! / prod m_i! * prod c_i^m_i with m_i the times i occurs.  The lower power
+is built first to decide, and a square is a multiset step.  Generators
+with few collisions take the multiset step, about one pair per key of the
+power against C(2k, k) / 2 for the square at e = 2k; colliding ones, as in
+`moment_I`, take binary splitting.  The multiset step grows the tuples
+one index at a time (`_with_diagonal`), in exact integers no larger than
+the weights they end at, so `dtype_for`'s rule holds for it too.
+
 The fold checks the work its generator counts bound before it reads a
-generator (`check_fold`), and each convolution checks its own key pairs
-before it forms any.  A convolution cuts the key axis of its outer sum into
-bands of at most _CHUNK_PAIRS pairs (one key, if that key alone holds more),
-found by bisection on the exact pair count below a key, and reduces each
-band once.  No key falls in two bands, so the reduced bands concatenate in
-key order and nothing merges.  A square (a ledger convolved with itself)
-takes only the pairs i <= j and weights i < j by 2.  A band of int64 keys is
-sorted as packed words (key - min) << b | count, with b the bit length of
-the band's largest count, whenever (span + 1) << b < 2^63: one in-place sort
-replaces an argsort and two gathers.  Object bands, and int64 bands whose
-word would not fit, take the argsort.
+generator (`check_fold`), and each step checks its own key pairs before it
+forms any.  A step sums sorted runs of keys (`_sum_runs`): a product shifts
+one side's keys by each key of the other, and a multiset step shifts
+groups of tuples by generators.  It cuts the key axis into bands of at
+most _CHUNK_PAIRS pairs (one key, if that key alone holds more), found by
+interpolation on the exact pair count below a key, and reduces each band
+once.  No key falls in two bands, so the reduced bands append in key order
+and nothing merges.  A band of int64 keys is sorted as packed words
+(key - min) << b | count, with b the bit length of the band's largest
+count, whenever (span + 1) << b < 2^63: one in-place sort replaces an
+argsort and two gathers.  Object bands, and int64 bands whose word would
+not fit, take the argsort.
 """
 
 from __future__ import annotations
@@ -39,11 +54,12 @@ import numpy as np
 from .budget import check_budget
 
 _INT64_LIMIT = 2**62
-# Pairs per band of a convolution or per chunk of the solver's pair sum: 16 MiB
-# per int64 temporary.  Over the ops of perfbench's exact-ledgers workload,
-# 2^20 and 2^22 pairs ran no faster than 2^21 (0.66-0.68 s a pass each) but
-# peaked at 119 and 163 MB against 107 MB.
-_CHUNK_PAIRS = 2**21
+# Pairs per band of a ledger step or per chunk of the solver's pair sum: 8 MiB
+# per int64 temporary.  perfbench's exact-ledgers workload peaks in the top
+# step of moment_T(4, 80), 1837620 multisets into 1824819 keys.  Over passes
+# of its ops in one process, bands of 2^21 pairs (one band there) peaked at
+# 112 MB and 2^19 at 104 MB, against 93 MB at 2^20, and neither ran faster.
+_CHUNK_PAIRS = 2**20
 
 
 def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +85,139 @@ def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         del order
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and weights of the spans (i, u, offset, mult), one after another.
+
+    A span shifts keys[i:u] by offset and multiplies weights[i:u] by mult.
+    """
+    i, u, offset, mult = spans
+    out_keys = np.empty(int((u - i).sum()), dtype=keys.dtype)
+    out_weights = np.empty(len(out_keys), dtype=weights.dtype)
+    at = 0
+    for i, u, offset, mult in zip(i.tolist(), u.tolist(), offset.tolist(), mult.tolist()):
+        np.add(keys[i:u], offset, out=out_keys[at : at + u - i])
+        np.multiply(weights[i:u], mult, out=out_weights[at : at + u - i])
+        at += u - i
+    return out_keys, out_weights
+
+
+def _sum_runs(keys, weights, starts, runs) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced keys and counts of the runs (i, u, group, offset, mult), in disjoint key bands.
+
+    A run shifts keys[i:u] by offset and multiplies weights[i:u] by mult
+    (`_fill`).  It lies in one group keys[starts[l]:starts[l + 1]], which is
+    sorted, so the run is sorted too, and its keys below a cut K end at a
+    searchsorted of K - offset in the group: one searchsorted over the
+    `_flat` keys finds the end of every run.  A band starts at the smallest
+    key no run has used and ends at a cut found by interpolation on the
+    exact pair count below it: at most _CHUNK_PAIRS pairs, at least half as
+    many unless the next key would pass that, and all of one key's pairs if
+    that key alone holds more.  Each band is reduced once and appended in
+    place.  Consecutive runs that meet in `keys` with the same offset and
+    mult fill one span.
+    """
+    lo, hi, group, offset, mult = runs
+    top = int(keys.max()) + int(offset.max()) + 1
+    total = int(hi.sum())
+
+    def cutter():
+        # ends(K) and the pairs below K; in the order of (group, -offset) the
+        # queries of any K ascend, which speeds up the searchsorted
+        flat, low, width = _flat(keys, starts)
+        order = np.lexsort((-offset, group))
+        base, shift, run_lo, run_hi = group[order].astype(flat.dtype) * width, offset[order] + low, lo[order], hi[order]
+
+        def sorted_ends(K):
+            return np.clip(np.searchsorted(flat, np.clip(K - shift, 0, width - 1).astype(flat.dtype) + base), run_lo, run_hi)
+
+        def ends(K):
+            out = np.empty_like(lo)
+            out[order] = sorted_ends(K)
+            return out
+
+        return ends, lambda K: int(sorted_ends(K).sum())
+
+    start, cuts, out = lo, None, None
+    while (live := np.flatnonzero(start < hi)).size:
+        used = int(start.sum())
+        if total - used <= _CHUNK_PAIRS:
+            end = hi
+        else:
+            # a cut K1 in [K0 + 1, top) below which the band holds half to all
+            # of _CHUNK_PAIRS pairs, or K0 + 1 when key K0 alone holds more:
+            # interpolate toward three quarters of a band, and bisect after
+            # each interpolation that does not land
+            ends, below = cuts = cuts or cutter()
+            cut = int((keys[start[live]] + offset[live]).min()) + 1
+            pairs, ceiling, over = below(cut) - used, top, total - used
+            step = 0
+            while pairs < _CHUNK_PAIRS // 2 and ceiling - cut > 1:
+                if step % 2:
+                    mid = (cut + ceiling) // 2
+                else:
+                    mid = cut + (ceiling - cut) * (3 * _CHUNK_PAIRS // 4 - pairs) // (over - pairs)
+                mid = min(max(mid, cut + 1), ceiling - 1)
+                step += 1
+                if (inside := below(mid) - used) <= _CHUNK_PAIRS:
+                    cut, pairs = mid, inside
+                else:
+                    ceiling, over = mid, inside
+            end = ends(cut)
+        live = np.flatnonzero(end > start)
+        i, u, shifts, mults = start[live], end[live], offset[live], mult[live]
+        apart = (i[1:] != u[:-1]) | (shifts[1:] != shifts[:-1]) | (mults[1:] != mults[:-1])
+        first = np.concatenate(([0], np.flatnonzero(apart) + 1))
+        last = np.concatenate((first[1:], [len(live)])) - 1
+        band = _reduce(*_fill(keys, weights, (i[first], u[last], shifts[first], mults[first])))
+        if out is None:
+            out = band
+        else:
+            # append in place: a realloc that can grow the buffer without copying it
+            for whole, part in zip(out, band):
+                whole.resize(len(whole) + len(part), refcheck=False)
+                whole[len(whole) - len(part) :] = part
+        start = end
+    return out
+
+
+def _with_diagonal(keys, weights, repeats, starts, g, c, t):
+    """The tuples of length t - 1, then each with its last index l once more.
+
+    Group l is keys[starts[l]:starts[l + 1]]; a tuple that holds l m times
+    (`repeats`) comes to hold it m + 1 times, and its weight is multiplied
+    by t c_l / (m + 1), applied as // ((m + 1) / d) * (t / d) with
+    d = gcd(t, m + 1): exact, as the weight's multinomial factor holds
+    (m + 1) / d, and no step passes the weight it ends at.
+    """
+    last = np.repeat(np.arange(len(g)), np.diff(starts))
+    div = np.gcd(repeats + 1, t)
+    diagonal = weights // ((repeats + 1) // div) * (t // div) * c[last]
+    return np.concatenate((keys, keys + g[last])), np.concatenate((weights, diagonal))
+
+
+def _flat(keys, starts):
+    """(flat, low, width): keys - low, with group l shifted up by l * width.
+
+    Group l is keys[starts[l]:starts[l + 1]], and width, the key span plus
+    2, leaves every group a key to spare below the next, so the flat keys
+    are sorted wherever each group is.
+    """
+    low = int(keys.min())
+    width = int(keys.max()) - low + 2
+    groups = len(starts) - 1
+    flat = (keys - low).astype(object if keys.dtype == object else dtype_for(groups * width))
+    flat += np.repeat(np.arange(groups), np.diff(starts)).astype(flat.dtype) * width
+    return flat, low, width
+
+
+def _sort_groups(keys, weights, starts):
+    """Sort each group by key, adding up equal keys of a group: keys, weights, group starts."""
+    flat, low, width = _flat(keys, starts)
+    flat, weights = _reduce(flat, weights)
+    group = flat // width
+    return (flat - group * width + low).astype(keys.dtype), weights, np.searchsorted(group, np.arange(len(starts)))
 
 
 def dtype_for(*sizes: int):
@@ -123,8 +272,8 @@ class Ledger:
         Takes a list of at least one part, with e >= 1; `vectors` yields n
         vectors of one common length and is read only after `check_fold`.
         Bounds, strides and dtype come from the parts (module docstring).
-        Each part's generators are raised to the power e by binary splitting
-        and the powers are convolved in order.
+        Each part's generators are raised to the power e (`_power`) and the
+        powers are convolved in order.
         """
         if any(e < 1 for _, _, e in parts):
             raise ValueError("fold needs e >= 1 in every part")
@@ -145,60 +294,79 @@ class Ledger:
         return out
 
     def _convolve(self, other: "Ledger", budget: int) -> "Ledger":
-        """Ledger of the sums of one generator tuple from each side, in bands.
+        """Ledger of the sums of one generator tuple from each of two ledgers.
 
-        First the key pairs (n(n + 1) / 2 for a square) are checked against
-        `budget`.  The shorter side gives the rows.  Row i's columns below a
-        key K end at searchsorted(b, K - a_i), clamped to j >= i in a square,
-        so a band [K0, K1) has an exact pair count to bisect K1 on.  Each band
-        starts at the smallest key no row has used and is formed row by row.
+        First the key pairs are checked against `budget`.  Each key of the
+        shorter side shifts the other side's sorted keys into one run.
         """
-        square = other is self
         a, b = (other, self) if len(self.keys) > len(other.keys) else (self, other)
-        n = len(b.keys)
-        check_budget(n * (n + 1) // 2 if square else len(a.keys) * n, budget, what="ledger key pairs")
-        start = np.arange(n) if square else np.zeros(len(a.keys), dtype=np.intp)
-        top = int(a.keys[-1]) + int(b.keys[-1]) + 1
+        check_budget(len(a.keys) * len(b.keys), budget, what="ledger key pairs")
+        zero = np.zeros(len(a.keys), dtype=np.intp)
+        runs = (zero, zero + len(b.keys), zero, a.keys, a.counts)
+        return Ledger(*_sum_runs(b.keys, b.counts, np.array([0, len(b.keys)]), runs), self.strides)
 
-        def ends(K):
-            return np.maximum(np.searchsorted(b.keys, K - a.keys), start)
+    def _multiset(self, e: int, budget: int) -> "Ledger":
+        """e-fold self-convolution that forms each nondecreasing index tuple once.
 
-        bands = []
-        while (rows := np.flatnonzero(start < n)).size:
-            used = int(start.sum())
-            # K1 in [K0 + 1, top]: the whole rest when it fits, else bisected
-            lo, hi = int((a.keys[rows] + b.keys[start[rows]]).min()) + 1, top
-            if len(a.keys) * n - used <= _CHUNK_PAIRS:
-                lo = top
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if int(ends(mid).sum()) - used <= _CHUNK_PAIRS:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            end = ends(lo)
-            keys = np.empty(int(end.sum()) - used, dtype=a.keys.dtype)
-            counts = np.empty(len(keys), dtype=a.counts.dtype)
-            at = 0
-            for i in np.flatnonzero(end > start).tolist():
-                j, k = int(start[i]), int(end[i])
-                np.add(a.keys[i], b.keys[j:k], out=keys[at : at + k - j])
-                np.multiply(a.counts[i] * (1 + square), b.counts[j:k], out=counts[at : at + k - j])
-                if square and j == i:
-                    counts[at] = a.counts[i] * a.counts[i]
-                at += k - j
-            bands.append(_reduce(keys, counts))
-            start = end
-        keys, counts = zip(*bands)
-        return Ledger(np.concatenate(keys), np.concatenate(counts), self.strides)
+        First its C(n + e - 1, e) key pairs are checked against `budget`.
+        The tuples of length t < e are held unreduced, grouped by their last
+        index l, with their weights and the times they hold l.  Appending
+        each j >= l grows them by one: j > l shifts every group below j by
+        g_j, and j = l is their diagonal copy (`_with_diagonal`).  The
+        tuples of length e are summed in runs (`_sum_runs`): the diagonal
+        copy, and for j > l, in a square the generators past l shifted by
+        generator l, otherwise each group l, sorted by key, shifted by each
+        generator past l.
+        """
+        g, c = self.keys, self.counts
+        n = len(g)
+        check_budget(math.comb(n + e - 1, e), budget, what="ledger key pairs")
+        keys, weights, repeats, starts = g, c, np.ones(n, dtype=np.intp), np.arange(n + 1)
+        for t in range(2, e + 1):
+            size = len(keys)
+            keys, weights = _with_diagonal(keys, weights, repeats, starts, g, c, t)
+            if t == e:
+                break
+            # group j: every tuple of a group l < j, then group j's diagonal copy
+            spans = ((np.zeros(n, dtype=np.intp), size + starts[:-1]), (starts[:-1], size + starts[1:]),
+                     (g, np.zeros_like(g)), (t * c, np.ones_like(c)))
+            keys, weights = _fill(keys, weights, [np.stack(pair, axis=1).ravel() for pair in spans])
+            grown = np.ones(len(keys), dtype=np.intp)
+            new_starts = np.concatenate(([0], np.cumsum(starts[1:])))
+            grown[np.repeat(new_starts[:-1], np.diff(starts)) + np.arange(size)] = repeats + 1
+            repeats, starts = grown, new_starts
+        del repeats  # the top step reads only keys and weights
+        j = np.arange(n)
+        if e == 2:
+            # generator l shifts the generators past l, with weight 2 c_l;
+            # the diagonal copy 2g is sorted, one more group
+            runs = (np.append(j + 1, n), np.append(np.full(n, n), 2 * n), np.append(np.zeros(n, dtype=np.intp), 1),
+                    np.append(g, 0), np.append(2 * c, 1))
+            return Ledger(*_sum_runs(keys, weights, np.array([0, n, 2 * n]), runs), self.strides)
+        # group n + l is group l's diagonal copy
+        keys, weights, starts = _sort_groups(keys, weights, np.concatenate((starts, size + starts[1:])))
+        col = np.repeat(j, j)
+        row = np.arange(len(col)) - np.repeat(j * (j - 1) // 2, j)
+        runs = (np.concatenate((starts[row], starts[n:-1])), np.concatenate((starts[row + 1], starts[n + 1 :])),
+                np.concatenate((row, n + j)), np.concatenate((g[col], np.zeros_like(g))),
+                np.concatenate((e * c[col], np.ones_like(c))))
+        return Ledger(*_sum_runs(keys, weights, starts, runs), self.strides)
 
     def _power(self, e: int, budget: int) -> "Ledger":
-        """e-fold self-convolution by binary splitting."""
+        """e-fold self-convolution by whichever top step forms fewer key pairs.
+
+        The lower power (half of e, or e - 1 for odd e) is built first; its
+        square, or its product with the generators, competes with the
+        multiset step's C(n + e - 1, e) pairs.  A tie goes to the multiset
+        step, so a square is always one.
+        """
         if e == 1:
             return self
-        half = self._power(e // 2, budget)
-        out = half._convolve(half, budget)
-        return out._convolve(self, budget) if e % 2 else out
+        lower = self._power(e - 1 if e % 2 else e // 2, budget)
+        n, m = len(self.keys), len(lower.keys)
+        if (m * n if e % 2 else m * (m + 1) // 2) < math.comb(n + e - 1, e):
+            return lower._convolve(self, budget) if e % 2 else lower._multiset(2, budget)
+        return self._multiset(e, budget)
 
     def sum_of_squares(self) -> int:
         """Number of pairs of tuples with equal keys."""

@@ -65,10 +65,14 @@ def moment_T_shifted(
     # (quadratic, cubic) group, while keys of different groups lie more than
     # s(X-1) apart, so a key window of half-width h never leaves its group.
     h = min(h_max, s * (X - 1))
-    csum = np.concatenate(([0], np.cumsum(c_s.counts)))
-    lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
-    hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
-    total = exact_dot(c_s.counts, csum[hi] - csum[lo])
+    if h == 0:
+        # each window [k, k] holds only k
+        total = c_s.sum_of_squares()
+    else:
+        csum = np.concatenate(([0], np.cumsum(c_s.counts)))
+        lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
+        hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
+        total = exact_dot(c_s.counts, csum[hi] - csum[lo])
     return MomentResult(total, {"s": s, "X": X, "h_max": h_max})
 
 
@@ -117,6 +121,8 @@ def classify_I2(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> I2Classi
     violations are counted (and are always zero, the identity being
     algebraic).
     """
+    if Y < 1 or H < 1:
+        raise ValueError("s, Y, H must be >= 1")
     m = 2 * H * Y
     check_budget(m * m, budget, what="pair enumeration")
     gens = np.array(list(_block_generators(Y, H)), dtype=np.int64).reshape(m, 3)

@@ -4,9 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from diagpair import BudgetError, Ledger, ledger, moment_T
+from diagpair import BudgetError, Ledger, ledger, moment_I, moment_T
 from diagpair.budget import DEFAULT_LEDGER_BUDGET
 from diagpair.oracles import brute_moment_T
 
@@ -112,6 +112,55 @@ def test_ledger_matches_dict_reference_in_small_chunks(chunk, parts):
         _check_against_dicts(parts)
 
 
+@st.composite
+def _power_parts(draw):
+    # one part of up to 6 draws from at most 4 distinct vectors, so vectors
+    # repeat (counts > 1), raised to e <= 6: narrow vectors collide, and
+    # some powers of them take binary splitting; wide ones take the
+    # multiset step
+    fields = draw(st.integers(1, 2))
+    scale = draw(st.sampled_from([2, 10**12]))
+    pool = draw(st.lists(st.tuples(*[st.integers(-scale, scale)] * fields), min_size=1, max_size=4, unique=True))
+    return [(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)), draw(st.integers(1, 6)))]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, ledger._CHUNK_PAIRS])
+@given(_power_parts())
+# binary splitting on top: the fifth power of {0, 1, 2, 3} takes its 13-key
+# fourth power times the 4 generators (52 pairs against C(8, 5) = 56), and
+# the sixth, with 3 repeated, the square of its 10-key cube (55 against 84)
+@example([([(0,), (1,), (2,), (3,)], 5)])
+@example([([(0,), (1,), (2,), (3,), (3,)], 6)])
+def test_powers_match_dict_reference(chunk, parts):
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
+        _check_against_dicts(parts)
+
+
+def _steps(count) -> list:
+    """Key pairs of each step of a fold, read from its budget checks."""
+    with mock.patch.object(ledger, "check_budget", wraps=ledger.check_budget) as spy:
+        count()
+    estimates = [call.args[0] for call in spy.call_args_list if call.kwargs["what"] == "ledger key pairs"]
+    return estimates[1:]  # the first is check_fold's bound, formed by no step
+
+
+def test_power_takes_the_step_of_fewer_pairs():
+    # moment_I(8, 1, 10): 20 generators of (h, h, h) collide so much that
+    # binary splitting's squares (4392 pairs) beat the 2220075 multisets
+    # of the top step; moment_T(4, 80) takes the multiset step's
+    # C(83, 4) pairs against 5250420 for the square of its 3240 pairs
+    steps = _steps(lambda: moment_I(8, 1, 10))
+    assert steps == [210, 861, 3321] and math.comb(27, 8) == 2220075
+    assert _steps(lambda: moment_T(4, 80)) == [3240, math.comb(83, 4)] == [3240, 1837620]
+    # at the top step every multiset of the 80 generators is one pair
+    with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy:
+        moment_T(4, 80)
+    bands = [len(call.args[0]) for call in spy.call_args_list]
+    # the generators, the square (one band), the groups of the cube's tuples
+    # with their diagonal copy, then the top step's bands
+    assert bands[:2] == [80, 3240] and sum(bands[3:]) == math.comb(83, 4)
+
+
 @pytest.mark.parametrize("e", [61, 62])
 def test_fold_dtype_follows_its_tuple_count(e):
     # 2^e tuples of two generators over a key span of e + 1: the counts are
@@ -145,15 +194,19 @@ def test_wide_int64_keys_take_the_argsort(chunk):
 
 def test_bands_are_final_and_never_empty():
     # one pair per band: the square of {0, 1, 10^12} has 6 keys of one pair
-    # each, and its product with the generators 10 keys, some of two or three
-    # pairs (a one-key band each); the keys from 10^12 up lie past a gap of
-    # about 10^12 keys that no band may start in or step through
+    # each, and the cube, formed as its 10 nondecreasing index tuples, 10
+    # keys of one tuple each; the keys from 10^12 up lie past a gap of about
+    # 10^12 keys that no band may start in or step through
     gens = [(0,), (1,), (10**12,)]
     with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), \
             mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy:
         fold = Ledger.fold(_counted([(gens, 3)]), DEFAULT_LEDGER_BUDGET)
-    # the first call reduces the three generators; then one call a key
-    bands = [set(call.args[0].tolist()) for call in spy.call_args_list[1:]]
+    # the first call reduces the three generators, and the eighth sorts the
+    # cube's 6 index pairs and their diagonal copy by (group, key); every
+    # other call is a band of one key
+    calls = [set(call.args[0].tolist()) for call in spy.call_args_list]
+    assert len(calls[0]) == 3 and len(calls[7]) == 12
+    bands = calls[1:7] + calls[8:]
     assert all(len(keys) == 1 for keys in bands)
     assert len(bands) == 6 + 10
     assert np.all(np.diff(fold.keys) > 0)
@@ -162,20 +215,22 @@ def test_bands_are_final_and_never_empty():
 
 def test_fold_checks_key_pairs_before_forming_them():
     # moment_T(3, 10): the square of 10 generators takes 55 pairs into 55
-    # keys, and those times the 10 generators take 550, the most of the fold
+    # keys; those times the 10 generators would take 550, so the top step is
+    # the multiset one, with C(12, 3) = 220 pairs, the most of the fold
     X = 10
-    pairs = len({(x * x + y * y, x**3 + y**3) for x in range(1, X + 1) for y in range(x, X + 1)}) * X
-    assert pairs == 550
+    square = len({(x * x + y * y, x**3 + y**3) for x in range(1, X + 1) for y in range(x, X + 1)})
+    pairs = math.comb(X + 2, 3)
+    assert (square, pairs) == (55, 220)
     assert moment_T(3, X, budget=pairs).value == brute_moment_T(3, X)
-    # the top convolution is refused on its own pairs; the first square is
-    # refused on the generator count, before a generator is reduced
+    # the top step is refused on its own pairs; the first square is refused
+    # on the generator count, before a generator is reduced
     for budget, refused, reduced in ((pairs - 1, pairs, X + 55), (54, 55, 0)):
         with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy, \
                 pytest.raises(BudgetError) as exc:
             moment_T(3, X, budget=budget)
         assert (exc.value.what, exc.value.estimate, exc.value.cap) == ("ledger key pairs", refused, budget)
-        # the generators and the admitted convolutions' pairs were reduced,
-        # and not one pair of the refused convolution
+        # the generators and the admitted square's pairs were reduced, and
+        # not one pair of the refused step
         assert sum(len(call.args[0]) for call in spy.call_args_list) == reduced
 
 

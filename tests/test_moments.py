@@ -170,6 +170,13 @@ def test_classify_I2_refuses_solutions_before_expanding_them():
     assert exc.value.what == "pair enumeration"
 
 
+@pytest.mark.parametrize("Y, H", [(0, 1), (1, 0)])
+def test_classify_I2_rejects_what_moment_I_rejects(Y, H):
+    for count in (lambda: moment_I(2, Y, H), lambda: classify_I2(Y, H)):
+        with pytest.raises(ValueError, match="s, Y, H must be >= 1"):
+            count()
+
+
 def test_mixed_moment_matches_brute():
     f1 = BoxSumSpec(theta=0.5, P=12, cubic=1, quad=1)
     g1 = BoxSumSpec(theta=0.4, P=12, cubic=-1)
