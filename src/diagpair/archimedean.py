@@ -31,7 +31,9 @@ factor table, the matrix product of its two panel factors; only the shared
 x-block needs (b2 x b3) tables, products of the (b2 x gamma) and
 (gamma x b3) phase tables.  A 1-D factor is summed over gamma-row chunks
 and a 2-D factor built in chunks of whole b2 panels, each chunk of at most
-`_CHUNK_ENTRIES` entries (or one panel).
+`_CHUNK_ENTRIES` entries (or one panel).  The variables whose (A3, A2,
+theta_i) agree up to sign share one factor, conjugated where the pair is
+negated: the gamma integral of e(-phase) is the conjugate of e(phase)'s.
 
 The volume constant, the density of {Theta = Phi = 0} in the box, is a coarea
 Monte Carlo: two variables solved in closed form (roots, or for an all-shared
@@ -245,6 +247,17 @@ def _factor_1d(coef: int, gp: np.ndarray, wg: np.ndarray, grid: _Panels) -> np.n
     return out.T.ravel()
 
 
+def _multiply_in(acc: np.ndarray, factor: np.ndarray, counts: Sequence[int]) -> None:
+    """acc *= factor counts[0] times, then conj(factor), conjugated in place, counts[1] times."""
+    as_is, negated = counts
+    for _ in range(as_is):
+        acc *= factor
+    if negated:
+        np.conj(factor, out=factor)
+        for _ in range(negated):
+            acc *= factor
+
+
 def unit_singular_integral(
     sys: DiagonalSystem,
     theta: Sequence[float],
@@ -253,14 +266,16 @@ def unit_singular_integral(
 ) -> tuple[float, dict]:
     """W(Q): the P-free double integral of the unit-scale product V over |b_i| <= Q.
 
-    A variable's factor is its gamma integral at each (b2, b3) node.  A
-    pure-cubic variable's factor depends on b3 alone and a pure-quadratic
-    one's on b2 alone: these are 1-D tables, multiplied into Y(b3) and
-    Z(b2).  Only a mixed (shared) variable needs a 2-D (b2 x b3) table, a
-    matrix product built in chunks of whole b2 panels that start from
-    outer(Z, Y).  With no mixed variable W is (w2 . Z)(w3 . Y).  A variable
-    whose coefficient pair is the negative of one already built, on the
-    same anchor, reuses its table conjugated.
+    A variable's factor is its gamma integral at each (b2, b3) node.  The
+    variables are grouped once by (A3, A2, theta_i) up to sign, the key's
+    first nonzero coefficient made positive: negating the pair conjugates
+    the factor.  Each pass builds one factor per group and multiplies it in
+    once per variable, conjugated for the negated ones.  A pure-cubic
+    group's factor depends on b3 alone and a pure-quadratic one's on b2
+    alone: these are 1-D tables, multiplied into Y(b3) and Z(b2).  Only a
+    mixed (shared) group needs a 2-D (b2 x b3) table, a matrix product
+    formed per chunk of whole b2 panels, multiplied into that chunk of
+    outer(Z, Y) and dropped.  With no mixed group W is (w2 . Z)(w3 . Y).
 
     The b2, b3 and gamma grids start at `_W_START_TURNS` phase turns per panel
     and every pass doubles all of their panel counts; the passes stop when
@@ -268,24 +283,26 @@ def unit_singular_integral(
     `error_estimate`; a pass with more than `budget` (b2 x b3) grid points
     is refused before it builds anything.  The diagnostics also give the
     number of passes and, for the last one, the b2 and b3 node counts, the
-    gamma nodes summed over the distinct grids (`nodes_gamma`) and the 1-D
-    and 2-D factor tables built (`factors_1d`, `factors_2d`).
+    gamma nodes summed over the groups (`nodes_gamma`) and the 1-D and 2-D
+    factor tables built, one per group (`factors_1d`, `factors_2d`).
     """
     if Q <= 0:
         raise ValueError("Q must be positive")
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
-    # (A3, A2, theta_i) per variable, in variable order
-    blocks = [(A3, A2, float(th)) for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)]
-    rate2 = sum(abs(A2) * (2 * th) ** 2 for _, A2, th in blocks)
-    rate3 = sum(abs(A3) * (2 * th) ** 3 for A3, _, th in blocks)
+    # variables by coefficient pair up to sign: each key (A3, A2, theta_i) has
+    # its first nonzero coefficient positive and counts [as is, negated]
+    groups: dict = {}
+    for A3, A2, th in zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta):
+        sign = 1 if (A3 or A2) > 0 else -1
+        groups.setdefault((sign * A3, sign * A2, float(th)), [0, 0])[sign < 0] += 1
+    rate2 = sum(abs(A2) * (2 * th) ** 2 * sum(c) for (_, A2, th), c in groups.items())
+    rate3 = sum(abs(A3) * (2 * th) ** 3 * sum(c) for (A3, _, th), c in groups.items())
     n2 = _panels_for(rate2, 2 * Q, _W_START_TURNS)
     n3 = _panels_for(rate3, 2 * Q, _W_START_TURNS)
-    # first-pass gamma panel counts, one per distinct coefficient pair up to sign
-    n_gamma: dict = {}
-    for A3, A2, th in blocks:
-        if (A3, A2, th) in n_gamma or (-A3, -A2, th) in n_gamma:
-            continue
+    # first-pass gamma panel counts, one per group, sized for either sign
+    n_gamma = {}
+    for A3, A2, th in groups:
         lo, hi = th / 2.0, 2.0 * th
         rate_g = _phase_rate(A3 * Q, A2 * Q, lo, hi) + _phase_rate(-A3 * Q, -A2 * Q, lo, hi)
         n_gamma[(A3, A2, th)] = _panels_for(rate_g, hi - lo, _W_START_TURNS)
@@ -293,60 +310,45 @@ def unit_singular_integral(
     def compute(m: int) -> complex:
         check_budget(n2 * m * _GL_NODES * n3 * m * _GL_NODES, budget, what="quadrature grid points")
         b2, b3 = _Panels.over(-Q, Q, n2 * m), _Panels.over(-Q, Q, n3 * m)
-        # per distinct pair up to sign: the 1-D factor of a pure variable, or
-        # the squared gamma nodes and weighted gamma->b3 table E3g of a mixed one
-        factors: dict = {}
-        grids: dict = {}
-        for (A3, A2, th), n_g in n_gamma.items():
-            gamma = _Panels.over(th / 2.0, 2.0 * th, n_g * m)
-            g, wg = gamma.nodes, gamma.weights
-            if A2 == 0:
-                factors[(A3, A2, th)] = _factor_1d(A3, g**3, wg, b3)
-            elif A3 == 0:
-                factors[(A3, A2, th)] = _factor_1d(A2, g * g, wg, b2)
-            else:
-                grids[(A3, A2, th)] = (g * g, _phase_table(A3, g**3, b3, wg))
         w2, w3 = b2.weights, b3.weights
         Y = np.ones(b3.size, dtype=complex)
         Z = np.ones(b2.size, dtype=complex)
+        # a pure group's 1-D factor goes into Y or Z at once; a mixed group
+        # keeps its b2 coefficient, squared gamma nodes and weighted
+        # gamma->b3 table E3g for the chunks below
         mixed = []
-        for A3, A2, th in blocks:
-            if A3 != 0 and A2 != 0:
-                mixed.append((A3, A2, th))
-                continue
-            f = factors[(A3, A2, th)] if (A3, A2, th) in factors else np.conj(factors[(-A3, -A2, th)])
-            if A2 == 0:
-                Y *= f
+        for (A3, A2, th), counts in groups.items():
+            gamma = _Panels.over(th / 2.0, 2.0 * th, n_gamma[(A3, A2, th)] * m)
+            g, wg = gamma.nodes, gamma.weights
+            if A3 and A2:
+                mixed.append((A2, g * g, _phase_table(A3, g**3, b3, wg), counts))
+            elif A3:
+                _multiply_in(Y, _factor_1d(A3, g**3, wg, b3), counts)
             else:
-                Z *= f
+                _multiply_in(Z, _factor_1d(A2, g * g, wg, b2), counts)
         if not mixed:
             return complex((w2 @ Z) * (w3 @ Y))
         # chunks are whole b2 panels; each (chunk x b3) array is at most
-        # _CHUNK_ENTRIES complex entries (or one panel's rows) and the
-        # per-chunk cache holds one per distinct mixed coefficient pair
+        # _CHUNK_ENTRIES complex entries (or one panel's rows)
         chunk = max(1, _CHUNK_ENTRIES // (_GL_NODES * b3.size))
         acc = np.zeros(b3.size, dtype=complex)
         for start in range(0, b2.mid.size, chunk):
             panels = slice(start, start + chunk)
             rows = slice(start * _GL_NODES, (start + chunk) * _GL_NODES)
-            Vc = np.outer(Z[rows], Y)
-            cache: dict = {}
-            for A3, A2, th in mixed:
-                key = (A3, A2, th)
-                if key not in cache:
-                    if (-A3, -A2, th) in cache:
-                        cache[key] = np.conj(cache[(-A3, -A2, th)])
-                    else:
-                        # neither sign seen yet: key is the pair's first, built one
-                        g2, E3g = grids[key]
-                        cache[key] = _phase_table(A2, g2, b2, panels=panels).T @ E3g
-                Vc = Vc * cache[key]
+            Vc = None
+            for A2, g2, E3g, counts in mixed:
+                factor = _phase_table(A2, g2, b2, panels=panels).T @ E3g
+                if Vc is None:
+                    # started after the first product, once its phase table is freed
+                    Vc = np.outer(Z[rows], Y)
+                _multiply_in(Vc, factor, counts)
+                del factor
             acc += w2[rows] @ Vc
         return complex(acc @ w3)
 
     W, err, passes = _refine(compute, _W_RTOL, 0.0)
     m = 2 ** (passes - 1)
-    n_1d = sum(1 for A3, A2, _ in n_gamma if A3 == 0 or A2 == 0)
+    n_1d = sum(1 for A3, A2, _ in groups if A3 == 0 or A2 == 0)
     diag = {
         "error_estimate": err,
         "imag_residue": W.imag,
@@ -356,7 +358,7 @@ def unit_singular_integral(
         "nodes_b3": n3 * m * _GL_NODES,
         "nodes_gamma": sum(n_gamma.values()) * m * _GL_NODES,
         "factors_1d": n_1d,
-        "factors_2d": len(n_gamma) - n_1d,
+        "factors_2d": len(groups) - n_1d,
     }
     return W.real, diag
 

@@ -1,7 +1,8 @@
 """Command-line front end and report emission.
 
-Every artifact embeds a config echo and library versions; the timestamp sits
-alone in the header so reports stay byte-comparable otherwise.  Exact integer
+Every artifact embeds a config echo and library versions.  The volatile
+fields, the timestamp and for `verify` each criterion's run time, sit in the
+header alone, so `config` and `result` stay byte-comparable.  Exact integer
 results are serialized as decimal strings in JSON because counts here routinely
 pass 2^53.
 
@@ -298,8 +299,12 @@ def _cmd_verify(args, cfg: RunConfig):
     sys.stdout.write(format_results(results) + "\n")
     failed = not all(r.passed for r in results)
     if cfg.out:
-        payload = {"profile": args.profile, "criteria": [asdict(r) for r in results]}
-        _emit(cfg, _report(cfg, payload))
+        # run times go to the header, in criterion order, so `result` repeats
+        criteria = [asdict(r) for r in results]
+        elapsed = [c.pop("elapsed") for c in criteria]
+        report = _report(cfg, {"profile": args.profile, "criteria": criteria})
+        report["header"]["elapsed"] = elapsed
+        _emit(cfg, report)
     # stdout already carries the line-per-criterion report
     return None, failed
 

@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
+from .smooth import smallest_prime_factors
 from .systems import DiagonalSystem
 
 
@@ -209,18 +210,6 @@ def _orbit_term(sys: DiagonalSystem, p: int, k: int) -> tuple[float, complex]:
     return float(A), complex(B)
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[q], the smallest prime dividing q, for 2 <= q <= n (spf[0] = 0, spf[1] = 1).
-
-    q > 1 is prime exactly when spf[q] == q.
-    """
-    spf = np.arange(n + 1)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
-    return spf.tolist()
-
-
 def _prime_part(q: int, spf: list[int]) -> int:
     """p^v_p(q) for the smallest prime p dividing q > 1."""
     p = spf[q]
@@ -252,7 +241,7 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    spf = _smallest_prime_factors(Q)
+    spf = smallest_prime_factors(Q)
     powers = {}  # q = p^k <= Q -> (p, k)
     for p in (n for n in range(2, Q + 1) if spf[n] == n):
         q, k = p, 1

@@ -11,7 +11,7 @@ accumulated in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,7 +172,6 @@ def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
 def mixed_moment(
     factors: Sequence[BoxSumSpec],
     exponents: Sequence[int],
-    P: Optional[float] = None,
     budget: int = DEFAULT_LEDGER_BUDGET,
 ) -> MomentResult:
     """Exact mixed even moment of box sums: the integral of prod |F_i|^(2e_i).
@@ -191,8 +190,6 @@ def mixed_moment(
             raise ValueError(f"exponents must be even and >= 0, got {exp}")
         if exp == 0:
             continue
-        if P is not None:
-            spec = replace(spec, P=P)
         lo, hi = spec.range_bounds()
         check_budget(hi - lo + 1, budget, what="ledger generators")
         xs = spec.members()
@@ -200,7 +197,7 @@ def mixed_moment(
             return MomentResult(0, {"factors": len(factors)})
         parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))
     value = Ledger.fold(parts, budget).sum_of_squares() if parts else 1
-    return MomentResult(value, {"exponents": list(exponents), "P": P})
+    return MomentResult(value, {"exponents": list(exponents)})
 
 
 def fit_exponent(series) -> tuple[float, float]:

@@ -21,15 +21,21 @@ _rho_grid: np.ndarray | None = None
 _rho_vals: np.ndarray | None = None
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[q], the smallest prime dividing q, for 2 <= q <= n (spf[0] = 0, spf[1] = 1).
+
+    q > 1 is prime exactly when spf[q] == q.
+    """
+    spf = np.arange(n + 1)
     for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+        if spf[p] == p:
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    return spf.tolist()
+
+
+def primes_up_to(n: int) -> list[int]:
+    spf = smallest_prime_factors(max(n, 1))
+    return [q for q in range(2, n + 1) if spf[q] == q]
 
 
 def gpf_table(N: int) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import ledger
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
+from .expsums import BoxSumSpec
 from .ledger import Ledger, check_fold, dtype_for, form_values
-from .smooth import smooth_set
 from .systems import DiagonalSystem
 
 
@@ -318,32 +318,27 @@ def _build_ranges(
     P, theta = bounds
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
-    ranges = []
-    for i, th in enumerate(theta):
-        lo = math.floor(th * P / 2) + 1
-        hi = math.floor(2 * th * P)
-        if hi < lo:
-            raise ValueError(f"box for variable {i} is empty at P={P}")
-        ranges.append(range(lo, hi + 1))
     if restriction == "none":
-        return ranges
-    if R is None:
+        restricted: Sequence[int] = ()
+    elif R is None:
         raise ValueError("smooth restriction needs R")
-    allowed = set(smooth_set(max(r.stop for r in ranges), R))
-    if restriction == "smooth-y":
-        idx = range(sys.l, sys.l + sys.m)
+    elif restriction == "smooth-y":
+        restricted = range(sys.l, sys.l + sys.m)
     elif restriction == "smooth-xl":
         if sys.l == 0:
             raise ValueError("no shared variables to restrict")
-        idx = [sys.l - 1]
+        restricted = [sys.l - 1]
     else:
         raise ValueError(f"unknown restriction {restriction!r}")
-    out: list[Sequence[int]] = list(ranges)
-    for i in idx:
-        vals = [v for v in ranges[i] if v in allowed]
-        if not vals:
+    out: list[Sequence[int]] = []
+    for i, (A3, A2, th) in enumerate(zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)):
+        spec = BoxSumSpec(th, P, cubic=A3, quad=A2, smooth_R=R if i in restricted else None)
+        lo, hi = spec.range_bounds()
+        if hi < lo:
+            raise ValueError(f"box for variable {i} is empty at P={P}")
+        out.append(range(lo, hi + 1) if spec.smooth_R is None else spec.members())
+        if not out[i]:
             raise ValueError(f"smooth restriction empties the box of variable {i}")
-        out[i] = vals
     return out
 
 

@@ -250,6 +250,55 @@ def test_unit_integral_memory_is_bounded(ladder6):
     assert peak < 8e6
 
 
+# a mixed pair, its negation and a repeat at one anchor, and a pure-cubic
+# pair and its negation at another: two groups, counted [2, 1] and [1, 1]
+GROUPED = (DiagonalSystem(a=(2, -2, 2), b=(-1, 1, -1), c=(1, -1)), (0.3, 0.3, 0.3, 0.35, 0.35))
+
+
+def _w_per_variable(sysd, theta, Q, diag):
+    """W on the grids of the last pass in `diag`, one factor per variable, in variable order.
+
+    Every factor is built from its own coefficient pair, none conjugated or
+    shared, as a (b2 x b3) table multiplied into V one variable at a time.
+    """
+    b2 = archimedean._Panels.over(-Q, Q, diag["nodes_b2"] // 12)
+    b3 = archimedean._Panels.over(-Q, Q, diag["nodes_b3"] // 12)
+    m = 2 ** (diag["passes"] - 1)
+    V = np.ones((b2.size, b3.size), dtype=complex)
+    for A3, A2, th in zip(sysd.cubic_coeffs(), sysd.quad_coeffs(), theta):
+        lo, hi = th / 2, 2 * th
+        rate = archimedean._phase_rate(A3 * Q, A2 * Q, lo, hi) + archimedean._phase_rate(-A3 * Q, -A2 * Q, lo, hi)
+        gamma = archimedean._Panels.over(lo, hi, archimedean._panels_for(rate, hi - lo, archimedean._W_START_TURNS) * m)
+        g, wg = gamma.nodes, gamma.weights
+        E2 = archimedean._phase_table(A2, g * g, b2)
+        E3 = archimedean._phase_table(A3, g**3, b3, wg)
+        V *= E2.T @ E3
+    return (b2.weights @ V @ b3.weights).real
+
+
+def test_unit_integral_groups_match_per_variable_factors():
+    sysd, theta = GROUPED
+    W, diag = unit_singular_integral(sysd, theta, 8.0)
+    assert W == pytest.approx(_w_per_variable(sysd, theta, 8.0, diag), rel=1e-15, abs=0)
+    # one factor per group: (2, -1, 0.3) mixed and (1, 0, 0.35) pure cubic
+    assert (diag["factors_1d"], diag["factors_2d"]) == (1, 1)
+    assert diag["passes"] >= 2
+
+
+def test_unit_integral_mixed_memory_is_bounded(sample5):
+    # each mixed group's chunk product is formed, multiplied in and dropped
+    # before the next; holding every group's chunk product at once, and the
+    # last one across chunks, peaked at about 72 MB here
+    theta = find_real_anchor(sample5, rng=np.random.default_rng(1)).theta
+    tracemalloc.start()
+    try:
+        unit_singular_integral(sample5, theta, 32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
 def test_unit_integral_refuses_past_budget(ladder6):
     # W(16) converges on its third pass: 3024, 12096 and 48384 grid points
     assert unit_singular_integral(ladder6, THETA6, 16.0, budget=48384)[1]["passes"] == 3

@@ -108,6 +108,23 @@ def test_out_file_and_stability(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
+def test_verify_artifact_is_deterministic(tmp_path, capsys):
+    # the criteria's run times sit in the header with the timestamp; config
+    # and result are byte-identical across runs
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, out, _ = run(capsys, "verify", "--profile", "smoke", "--out", str(path))
+        # criterion 11 is the gate's strict expected failure
+        assert code == cli.EXIT_ASSERT and "11/12 criteria passed" in out
+        assert re.search(r"criterion  1 \[.*\] \(\d+\.\ds\): ", out)
+    docs = [json.loads(p.read_text()) for p in paths]
+    for doc in docs:
+        assert len(doc["header"]["elapsed"]) == len(doc["result"]["criteria"]) == 12
+        assert all("elapsed" not in c for c in doc["result"]["criteria"])
+    a, b = (p.read_text().split('\n  "config": ', 1)[1] for p in paths)
+    assert a == b
+
+
 def test_solve_builtin_counts(capsys):
     doc = run_json(capsys, "solve", "--builtin", "tiny2", "--b", "10", "--witness-bound", "5")
     assert doc["result"]["count"]["N"] == "21"

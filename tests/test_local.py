@@ -19,6 +19,7 @@ from diagpair import (
 )
 from diagpair import local
 from diagpair.oracles import brute_count_congruences, direct_series_term
+from diagpair.smooth import smallest_prime_factors
 from diagpair.systems import BUILTIN_SYSTEMS
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -240,7 +241,7 @@ def test_singular_series_matches_direct(sysd, Q, rows, cells):
 def test_orbit_rows_match_tables(sysd):
     # every prime power q = p^k <= 200 against the full q x q table of T
     # over the primitive pairs
-    spf = local._smallest_prime_factors(200)
+    spf = smallest_prime_factors(200)
     for p in [q for q in range(2, 201) if spf[q] == q]:
         q, k = p, 1
         while q <= 200:

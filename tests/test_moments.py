@@ -216,11 +216,15 @@ def test_mixed_moment_rejects_odd_exponent():
         mixed_moment([g1], [3])
 
 
-def test_P_override_rescales_boxes():
-    g1 = BoxSumSpec(theta=0.4, P=10, cubic=1)
-    assert mixed_moment([g1], [2], P=25).value == mixed_moment(
-        [BoxSumSpec(theta=0.4, P=25, cubic=1)], [2]
-    ).value
+def test_mixed_moment_boxes_follow_spec_P():
+    # each spec carries its own P: at P = 25 the boxes are (5, 20] and
+    # (12.5, 50], and the moment is the oracle's count on those boxes
+    g25 = BoxSumSpec(theta=0.4, P=25, cubic=1)
+    h25 = BoxSumSpec(theta=1.0, P=25, quad=1)
+    assert g25.range_bounds() == (6, 20) and h25.range_bounds() == (13, 50)
+    got = mixed_moment([g25, h25], [2, 2]).value
+    assert got == oracles.brute_mixed_moment([g25, h25], [2, 2])
+    assert got != mixed_moment([BoxSumSpec(theta=0.4, P=10, cubic=1), BoxSumSpec(theta=1.0, P=10, quad=1)], [2, 2]).value
 
 
 @given(st.floats(1.0, 5.0), st.floats(0.1, 10.0))
