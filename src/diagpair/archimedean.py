@@ -30,10 +30,11 @@ depends on b3 only and a pure-quadratic one's on b2 only, so each is a 1-D
 factor table, the matrix product of its two panel factors; only the shared
 x-block needs (b2 x b3) tables, products of the (b2 x gamma) and
 (gamma x b3) phase tables.  A 1-D factor is summed over gamma-row chunks
-and a 2-D factor built in chunks of whole b2 panels, each chunk of at most
-`_CHUNK_ENTRIES` entries (or one panel).  The variables whose (A3, A2,
-theta_i) agree up to sign share one factor, conjugated where the pair is
-negated: the gamma integral of e(-phase) is the conjugate of e(phase)'s.
+and a 2-D factor built in chunks of whole b2 panels, each chunk's product
+and b2 phase table of at most `_CHUNK_ENTRIES` entries (or one panel).
+The variables whose (A3, A2, theta_i) agree up to sign share one factor,
+conjugated where the pair is negated: the gamma integral of e(-phase) is
+the conjugate of e(phase)'s.
 
 The volume constant, the density of {Theta = Phi = 0} in the box, is a coarea
 Monte Carlo: two variables solved in closed form (roots, or for an all-shared
@@ -328,9 +329,11 @@ def unit_singular_integral(
                 _multiply_in(Z, _factor_1d(A2, g * g, wg, b2), counts)
         if not mixed:
             return complex((w2 @ Z) * (w3 @ Y))
-        # chunks are whole b2 panels; each (chunk x b3) array is at most
-        # _CHUNK_ENTRIES complex entries (or one panel's rows)
-        chunk = max(1, _CHUNK_ENTRIES // (_GL_NODES * b3.size))
+        # chunks are whole b2 panels; each (chunk x b3) array and each
+        # group's (gamma x chunk) b2 phase table is at most _CHUNK_ENTRIES
+        # complex entries (or one panel's rows)
+        widest = max(b3.size, *(g2.size for _, g2, _, _ in mixed))
+        chunk = max(1, _CHUNK_ENTRIES // (_GL_NODES * widest))
         acc = np.zeros(b3.size, dtype=complex)
         for start in range(0, b2.mid.size, chunk):
             panels = slice(start, start + chunk)

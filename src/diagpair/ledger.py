@@ -41,7 +41,17 @@ and nothing merges.  A band of int64 keys is sorted as packed words
 (key - min) << b | count, with b the bit length of the band's largest
 count, whenever (span + 1) << b < 2^63: one in-place sort replaces an
 argsort and two gathers.  Object bands, and int64 bands whose word would
-not fit, take the argsort.
+not fit, take the argsort.  A reduction whose keys are all distinct hands
+back its own buffers, and a multiset step sorts its groups in the buffers
+of its tuples (`_sort_groups`).
+
+The moments read most ledgers only through the sum of their squared
+counts, the number of pairs of tuples with equal keys.
+`Ledger.fold_sum_of_squares` runs the same fold, with the same checks,
+but its last step adds each reduced band's sum of squares and drops the
+band, keys ungathered.  That sum over disjoint bands is the sum over the
+whole ledger, so the top ledger is never built, and the peak is the
+tuples of the level below it plus one band.
 """
 
 from __future__ import annotations
@@ -55,18 +65,22 @@ from .budget import check_budget
 
 _INT64_LIMIT = 2**62
 # Pairs per band of a ledger step or per chunk of the solver's pair sum: 8 MiB
-# per int64 temporary.  perfbench's exact-ledgers workload peaks in the top
-# step of moment_T(4, 80), 1837620 multisets into 1824819 keys.  Over passes
-# of its ops in one process, bands of 2^21 pairs (one band there) peaked at
-# 112 MB and 2^19 at 104 MB, against 93 MB at 2^20, and neither ran faster.
+# per int64 temporary.  perfbench's exact-ledgers workload peaks in the banded
+# top step of moment_T(4, 80), 1837620 multisets summed as squares.  Over ten
+# passes of its ops in one process (2-vCPU Xeon), bands of 2^19, 2^20 and
+# 2^21 pairs peaked at 60, 78 and 96 MB; 2^19 cuts the tops of
+# moment_T(3, 160) and moment_J(3, 150) into two bands where 2^20 takes
+# one, and those two ops took about 10 and 15 ms more each (medians of 15
+# calls), about a tenth of the pass.  2^21 ran no faster than 2^20.
 _CHUNK_PAIRS = 2**20
 
 
-def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort keys and add up the counts of equal keys.
+def _reduce(keys: np.ndarray, counts: np.ndarray, keep_keys: bool = True) -> tuple:
+    """Sort keys and add up the counts of equal keys: (keys, counts), or (None, counts).
 
     Counts must be nonnegative.  The packed route sorts in the buffers of
-    its arguments, so callers pass arrays they no longer need.
+    its arguments, so callers pass arrays they no longer need.  Without
+    `keep_keys` the unique keys are not gathered.
     """
     lo = keys.min()
     bits = int(counts.max()).bit_length()
@@ -83,8 +97,11 @@ def _reduce(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         keys = keys[order]
         counts = counts[order]
         del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(counts, starts)
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if new.all():
+        return keys if keep_keys else None, counts
+    counts = np.add.reduceat(counts, np.flatnonzero(new))
+    return keys[new] if keep_keys else None, counts
 
 
 def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +120,7 @@ def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
     return out_keys, out_weights
 
 
-def _sum_runs(keys, weights, starts, runs) -> tuple[np.ndarray, np.ndarray]:
+def _sum_runs(keys, weights, starts, runs, squares: bool = False):
     """Reduced keys and counts of the runs (i, u, group, offset, mult), in disjoint key bands.
 
     A run shifts keys[i:u] by offset and multiplies weights[i:u] by mult
@@ -115,12 +132,15 @@ def _sum_runs(keys, weights, starts, runs) -> tuple[np.ndarray, np.ndarray]:
     exact pair count below it: at most _CHUNK_PAIRS pairs, at least half as
     many unless the next key would pass that, and all of one key's pairs if
     that key alone holds more.  Each band is reduced once and appended in
-    place.  Consecutive runs that meet in `keys` with the same offset and
-    mult fill one span.
+    place; with `squares` its sum of squared counts is added instead and
+    the band dropped, which is exact because no key falls in two bands, and
+    the result is a `SquareSum`.  Consecutive runs that meet in `keys` with
+    the same offset and mult fill one span.
     """
     lo, hi, group, offset, mult = runs
     top = int(keys.max()) + int(offset.max()) + 1
     total = int(hi.sum())
+    formed, bands, sum_sq = total - int(lo.sum()), 0, 0
 
     def cutter():
         # ends(K) and the pairs below K; in the order of (group, -offset) the
@@ -170,8 +190,11 @@ def _sum_runs(keys, weights, starts, runs) -> tuple[np.ndarray, np.ndarray]:
         apart = (i[1:] != u[:-1]) | (shifts[1:] != shifts[:-1]) | (mults[1:] != mults[:-1])
         first = np.concatenate(([0], np.flatnonzero(apart) + 1))
         last = np.concatenate((first[1:], [len(live)])) - 1
-        band = _reduce(*_fill(keys, weights, (i[first], u[last], shifts[first], mults[first])))
-        if out is None:
+        band = _reduce(*_fill(keys, weights, (i[first], u[last], shifts[first], mults[first])), not squares)
+        bands += 1
+        if squares:
+            sum_sq += exact_dot(band[1], band[1])
+        elif out is None:
             out = band
         else:
             # append in place: a realloc that can grow the buffer without copying it
@@ -179,7 +202,7 @@ def _sum_runs(keys, weights, starts, runs) -> tuple[np.ndarray, np.ndarray]:
                 whole.resize(len(whole) + len(part), refcheck=False)
                 whole[len(whole) - len(part) :] = part
         start = end
-    return out
+    return SquareSum(sum_sq, formed, bands) if squares else out
 
 
 def _with_diagonal(keys, weights, repeats, starts, g, c, t):
@@ -197,27 +220,35 @@ def _with_diagonal(keys, weights, repeats, starts, g, c, t):
     return np.concatenate((keys, keys + g[last])), np.concatenate((weights, diagonal))
 
 
-def _flat(keys, starts):
+def _flat(keys, starts, in_place: bool = False):
     """(flat, low, width): keys - low, with group l shifted up by l * width.
 
     Group l is keys[starts[l]:starts[l + 1]], and width, the key span plus
     2, leaves every group a key to spare below the next, so the flat keys
-    are sorted wherever each group is.
+    are sorted wherever each group is.  With `in_place` they are written
+    over `keys` when its dtype holds them.
     """
     low = int(keys.min())
     width = int(keys.max()) - low + 2
     groups = len(starts) - 1
-    flat = (keys - low).astype(object if keys.dtype == object else dtype_for(groups * width))
-    flat += np.repeat(np.arange(groups), np.diff(starts)).astype(flat.dtype) * width
+    dtype = object if keys.dtype == object else dtype_for(groups * width)
+    flat = keys if in_place and keys.dtype == dtype else keys.astype(dtype)
+    flat -= low
+    flat += np.repeat(np.arange(groups, dtype=dtype) * width, np.diff(starts))
     return flat, low, width
 
 
 def _sort_groups(keys, weights, starts):
-    """Sort each group by key, adding up equal keys of a group: keys, weights, group starts."""
-    flat, low, width = _flat(keys, starts)
+    """Sort each group by key, adding up equal keys of a group: keys, weights, group starts.
+
+    Sorts in the buffers of keys and weights, which the caller no longer needs.
+    """
+    dtype = keys.dtype
+    flat, low, width = _flat(keys, starts, in_place=True)
     flat, weights = _reduce(flat, weights)
-    group = flat // width
-    return (flat - group * width + low).astype(keys.dtype), weights, np.searchsorted(group, np.arange(len(starts)))
+    # group l starts at the first flat key of at least l * width
+    starts = np.searchsorted(flat, np.arange(len(starts), dtype=flat.dtype) * width)
+    return (flat % width + low).astype(dtype, copy=False), weights, starts
 
 
 def dtype_for(*sizes: int):
@@ -257,6 +288,15 @@ def check_fold(parts, budget: int) -> None:
     check_budget(max(pairs, default=0), budget, what="ledger key pairs")
 
 
+@dataclass(frozen=True)
+class SquareSum:
+    """Sum of the squared counts of a fold's top ledger, with the key pairs and bands of its top step."""
+
+    value: int
+    pairs: int
+    bands: int
+
+
 @dataclass(frozen=True, eq=False)
 class Ledger:
     """Sorted unique packed keys with their exact multiplicities."""
@@ -275,6 +315,22 @@ class Ledger:
         Each part's generators are raised to the power e (`_power`) and the
         powers are convolved in order.
         """
+        return cls._fold(parts, budget, False)
+
+    @classmethod
+    def fold_sum_of_squares(cls, parts, budget: int) -> SquareSum:
+        """The number of pairs of tuples with equal keys in `fold(parts, budget)`.
+
+        The same fold with the same budget checks, but its top step adds up
+        each band's squared counts and drops the band, so the top ledger is
+        never built.  A fold of one part with e = 1 has no step: its sum
+        comes from the reduced generators, with no pairs and no bands.
+        """
+        return cls._fold(parts, budget, True)
+
+    @classmethod
+    def _fold(cls, parts, budget: int, squares: bool):
+        """`fold`, with `squares` passed to its last step only."""
         if any(e < 1 for _, _, e in parts):
             raise ValueError("fold needs e >= 1 in every part")
         check_fold(parts, budget)
@@ -287,13 +343,22 @@ class Ledger:
             strides.append(strides[-1] * (2 * B + 1))
         dtype = dtype_for(strides[-1], math.prod(n**e for n, _, e in parts))
         out = None
-        for vectors, e in built:
+        for at, (vectors, e) in enumerate(built):
+            last = squares and at == len(built) - 1
             keys = np.array([sum(v * S for v, S in zip(vec, strides)) for vec in vectors], dtype=dtype)
-            power = cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))._power(e, budget)
-            out = power if out is None else out._convolve(power, budget)
+            gens = cls(*_reduce(keys, np.ones(len(keys), dtype=dtype)), tuple(strides[:-1]))
+            if out is None:
+                out = gens._power(e, budget, last)
+            else:
+                out = out._convolve(gens._power(e, budget), budget, last)
         return out
 
-    def _convolve(self, other: "Ledger", budget: int) -> "Ledger":
+    def _step(self, keys, weights, starts, runs, squares: bool):
+        """This step's ledger from `_sum_runs`, or with `squares` its `SquareSum`."""
+        out = _sum_runs(keys, weights, starts, runs, squares)
+        return out if squares else Ledger(*out, self.strides)
+
+    def _convolve(self, other: "Ledger", budget: int, squares: bool = False):
         """Ledger of the sums of one generator tuple from each of two ledgers.
 
         First the key pairs are checked against `budget`.  Each key of the
@@ -303,9 +368,9 @@ class Ledger:
         check_budget(len(a.keys) * len(b.keys), budget, what="ledger key pairs")
         zero = np.zeros(len(a.keys), dtype=np.intp)
         runs = (zero, zero + len(b.keys), zero, a.keys, a.counts)
-        return Ledger(*_sum_runs(b.keys, b.counts, np.array([0, len(b.keys)]), runs), self.strides)
+        return self._step(b.keys, b.counts, np.array([0, len(b.keys)]), runs, squares)
 
-    def _multiset(self, e: int, budget: int) -> "Ledger":
+    def _multiset(self, e: int, budget: int, squares: bool = False):
         """e-fold self-convolution that forms each nondecreasing index tuple once.
 
         First its C(n + e - 1, e) key pairs are checked against `budget`.
@@ -335,6 +400,7 @@ class Ledger:
             new_starts = np.concatenate(([0], np.cumsum(starts[1:])))
             grown[np.repeat(new_starts[:-1], np.diff(starts)) + np.arange(size)] = repeats + 1
             repeats, starts = grown, new_starts
+            del grown  # so that `del repeats` below frees them
         del repeats  # the top step reads only keys and weights
         j = np.arange(n)
         if e == 2:
@@ -342,7 +408,7 @@ class Ledger:
             # the diagonal copy 2g is sorted, one more group
             runs = (np.append(j + 1, n), np.append(np.full(n, n), 2 * n), np.append(np.zeros(n, dtype=np.intp), 1),
                     np.append(g, 0), np.append(2 * c, 1))
-            return Ledger(*_sum_runs(keys, weights, np.array([0, n, 2 * n]), runs), self.strides)
+            return self._step(keys, weights, np.array([0, n, 2 * n]), runs, squares)
         # group n + l is group l's diagonal copy
         keys, weights, starts = _sort_groups(keys, weights, np.concatenate((starts, size + starts[1:])))
         col = np.repeat(j, j)
@@ -350,27 +416,23 @@ class Ledger:
         runs = (np.concatenate((starts[row], starts[n:-1])), np.concatenate((starts[row + 1], starts[n + 1 :])),
                 np.concatenate((row, n + j)), np.concatenate((g[col], np.zeros_like(g))),
                 np.concatenate((e * c[col], np.ones_like(c))))
-        return Ledger(*_sum_runs(keys, weights, starts, runs), self.strides)
+        return self._step(keys, weights, starts, runs, squares)
 
-    def _power(self, e: int, budget: int) -> "Ledger":
+    def _power(self, e: int, budget: int, squares: bool = False):
         """e-fold self-convolution by whichever top step forms fewer key pairs.
 
         The lower power (half of e, or e - 1 for odd e) is built first; its
         square, or its product with the generators, competes with the
         multiset step's C(n + e - 1, e) pairs.  A tie goes to the multiset
-        step, so a square is always one.
+        step, so a square is always one.  `squares` goes to the top step.
         """
         if e == 1:
-            return self
+            return SquareSum(exact_dot(self.counts, self.counts), 0, 0) if squares else self
         lower = self._power(e - 1 if e % 2 else e // 2, budget)
         n, m = len(self.keys), len(lower.keys)
         if (m * n if e % 2 else m * (m + 1) // 2) < math.comb(n + e - 1, e):
-            return lower._convolve(self, budget) if e % 2 else lower._multiset(2, budget)
-        return self._multiset(e, budget)
-
-    def sum_of_squares(self) -> int:
-        """Number of pairs of tuples with equal keys."""
-        return exact_dot(self.counts, self.counts)
+            return lower._convolve(self, budget, squares) if e % 2 else lower._multiset(2, budget, squares)
+        return self._multiset(e, budget, squares)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Counts at the given keys, 0 where a key is absent.

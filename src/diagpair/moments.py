@@ -4,8 +4,10 @@ By orthogonality, every even moment here equals the number of integer
 solutions of a system of diagonal equations, so it is computed exactly:
 fold the generators of one side into a `Ledger` of form-value vectors with
 `Ledger.fold`, then match keys (equal keys, negated keys, or keys within a
-window of the linear field).  All counts are exact integers; nothing is
-accumulated in floats.
+window of the linear field).  Equal keys need no ledger: their count, the
+sum of squared multiplicities, is taken band by band from the fold's top
+step (`Ledger.fold_sum_of_squares`).  All counts are exact integers;
+nothing is accumulated in floats.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .expsums import BoxSumSpec
-from .ledger import Ledger, exact_dot, form_values
+from .ledger import Ledger, SquareSum, exact_dot, form_values
 
 
 @dataclass(frozen=True)
@@ -30,17 +32,24 @@ class MomentResult:
         return self.value
 
 
+def _top_counters(top: SquareSum) -> dict:
+    """The key pairs and bands of a sum of squares' top step, for `MomentResult.params`."""
+    return {"top_pairs": top.pairs, "top_bands": top.bands}
+
+
 def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
     """Exact count of 1 <= x_i, y_i <= X with sum x^3 = sum y^3, sum x^2 = sum y^2.
 
     Equals the 2s-th power mean of the cubic-quadratic Weyl sum.  Computed
     as sum_k c_s(k)^2 where c_s is the s-fold convolution of the
-    single-variable ledger over keys (x^2, x^3).
+    single-variable ledger over keys (x^2, x^3), summed band by band
+    without building c_s (`Ledger.fold_sum_of_squares`).  The params carry
+    the key pairs and bands of that top step (`top_pairs`, `top_bands`).
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
-    c_s = Ledger.fold([(X, ((x * x, x**3) for x in range(1, X + 1)), s)], budget)
-    return MomentResult(c_s.sum_of_squares(), {"s": s, "X": X})
+    top = Ledger.fold_sum_of_squares([(X, ((x * x, x**3) for x in range(1, X + 1)), s)], budget)
+    return MomentResult(top.value, {"s": s, "X": X, **_top_counters(top)})
 
 
 def moment_T_shifted(
@@ -52,7 +61,9 @@ def moment_T_shifted(
     equations are exact while the linear one only pins h.  With
     h_max >= s*(X-1) the linear slot is redundant and the count equals
     moment_T(s, X); with h_max = 0 all three equations bind and the count
-    equals moment_J(s, X).
+    equals moment_J(s, X).  A window of 0 counts equal keys only, so that
+    count is a sum of squares taken band by band, and its params carry
+    `top_pairs` and `top_bands` as `moment_T`'s do.
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
@@ -60,20 +71,20 @@ def moment_T_shifted(
         h_max = s * X
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
-    c_s = Ledger.fold([(X, ((x, x * x, x**3) for x in range(1, X + 1)), s)], budget)
+    parts = [(X, ((x, x * x, x**3) for x in range(1, X + 1)), s)]
+    params = {"s": s, "X": X, "h_max": h_max}
     # The linear field has stride 1 and spans at most s(X-1) inside one
     # (quadratic, cubic) group, while keys of different groups lie more than
     # s(X-1) apart, so a key window of half-width h never leaves its group.
     h = min(h_max, s * (X - 1))
     if h == 0:
-        # each window [k, k] holds only k
-        total = c_s.sum_of_squares()
-    else:
-        csum = np.concatenate(([0], np.cumsum(c_s.counts)))
-        lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
-        hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
-        total = exact_dot(c_s.counts, csum[hi] - csum[lo])
-    return MomentResult(total, {"s": s, "X": X, "h_max": h_max})
+        top = Ledger.fold_sum_of_squares(parts, budget)
+        return MomentResult(top.value, {**params, **_top_counters(top)})
+    c_s = Ledger.fold(parts, budget)
+    csum = np.concatenate(([0], np.cumsum(c_s.counts)))
+    lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
+    hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
+    return MomentResult(exact_dot(c_s.counts, csum[hi] - csum[lo]), params)
 
 
 def _block_generators(Y: int, H: int):
@@ -180,7 +191,9 @@ def mixed_moment(
     drawn from the factor boxes (smoothness per spec) solving the
     coefficient-weighted pair of equations; computed as sum_k L(k)^2 where
     L folds e_i plus-generators per factor over keys (quadratic, cubic)
-    contribution.  An empty product integrates to 1.
+    contribution, summed band by band without building L; the params carry
+    `top_pairs` and `top_bands` as `moment_T`'s do.  An empty product
+    integrates to 1.
     """
     if len(factors) != len(exponents):
         raise ValueError("factors and exponents length mismatch")
@@ -194,10 +207,10 @@ def mixed_moment(
         check_budget(hi - lo + 1, budget, what="ledger generators")
         xs = spec.members()
         if not xs:
-            return MomentResult(0, {"factors": len(factors)})
+            return MomentResult(0, {"factors": len(factors), "top_pairs": 0, "top_bands": 0})
         parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))
-    value = Ledger.fold(parts, budget).sum_of_squares() if parts else 1
-    return MomentResult(value, {"exponents": list(exponents)})
+    top = Ledger.fold_sum_of_squares(parts, budget) if parts else SquareSum(1, 0, 0)
+    return MomentResult(top.value, {"exponents": list(exponents), **_top_counters(top)})
 
 
 def fit_exponent(series) -> tuple[float, float]:

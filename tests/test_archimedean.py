@@ -225,16 +225,33 @@ def test_mixed_table_product_matches_direct_sum(A3, A2):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(wg))
 
 
+# the most gamma nodes of one mixed group on the last pass, past nodes_b3
+MIXED_GAMMA_PINS = {"mixed-only": 672, "all-three": 240}
+
+
 @pytest.mark.parametrize("layout", ["mixed-only", "all-three"])
 def test_unit_integral_mixed_chunks_of_whole_panels(monkeypatch, layout):
     # on the last pass, chunks of seven b2 panels each, the last one short,
-    # give the pinned W
+    # give the pinned W; the chunk cap binds on the widest mixed gamma grid
     sysd, theta, Q, W_pin, passes, nodes_b2, nodes_b3, _ = BLOCK_LAYOUT_PINS[layout]
-    monkeypatch.setattr(archimedean, "_CHUNK_ENTRIES", 7 * 12 * nodes_b3)
-    assert (nodes_b2 // 12) % 7 != 0
+    gamma = MIXED_GAMMA_PINS[layout]
+    monkeypatch.setattr(archimedean, "_CHUNK_ENTRIES", 7 * 12 * gamma)
+    assert (nodes_b2 // 12) % 7 != 0 and gamma > nodes_b3
+    shapes, phase_table = [], archimedean._phase_table
+
+    def b2_shapes(*args, **kwargs):
+        out = phase_table(*args, **kwargs)
+        if "panels" in kwargs:
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(archimedean, "_phase_table", b2_shapes)
     W, diag = unit_singular_integral(sysd, theta, Q)
     assert W == pytest.approx(W_pin, rel=1e-13)
     assert (diag["passes"], diag["nodes_b2"], diag["nodes_b3"]) == (passes, nodes_b2, nodes_b3)
+    assert max(rows for rows, _ in shapes) == gamma
+    assert max(nodes for rows, nodes in shapes if rows == gamma) == 7 * 12
+    assert all(rows * nodes <= 7 * 12 * gamma for rows, nodes in shapes)
 
 
 def test_unit_integral_memory_is_bounded(ladder6):
@@ -297,6 +314,27 @@ def test_unit_integral_mixed_memory_is_bounded(sample5):
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+
+
+def test_unit_integral_mixed_b2_tables_keep_the_cap(sample5, monkeypatch):
+    # at this anchor's last pass of W(64) the first mixed group has 1056
+    # gamma nodes against 960 b3 nodes: chunks sized by b3 alone built
+    # (1056 x 1560) b2 phase tables, past the cap
+    anchor = find_real_anchor(sample5, rng=np.random.default_rng(1))
+    shapes, phase_table = [], archimedean._phase_table
+
+    def b2_shapes(*args, **kwargs):
+        out = phase_table(*args, **kwargs)
+        if "panels" in kwargs:
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(archimedean, "_phase_table", b2_shapes)
+    W, diag = unit_singular_integral(anchor.system, anchor.theta, 64.0)
+    assert max(gamma for gamma, _ in shapes) == 1056 > diag["nodes_b3"] == 960
+    assert all(gamma * nodes <= archimedean._CHUNK_ENTRIES for gamma, nodes in shapes)
+    # W with the chunks sized by b3 alone
+    assert W == pytest.approx(0.13405975085481084, rel=0, abs=diag["error_estimate"])
 
 
 def test_unit_integral_refuses_past_budget(ladder6):

@@ -92,10 +92,32 @@ def _check_against_dicts(parts):
     assert got == want
     assert list(zip(*[f.tolist() for f in fold.fields()])) == list(got)
     assert fold.lookup(-fold.keys).tolist() == [want.get(tuple(-x for x in k), 0) for k in got]
-    assert fold.sum_of_squares() == sum(c * c for c in want.values())
+    _check_sum_of_squares(parts, want)
     negated = sum(c * want.get(tuple(-x for x in k), 0) for k, c in want.items())
     assert fold.matched_negated() == negated
     assert isinstance(fold.matched_negated(), int)
+
+
+def _check_sum_of_squares(parts, want):
+    """The banded top sum equals sum c^2 of the reference, and counts the pairs and bands it reduced."""
+    with mock.patch.object(ledger, "check_budget", wraps=ledger.check_budget) as spy, \
+            mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as reduce:
+        top = Ledger.fold_sum_of_squares(_counted(parts), DEFAULT_LEDGER_BUDGET)
+    assert top.value == sum(c * c for c in want.values())
+    assert isinstance(top.value, int)
+    # the top step's bands are the reductions that drop their keys
+    bands = [len(call.args[0]) for call in reduce.call_args_list if call.args[2:] == (False,)]
+    assert (top.pairs, top.bands) == (sum(bands), len(bands))
+    if len(parts) == 1 and parts[0][1] == 1:
+        # the reduced generators are the top ledger: no step, no pairs
+        assert top.bands == 0
+    else:
+        # at most the pairs the top step was checked for, the last check;
+        # fewer where equal keys of a multiset step's groups were added up
+        estimates = [call.args[0] for call in spy.call_args_list if call.kwargs["what"] == "ledger key pairs"]
+        assert 1 <= top.bands <= top.pairs <= estimates[-1]
+        if top.pairs <= ledger._CHUNK_PAIRS:
+            assert top.bands == 1
 
 
 @given(_fold_parts())
@@ -134,6 +156,17 @@ def _power_parts(draw):
 def test_powers_match_dict_reference(chunk, parts):
     with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
         _check_against_dicts(parts)
+
+
+@pytest.mark.parametrize("chunk", [1, ledger._CHUNK_PAIRS])
+@pytest.mark.parametrize("scale", [3, 10**12])
+@pytest.mark.parametrize("e", range(1, 7))
+def test_sum_of_squares_of_each_power(e, scale, chunk):
+    # six generators in two fields, two of them repeated: at scale 10^12 the
+    # key span passes 2^62 and the fold takes object arrays
+    gens = [(1, 2), (-3, 1), (2, -2), (1, 2), (0, 3), (-3, 1)]
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk):
+        _check_against_dicts([([(scale * x, scale * y) for x, y in gens], e)])
 
 
 def _steps(count) -> list:
@@ -198,13 +231,19 @@ def test_bands_are_final_and_never_empty():
     # keys of one tuple each; the keys from 10^12 up lie past a gap of about
     # 10^12 keys that no band may start in or step through
     gens = [(0,), (1,), (10**12,)]
-    with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), \
-            mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy:
+    calls, reduce = [], ledger._reduce
+
+    def keys_on_entry(keys, *rest):
+        # a band whose keys are already unique comes back in its own buffer,
+        # which the ledger then grows in place, so record its keys now
+        calls.append(set(keys.tolist()))
+        return reduce(keys, *rest)
+
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), mock.patch.object(ledger, "_reduce", keys_on_entry):
         fold = Ledger.fold(_counted([(gens, 3)]), DEFAULT_LEDGER_BUDGET)
     # the first call reduces the three generators, and the eighth sorts the
     # cube's 6 index pairs and their diagonal copy by (group, key); every
     # other call is a band of one key
-    calls = [set(call.args[0].tolist()) for call in spy.call_args_list]
     assert len(calls[0]) == 3 and len(calls[7]) == 12
     bands = calls[1:7] + calls[8:]
     assert all(len(keys) == 1 for keys in bands)
@@ -250,9 +289,11 @@ def _unread():
     ids=["square", "later-square", "first-pair", "generators"],
 )
 def test_fold_refuses_before_reading_a_generator(parts, what, estimate):
-    with pytest.raises(BudgetError) as exc:
-        Ledger.fold([(n, _unread(), e) for n, e in parts], 10**6)
-    assert (exc.value.what, exc.value.estimate) == (what, estimate)
+    # the ledger and its banded sum of squares refuse alike
+    for fold in (Ledger.fold, Ledger.fold_sum_of_squares):
+        with pytest.raises(BudgetError) as exc:
+            fold([(n, _unread(), e) for n, e in parts], 10**6)
+        assert (exc.value.what, exc.value.estimate) == (what, estimate)
 
 
 def test_fold_holds_a_part_to_its_count():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -253,6 +254,35 @@ def test_default_budget_admits_T5():
     # test); with the linear slot wide open the shifted count is the same
     # number by another key layout
     assert moment_T(5, 40).value == moment_T_shifted(5, 40, 5 * 39).value == 11911828440
+
+
+def test_top_counters_repeat_exactly():
+    f = BoxSumSpec(theta=0.5, P=12, cubic=1, quad=1)
+    g = BoxSumSpec(theta=0.4, P=12, cubic=-1)
+    for count in (lambda: moment_T(4, 80), lambda: moment_J(3, 40), lambda: mixed_moment([f, g], [4, 2])):
+        first, again = count(), count()
+        assert first.params == again.params and first.value == again.value
+        assert first.params["top_pairs"] >= first.params["top_bands"] >= 1
+    # T_4 at X = 80 ends in the multiset step: each multiset of 4 of the 80
+    # generators is one pair, cut into two bands of at most 2^20
+    top = moment_T(4, 80).params
+    assert (top["top_pairs"], top["top_bands"]) == (math.comb(83, 4), 2) == (1_837_620, 2)
+    # one generator tuple forms no pair; a window past 0 builds its ledger
+    assert {k: moment_T(1, 9).params[k] for k in ("top_pairs", "top_bands")} == {"top_pairs": 0, "top_bands": 0}
+    assert "top_pairs" not in moment_T_shifted(3, 10, 2).params
+
+
+def test_T5_peaks_below_its_top_ledger():
+    # the top ledger of T_5 at X = 64 would hold 9,927,951 keys at 16 bytes
+    # with their counts; its squares are summed band by band instead
+    tracemalloc.start()
+    try:
+        value = moment_T(5, 64).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 132_219_515_464
+    assert peak < 16 * 9_927_951
 
 
 @pytest.mark.parametrize("moment", [moment_T, moment_T_shifted])

@@ -1,5 +1,6 @@
 """Each experiment script runs to completion on tiny arguments."""
 
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,12 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ids=lambda argv: argv[0].removesuffix(".py"),
 )
 def test_script_runs(argv):
+    stdout = _run(argv)
+    # series_ladder flags a failed spot check in its output, not its exit code
+    assert "MISMATCH" not in stdout
+
+
+def _run(argv) -> str:
     # the scripts import the same diagpair that this test session imports
     src = str(Path(diagpair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -32,5 +39,18 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    # series_ladder flags a failed spot check in its output, not its exit code
-    assert "MISMATCH" not in proc.stdout
+    return proc.stdout
+
+
+def test_moment_scan_holder_report():
+    # X = 10 and 20, then 40 refused by a budget below the C(45, 6) pairs of
+    # its T_6 top step; each row's slopes are those of its T_5 and T_6
+    # against the row before
+    lines = _run(("moment_scan.py", "--holder", "--xmax", "40", "--budget", "3000000")).splitlines()
+    assert "17/3" in lines[0]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:3] for row in rows[:2]] == [["10", "7276060", "346411900"], ["20", "318749920", "38261413800"]]
+    e5, e6 = math.log(318749920 / 7276060) / math.log(2), math.log(38261413800 / 346411900) / math.log(2)
+    assert [float(x) for x in rows[1][3:]] == pytest.approx(
+        [e5, e6, 2 * e5 / 3 + e6 / 3, 2 * e5 / 3 + e6 / 3 - 17 / 3], abs=1e-4)
+    assert rows[2][:2] == ["40", "refused:"] and len(rows) == 3
