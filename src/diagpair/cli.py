@@ -136,15 +136,15 @@ def _load_spec(args) -> DiagonalSystem:
 def _cmd_moments(args, cfg: RunConfig):
     kind = args.kind
     if kind == "T":
-        value = int(moment_T(args.s, args.x, budget=cfg.budget))
+        result = moment_T(args.s, args.x, budget=cfg.budget)
     elif kind == "T-shifted":
-        value = int(moment_T_shifted(args.s, args.x, args.hmax, budget=cfg.budget))
+        result = moment_T_shifted(args.s, args.x, args.hmax, budget=cfg.budget)
     elif kind == "I":
-        value = int(moment_I(args.s, args.y, args.h, budget=cfg.budget))
+        result = moment_I(args.s, args.y, args.h, budget=cfg.budget)
     elif kind == "J":
-        value = int(moment_J(args.s, args.x, budget=cfg.budget))
+        result = moment_J(args.s, args.x, budget=cfg.budget)
     elif kind == "J1":
-        value = int(count_J1(args.y, args.h, budget=cfg.budget))
+        result = count_J1(args.y, args.h, budget=cfg.budget)
     else:  # mixed; argparse choices rule out anything else
         factors, exps = [], []
         for text in args.factor or []:
@@ -163,8 +163,10 @@ def _cmd_moments(args, cfg: RunConfig):
             exps.append(int(part[3]))
         if not factors:
             raise ValueError("mixed needs at least one --factor")
-        value = int(mixed_moment(factors, exps, budget=cfg.budget))
-    return {"kind": kind, "value": value}, False
+        result = mixed_moment(factors, exps, budget=cfg.budget)
+    # the deterministic work counters of a sum of squares' top step
+    counters = {k: result.params[k] for k in ("top_pairs", "top_bands") if k in result.params}
+    return {"kind": kind, "value": result.value, **counters}, False
 
 
 def _cmd_local(args, cfg: RunConfig):

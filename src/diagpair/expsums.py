@@ -52,9 +52,6 @@ class SumValue:
     def magnitude(self) -> float:
         return math.hypot(self.re, self.im)
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 def scaled_coeff(alpha: float, mult: int = 1) -> int:
     """Integer A with A / 2**PHASE_BITS ~ frac(mult * alpha), exactly quantized.

@@ -37,21 +37,30 @@ groups of tuples by generators.  It cuts the key axis into bands of at
 most _CHUNK_PAIRS pairs (one key, if that key alone holds more), found by
 interpolation on the exact pair count below a key, and reduces each band
 once.  No key falls in two bands, so the reduced bands append in key order
-and nothing merges.  A band of int64 keys is sorted as packed words
-(key - min) << b | count, with b the bit length of the band's largest
-count, whenever (span + 1) << b < 2^63: one in-place sort replaces an
-argsort and two gathers.  Object bands, and int64 bands whose word would
-not fit, take the argsort.  A reduction whose keys are all distinct hands
-back its own buffers, and a multiset step sorts its groups in the buffers
-of its tuples (`_sort_groups`).
+and nothing merges.  A band of int64 keys is filled straight into one
+buffer of packed words (key - K0) << b | count (`_band`): K0 is its lowest
+key and b the bit length of a bound on its counts, the step's largest
+weight times the band's largest multiplier.  Both K0 and the band's
+greatest key come from its runs, each sorted, and not from the spans
+that consecutive runs merge into, which may cross groups.  When
+(span + 1) << b < 2^63 the words are sorted in place and unpacked into
+keys and counts; object bands, and int64 bands whose word would not fit,
+are filled as keys and weights and take `_reduce`, which packs by the
+counts themselves or takes the argsort.  A reduction whose keys are all
+distinct hands back its own buffers, and a multiset step sorts its groups
+in the buffers of its tuples (`_sort_groups`).
 
 The moments read most ledgers only through the sum of their squared
 counts, the number of pairs of tuples with equal keys.
 `Ledger.fold_sum_of_squares` runs the same fold, with the same checks,
-but its last step adds each reduced band's sum of squares and drops the
-band, keys ungathered.  That sum over disjoint bands is the sum over the
-whole ledger, so the top ledger is never built, and the peak is the
-tuples of the level below it plus one band.
+but its last step adds up each band's sum of squares and drops the band.
+That sum over disjoint bands is the sum over the whole ledger, so the
+top ledger is never built.  A packed band is never unpacked either
+(`_square_sum_of_words`): adjacent sorted words share a key when their
+XOR is below 2^b, the counts are masked in place and their squares
+summed, and each run of equal keys then trades its words' squares for
+the square of its total.  The peak is the tuples of the level below the
+top plus one band's words.
 """
 
 from __future__ import annotations
@@ -66,12 +75,12 @@ from .budget import check_budget
 _INT64_LIMIT = 2**62
 # Pairs per band of a ledger step or per chunk of the solver's pair sum: 8 MiB
 # per int64 temporary.  perfbench's exact-ledgers workload peaks in the banded
-# top step of moment_T(4, 80), 1837620 multisets summed as squares.  Over ten
-# passes of its ops in one process (2-vCPU Xeon), bands of 2^19, 2^20 and
-# 2^21 pairs peaked at 60, 78 and 96 MB; 2^19 cuts the tops of
-# moment_T(3, 160) and moment_J(3, 150) into two bands where 2^20 takes
-# one, and those two ops took about 10 and 15 ms more each (medians of 15
-# calls), about a tenth of the pass.  2^21 ran no faster than 2^20.
+# top step of moment_T(4, 80), 1837620 multisets summed as squares in packed
+# words.  Over ten passes of its ops in one process (2-vCPU Xeon), bands of
+# 2^19, 2^20 and 2^21 pairs peaked at 46, 54 and 65 MB; 2^19 cuts the tops
+# of moment_T(3, 160) and moment_J(3, 150) into two bands where 2^20 takes
+# one, and those two ops took about 3 and 4 ms more each (medians of ten
+# calls).  2^21 ran no faster than 2^20 beyond the noise.
 _CHUNK_PAIRS = 2**20
 
 
@@ -89,19 +98,33 @@ def _reduce(keys: np.ndarray, counts: np.ndarray, keep_keys: bool = True) -> tup
         keys <<= bits
         keys |= counts
         keys.sort()
-        np.bitwise_and(keys, (1 << bits) - 1, out=counts)
-        keys >>= bits
-        keys += lo
+        keys, counts = _unpack(keys, int(lo), bits, counts)
     else:
         order = np.argsort(keys)
         keys = keys[order]
         counts = counts[order]
         del order
+    return _add_equal(keys, counts, keep_keys)
+
+
+def _add_equal(keys, counts, keep_keys: bool = True) -> tuple:
+    """Add up the counts of equal sorted keys: (keys, counts), or (None, counts).
+
+    When every key is distinct the arguments come back as they are.
+    """
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
     if new.all():
         return keys if keep_keys else None, counts
     counts = np.add.reduceat(counts, np.flatnonzero(new))
     return keys[new] if keep_keys else None, counts
+
+
+def _unpack(words, low: int, bits: int, counts=None) -> tuple:
+    """Keys and counts of the words (key - low) << bits | count, keys in the words' buffer."""
+    counts = np.bitwise_and(words, (1 << bits) - 1, out=counts)
+    words >>= bits
+    words += low
+    return words, counts
 
 
 def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +143,62 @@ def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
     return out_keys, out_weights
 
 
+def _fill_words(keys, weights, spans, low: int, bits: int) -> np.ndarray:
+    """The spans of `_fill` as packed words (key - low) << bits | weight, in one buffer."""
+    i, u, offset, mult = spans
+    words = np.empty(int((u - i).sum()), dtype=np.int64)
+    at = 0
+    for i, u, offset, mult in zip(i.tolist(), u.tolist(), offset.tolist(), mult.tolist()):
+        part = words[at : at + u - i]
+        np.add(keys[i:u], offset - low, out=part)
+        part <<= bits
+        part |= weights[i:u] * mult
+        at += u - i
+    return words
+
+
+def _square_sum_of_words(words, bits: int) -> int:
+    """Sum of the squared counts of sorted packed words key << bits | count, per key.
+
+    Adjacent words share a key when they differ only in the count bits.
+    The counts are masked in place and their squares summed; each run of
+    equal keys then has the square of its total put in place of the
+    squares of its words.
+    """
+    same = np.flatnonzero((words[1:] ^ words[:-1]) < 1 << bits)  # words j and j + 1 share a key
+    words &= (1 << bits) - 1
+    total = exact_dot(words, words)
+    if same.size:
+        # a run of equal keys is a stretch of consecutive j in `same`, with
+        # the word after its last j
+        opens = np.concatenate(([0], np.flatnonzero(np.diff(same) != 1) + 1))
+        heads = words[same]
+        tails = words[same[np.append(opens[1:], len(same)) - 1] + 1]
+        runs = np.add.reduceat(heads, opens) + tails
+        total += exact_dot(runs, runs) - exact_dot(heads, heads) - exact_dot(tails, tails)
+    return total
+
+
+def _band(keys, weights, spans, low: int, high: int, bound: int, squares: bool):
+    """One band of a step reduced: its (keys, counts), or with `squares` its sum of squared counts.
+
+    The band is the spans (i, u, offset, mult) of `_fill`; its keys lie in
+    [low, high] and its filled weights are at most `bound`.  An int64 band
+    whose words (key - low) << b | weight, with b the bit length of bound,
+    stay below 2^63 is filled as words and sorted in place; object bands
+    and wider words take `_fill` and `_reduce`.
+    """
+    bits = bound.bit_length()
+    if keys.dtype == object or (high - low + 1) << bits >= 2**63:
+        band = _reduce(*_fill(keys, weights, spans), not squares)
+        return exact_dot(band[1], band[1]) if squares else band
+    words = _fill_words(keys, weights, spans, low, bits)
+    words.sort()
+    if squares:
+        return _square_sum_of_words(words, bits)
+    return _add_equal(*_unpack(words, low, bits))
+
+
 def _sum_runs(keys, weights, starts, runs, squares: bool = False):
     """Reduced keys and counts of the runs (i, u, group, offset, mult), in disjoint key bands.
 
@@ -131,11 +210,11 @@ def _sum_runs(keys, weights, starts, runs, squares: bool = False):
     key no run has used and ends at a cut found by interpolation on the
     exact pair count below it: at most _CHUNK_PAIRS pairs, at least half as
     many unless the next key would pass that, and all of one key's pairs if
-    that key alone holds more.  Each band is reduced once and appended in
-    place; with `squares` its sum of squared counts is added instead and
-    the band dropped, which is exact because no key falls in two bands, and
-    the result is a `SquareSum`.  Consecutive runs that meet in `keys` with
-    the same offset and mult fill one span.
+    that key alone holds more.  Each band is reduced once (`_band`) and
+    appended in place; with `squares` its sum of squared counts is added
+    instead and the band dropped, which is exact because no key falls in
+    two bands, and the result is a `SquareSum`.  Consecutive runs that meet
+    in `keys` with the same offset and mult fill one span.
     """
     lo, hi, group, offset, mult = runs
     top = int(keys.max()) + int(offset.max()) + 1
@@ -160,7 +239,10 @@ def _sum_runs(keys, weights, starts, runs, squares: bool = False):
         return ends, lambda K: int(sorted_ends(K).sum())
 
     start, cuts, out = lo, None, None
+    heaviest = int(weights.max())
     while (live := np.flatnonzero(start < hi)).size:
+        # the band's lowest key K0: each run is sorted, so its first unused key is its least
+        low = int((keys[start[live]] + offset[live]).min())
         used = int(start.sum())
         if total - used <= _CHUNK_PAIRS:
             end = hi
@@ -170,7 +252,7 @@ def _sum_runs(keys, weights, starts, runs, squares: bool = False):
             # interpolate toward three quarters of a band, and bisect after
             # each interpolation that does not land
             ends, below = cuts = cuts or cutter()
-            cut = int((keys[start[live]] + offset[live]).min()) + 1
+            cut = low + 1
             pairs, ceiling, over = below(cut) - used, top, total - used
             step = 0
             while pairs < _CHUNK_PAIRS // 2 and ceiling - cut > 1:
@@ -190,10 +272,13 @@ def _sum_runs(keys, weights, starts, runs, squares: bool = False):
         apart = (i[1:] != u[:-1]) | (shifts[1:] != shifts[:-1]) | (mults[1:] != mults[:-1])
         first = np.concatenate(([0], np.flatnonzero(apart) + 1))
         last = np.concatenate((first[1:], [len(live)])) - 1
-        band = _reduce(*_fill(keys, weights, (i[first], u[last], shifts[first], mults[first])), not squares)
+        # a merged span may cross groups, so the band's greatest key comes from its runs
+        high = int((keys[u - 1] + shifts).max())
+        band = _band(keys, weights, (i[first], u[last], shifts[first], mults[first]), low, high,
+                     heaviest * int(mults.max()), squares)
         bands += 1
         if squares:
-            sum_sq += exact_dot(band[1], band[1])
+            sum_sq += band
         elif out is None:
             out = band
         else:
@@ -212,12 +297,23 @@ def _with_diagonal(keys, weights, repeats, starts, g, c, t):
     (`repeats`) comes to hold it m + 1 times, and its weight is multiplied
     by t c_l / (m + 1), applied as // ((m + 1) / d) * (t / d) with
     d = gcd(t, m + 1): exact, as the weight's multinomial factor holds
-    (m + 1) / d, and no step passes the weight it ends at.
+    (m + 1) / d, and no step passes the weight it ends at.  Both halves are
+    written into one preallocated pair, with one temporary at a time: m < t,
+    so the two factors are looked up in tables indexed by m.
     """
-    last = np.repeat(np.arange(len(g)), np.diff(starts))
-    div = np.gcd(repeats + 1, t)
-    diagonal = weights // ((repeats + 1) // div) * (t // div) * c[last]
-    return np.concatenate((keys, keys + g[last])), np.concatenate((weights, diagonal))
+    size, lengths = len(keys), np.diff(starts)
+    out_keys = np.empty(2 * size, dtype=keys.dtype)
+    out_weights = np.empty(2 * size, dtype=weights.dtype)
+    out_keys[:size] = keys
+    out_weights[:size] = weights
+    np.add(keys, np.repeat(g, lengths), out=out_keys[size:])
+    held = np.arange(1, t + 1)
+    div = np.gcd(held, t)
+    diagonal = out_weights[size:]
+    np.floor_divide(weights, (held // div)[repeats], out=diagonal)
+    diagonal *= (t // div)[repeats]
+    diagonal *= np.repeat(c, lengths)
+    return out_keys, out_weights
 
 
 def _flat(keys, starts, in_place: bool = False):
@@ -234,7 +330,8 @@ def _flat(keys, starts, in_place: bool = False):
     dtype = object if keys.dtype == object else dtype_for(groups * width)
     flat = keys if in_place and keys.dtype == dtype else keys.astype(dtype)
     flat -= low
-    flat += np.repeat(np.arange(groups, dtype=dtype) * width, np.diff(starts))
+    for l, (i, u) in enumerate(zip(starts[1:-1].tolist(), starts[2:].tolist()), 1):
+        flat[i:u] += l * width
     return flat, low, width
 
 
@@ -248,7 +345,9 @@ def _sort_groups(keys, weights, starts):
     flat, weights = _reduce(flat, weights)
     # group l starts at the first flat key of at least l * width
     starts = np.searchsorted(flat, np.arange(len(starts), dtype=flat.dtype) * width)
-    return (flat % width + low).astype(dtype, copy=False), weights, starts
+    flat %= width
+    flat += low
+    return flat.astype(dtype, copy=False), weights, starts
 
 
 def dtype_for(*sizes: int):

@@ -137,15 +137,6 @@ class ConditionReport:
     real_solution: Optional[object] = None
     padic_witnesses: dict = field(default_factory=dict)
 
-    @property
-    def all_decidable_ok(self) -> bool:
-        return (
-            self.indefinite_phi
-            and self.count_cubic_ok
-            and self.count_quad_ok
-            and self.total_ok
-        )
-
 
 def phi_indefinite(sys: DiagonalSystem) -> bool:
     """Phi is indefinite iff its coefficient multiset {b_i} + {d_k} has both signs."""

@@ -108,6 +108,21 @@ def test_out_file_and_stability(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
+def test_moments_artifact_carries_top_counters(tmp_path, capsys):
+    # the top step's key pairs and bands are deterministic, so they sit in
+    # `result`, and config and result are byte-identical across runs
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, _, _ = run(capsys, "moments", "--kind", "T", "--s", "4", "--x", "80", "--out", str(path))
+        assert code == 0
+    doc = json.loads(paths[0].read_text())
+    assert doc["result"] == {"kind": "T", "value": "961516672", "top_pairs": "1837620", "top_bands": "2"}
+    a, b = (p.read_text().split('\n  "config": ', 1)[1] for p in paths)
+    assert a == b
+    # a count with no sum of squares has no top counters
+    assert run_json(capsys, "moments", "--kind", "J1", "--y", "6", "--h", "4")["result"] == {"kind": "J1", "value": "20448"}
+
+
 def test_verify_artifact_is_deterministic(tmp_path, capsys):
     # the criteria's run times sit in the header with the timestamp; config
     # and result are byte-identical across runs

@@ -98,15 +98,26 @@ def _check_against_dicts(parts):
     assert isinstance(fold.matched_negated(), int)
 
 
+def _band_size(call) -> int:
+    """Pairs of one `ledger._band` call: the lengths of its spans."""
+    i, u, _, _ = call.args[2]
+    return int((u - i).sum())
+
+
+def _filled_keys(keys, spans) -> list:
+    """The keys a band's spans (i, u, offset, mult) fill, one per pair."""
+    return [int(k) + int(off) for i, u, off in zip(*spans[:3]) for k in keys[i:u].tolist()]
+
+
 def _check_sum_of_squares(parts, want):
     """The banded top sum equals sum c^2 of the reference, and counts the pairs and bands it reduced."""
     with mock.patch.object(ledger, "check_budget", wraps=ledger.check_budget) as spy, \
-            mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as reduce:
+            mock.patch.object(ledger, "_band", wraps=ledger._band) as band:
         top = Ledger.fold_sum_of_squares(_counted(parts), DEFAULT_LEDGER_BUDGET)
     assert top.value == sum(c * c for c in want.values())
     assert isinstance(top.value, int)
-    # the top step's bands are the reductions that drop their keys
-    bands = [len(call.args[0]) for call in reduce.call_args_list if call.args[2:] == (False,)]
+    # the top step's bands are the ones summed as squares
+    bands = [_band_size(call) for call in band.call_args_list if call.args[-1]]
     assert (top.pairs, top.bands) == (sum(bands), len(bands))
     if len(parts) == 1 and parts[0][1] == 1:
         # the reduced generators are the top ledger: no step, no pairs
@@ -169,6 +180,55 @@ def test_sum_of_squares_of_each_power(e, scale, chunk):
         _check_against_dicts([([(scale * x, scale * y) for x, y in gens], e)])
 
 
+@st.composite
+def _colliding_parts(draw):
+    # an arithmetic progression of 4 to 7 generators, with up to two more:
+    # its e-fold sums repeat, so equal keys meet in runs of three or more
+    # words inside one band
+    fields = draw(st.integers(1, 2))
+    scale = draw(st.sampled_from([1, 10**5]))
+    small = st.tuples(*[st.integers(-3, 3)] * fields)
+    a, d = draw(small), draw(small.filter(any))
+    gens = [tuple(scale * (x + k * y) for x, y in zip(a, d)) for k in range(draw(st.integers(4, 7)))]
+    gens += [tuple(scale * x for x in v) for v in draw(st.lists(small, max_size=2))]
+    return [(gens, draw(st.integers(3, 4)))]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ledger._CHUNK_PAIRS])
+@given(_colliding_parts())
+def test_runs_of_equal_keys_match_dict_reference(chunk, parts):
+    runs, summed = [], ledger._square_sum_of_words
+
+    def longest_run(words, bits):
+        runs.append(int(np.unique(words >> bits, return_counts=True)[1].max()))
+        return summed(words, bits)
+
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", chunk), \
+            mock.patch.object(ledger, "_square_sum_of_words", longest_run):
+        _check_against_dicts(parts)
+    assert max(runs) >= 3
+
+
+def test_band_bounds_come_from_its_runs():
+    # the multiset step's top runs shift consecutive groups by one generator
+    # and merge into spans that cross groups, so a span's first and last keys
+    # are not its least and greatest; a band's lowest key taken from its
+    # spans' first keys sets some words negative, and their XOR with the next
+    # word reads as one key
+    gens = [(3, 2), (-3, -3), (3, -3), (0, -3), (3, 3), (-1, -2)]
+    parts = [([(10**6 * x, 10**6 * y) for x, y in gens], 3)]
+    seen, band = [], ledger._band
+
+    def bounds_are_tight(keys, weights, spans, low, high, *rest):
+        filled = _filled_keys(keys, spans)
+        seen.append((min(filled), max(filled)) == (low, high))
+        return band(keys, weights, spans, low, high, *rest)
+
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", 7), mock.patch.object(ledger, "_band", bounds_are_tight):
+        _check_against_dicts(parts)
+    assert len(seen) > 2 and all(seen)
+
+
 def _steps(count) -> list:
     """Key pairs of each step of a fold, read from its budget checks."""
     with mock.patch.object(ledger, "check_budget", wraps=ledger.check_budget) as spy:
@@ -186,12 +246,15 @@ def test_power_takes_the_step_of_fewer_pairs():
     assert steps == [210, 861, 3321] and math.comb(27, 8) == 2220075
     assert _steps(lambda: moment_T(4, 80)) == [3240, math.comb(83, 4)] == [3240, 1837620]
     # at the top step every multiset of the 80 generators is one pair
-    with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy:
+    with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as reduce, \
+            mock.patch.object(ledger, "_band", wraps=ledger._band) as band:
         moment_T(4, 80)
-    bands = [len(call.args[0]) for call in spy.call_args_list]
-    # the generators, the square (one band), the groups of the cube's tuples
-    # with their diagonal copy, then the top step's bands
-    assert bands[:2] == [80, 3240] and sum(bands[3:]) == math.comb(83, 4)
+    reduced = [len(call.args[0]) for call in reduce.call_args_list]
+    bands = [_band_size(call) for call in band.call_args_list]
+    # the generators and the groups of the cube's tuples with their diagonal
+    # copy are sorted; the square (one band), then the top step's bands
+    assert reduced[0] == 80 and len(reduced) == 2
+    assert bands[0] == 3240 and sum(bands[1:]) == math.comb(83, 4)
 
 
 @pytest.mark.parametrize("e", [61, 62])
@@ -231,21 +294,26 @@ def test_bands_are_final_and_never_empty():
     # keys of one tuple each; the keys from 10^12 up lie past a gap of about
     # 10^12 keys that no band may start in or step through
     gens = [(0,), (1,), (10**12,)]
-    calls, reduce = [], ledger._reduce
+    sorts, bands = [], []
 
-    def keys_on_entry(keys, *rest):
-        # a band whose keys are already unique comes back in its own buffer,
-        # which the ledger then grows in place, so record its keys now
-        calls.append(set(keys.tolist()))
+    def sort_keys(keys, *rest):
+        # a sort whose keys are already unique hands back its own buffer,
+        # which the caller may then reuse, so record its keys now
+        sorts.append(set(keys.tolist()))
         return reduce(keys, *rest)
 
-    with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), mock.patch.object(ledger, "_reduce", keys_on_entry):
+    def band_keys(keys, weights, spans, *rest):
+        bands.append(set(_filled_keys(keys, spans)))
+        return band(keys, weights, spans, *rest)
+
+    reduce, band = ledger._reduce, ledger._band
+    with mock.patch.object(ledger, "_CHUNK_PAIRS", 1), mock.patch.object(ledger, "_reduce", sort_keys), \
+            mock.patch.object(ledger, "_band", band_keys):
         fold = Ledger.fold(_counted([(gens, 3)]), DEFAULT_LEDGER_BUDGET)
-    # the first call reduces the three generators, and the eighth sorts the
-    # cube's 6 index pairs and their diagonal copy by (group, key); every
-    # other call is a band of one key
-    assert len(calls[0]) == 3 and len(calls[7]) == 12
-    bands = calls[1:7] + calls[8:]
+    # the first sort reduces the three generators, and the second the cube's
+    # 6 index pairs and their diagonal copy by (group, key); every band is
+    # one key
+    assert [len(keys) for keys in sorts] == [3, 12]
     assert all(len(keys) == 1 for keys in bands)
     assert len(bands) == 6 + 10
     assert np.all(np.diff(fold.keys) > 0)
@@ -264,13 +332,15 @@ def test_fold_checks_key_pairs_before_forming_them():
     # the top step is refused on its own pairs; the first square is refused
     # on the generator count, before a generator is reduced
     for budget, refused, reduced in ((pairs - 1, pairs, X + 55), (54, 55, 0)):
-        with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as spy, \
+        with mock.patch.object(ledger, "_reduce", wraps=ledger._reduce) as reduce, \
+                mock.patch.object(ledger, "_band", wraps=ledger._band) as band, \
                 pytest.raises(BudgetError) as exc:
             moment_T(3, X, budget=budget)
         assert (exc.value.what, exc.value.estimate, exc.value.cap) == ("ledger key pairs", refused, budget)
         # the generators and the admitted square's pairs were reduced, and
         # not one pair of the refused step
-        assert sum(len(call.args[0]) for call in spy.call_args_list) == reduced
+        sizes = [len(call.args[0]) for call in reduce.call_args_list] + [_band_size(call) for call in band.call_args_list]
+        assert sum(sizes) == reduced
 
 
 def _unread():

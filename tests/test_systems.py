@@ -67,11 +67,11 @@ def test_phi_indefinite(sample5, tiny2):
 
 def test_check_conditions_counts(balanced11, sample5):
     rep = check_conditions(balanced11, with_anchor=False, with_padic=False)
-    assert rep.all_decidable_ok
+    assert rep.indefinite_phi and rep.count_cubic_ok and rep.count_quad_ok and rep.total_ok
     rep5 = check_conditions(sample5, with_anchor=False, with_padic=False)
     assert rep5.indefinite_phi
     assert not rep5.total_ok
-    assert not rep5.all_decidable_ok
+    assert not (rep5.indefinite_phi and rep5.count_cubic_ok and rep5.count_quad_ok and rep5.total_ok)
 
 
 def test_check_conditions_witnesses(balanced11, rng):
