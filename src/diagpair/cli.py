@@ -192,7 +192,7 @@ def _cmd_local(args, cfg: RunConfig):
         out["chi"] = asdict(part)
     if args.witness is not None:
         rng = np.random.default_rng(cfg.seed)
-        out["padic_witness"] = asdict(padic_witness(sysd, args.witness, rng=rng))
+        out["padic_witness"] = asdict(padic_witness(sysd, args.witness, rng=rng, budget=cfg.budget))
     if len(out) == 2:
         raise ValueError("local needs at least one of --series/--q/--chi/--witness")
     return out, False
@@ -273,7 +273,7 @@ def _cmd_solve(args, cfg: RunConfig):
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.conditions:
         rng = np.random.default_rng(cfg.seed)
-        rep = check_conditions(sysd, rng=rng)
+        rep = check_conditions(sysd, rng=rng, budget=cfg.budget)
         out["conditions"] = asdict(rep)
     if args.anchor:
         anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))

@@ -6,10 +6,12 @@ the sum of e of the n generators `vectors` yields, packed in balanced signed
 form: key = sum_j v_j S_j with S_0 = 1 and S_{j+1} = S_j (2 B_j + 1), where
 B_j = sum over the parts of e max |v_j| bounds |v_j| over the whole fold.
 Within those bounds packing is a bijection that commutes with addition and
-negation, so folding generators is an outer sum of keys and a negated match
-is a lookup of -key.  A lookup gathers from a dense count table over the
-ledger's key span when that span is no larger than the query, and
-binary-searches the sorted keys otherwise.
+negation, so folding generators is an outer sum of keys.  Tuples are
+paired by equal keys (`Ledger.fold_sum_of_squares`, below) or, in
+`moments.moment_T_shifted`, by keys within a window; the solver alone
+looks up negated keys (`Ledger.lookup`).  A lookup gathers from a dense
+count table over the ledger's key span when that span is no larger than
+the query, and binary-searches the sorted keys otherwise.
 
 Keys and counts are int64 while the key span and the fold's tuple count
 prod n^e stay below 2^62; past that both are Python ints in object arrays
@@ -43,15 +45,17 @@ key and b the bit length of a bound on its counts, the step's largest
 weight times the band's largest multiplier.  Both K0 and the band's
 greatest key come from its runs, each sorted, and not from the spans
 that consecutive runs merge into, which may cross groups.  When
-(span + 1) << b < 2^63 the words are sorted in place and unpacked into
-keys and counts; object bands, and int64 bands whose word would not fit,
-are filled as keys and weights and take `_reduce`, which packs by the
-counts themselves or takes the argsort.  A reduction whose keys are all
-distinct hands back its own buffers, and a multiset step sorts its groups
-in the buffers of its tuples (`_sort_groups`).
+(span + 1) << b < 2^63 the words are sorted in place and contracted
+(`_reduce_words`); object bands, and int64 bands whose word would not
+fit, are filled as keys and weights and take `_reduce`, which packs by
+the counts themselves into the same `_reduce_words` or takes the argsort.
+A reduction whose keys are all distinct hands back its own buffers, and a
+multiset step sorts its groups in the buffers of its tuples
+(`_sort_groups`).
 
 The moments read most ledgers only through the sum of their squared
-counts, the number of pairs of tuples with equal keys.
+counts, the number of pairs of tuples with equal keys; a count of keys
+that sum to zero over generators closed under negation is that sum too.
 `Ledger.fold_sum_of_squares` runs the same fold, with the same checks,
 but its last step adds up each band's sum of squares and drops the band.
 That sum over disjoint bands is the sum over the whole ledger, so the
@@ -84,47 +88,53 @@ _INT64_LIMIT = 2**62
 _CHUNK_PAIRS = 2**20
 
 
-def _reduce(keys: np.ndarray, counts: np.ndarray, keep_keys: bool = True) -> tuple:
-    """Sort keys and add up the counts of equal keys: (keys, counts), or (None, counts).
+def _reduce(keys: np.ndarray, counts: np.ndarray, squares: bool = False):
+    """Sort keys and add up the counts of equal keys: (keys, counts), or with `squares` sum counts^2.
 
-    Counts must be nonnegative.  The packed route sorts in the buffers of
-    its arguments, so callers pass arrays they no longer need.  Without
-    `keep_keys` the unique keys are not gathered.
+    Counts must be nonnegative.  Keys that pack with their counts into
+    int64 words take `_reduce_words` in the buffers of the arguments, so
+    callers pass arrays they no longer need; the rest take the argsort.
     """
-    lo = keys.min()
+    lo = int(keys.min())
     bits = int(counts.max()).bit_length()
-    if keys.dtype != object and (int(keys.max()) - int(lo) + 1) << bits < 2**63:
+    if keys.dtype != object and (int(keys.max()) - lo + 1) << bits < 2**63:
         keys -= lo
         keys <<= bits
         keys |= counts
-        keys.sort()
-        keys, counts = _unpack(keys, int(lo), bits, counts)
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
-        counts = counts[order]
-        del order
-    return _add_equal(keys, counts, keep_keys)
+        return _reduce_words(keys, lo, bits, squares, counts)
+    order = np.argsort(keys)
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    keys, counts = _add_equal(keys, counts)
+    return exact_dot(counts, counts) if squares else (keys, counts)
 
 
-def _add_equal(keys, counts, keep_keys: bool = True) -> tuple:
-    """Add up the counts of equal sorted keys: (keys, counts), or (None, counts).
+def _reduce_words(words, low: int, bits: int, squares: bool, counts=None):
+    """`_reduce` of the packed words (key - low) << bits | count, sorted in place.
+
+    With `squares` the sum of squared counts per key (`_square_sum_of_words`);
+    otherwise (keys, counts), the keys in the words' buffer and the counts
+    in `counts` when given.
+    """
+    words.sort()
+    if squares:
+        return _square_sum_of_words(words, bits)
+    counts = np.bitwise_and(words, (1 << bits) - 1, out=counts)
+    words >>= bits
+    words += low
+    return _add_equal(words, counts)
+
+
+def _add_equal(keys, counts) -> tuple:
+    """Add up the counts of equal sorted keys: (keys, counts).
 
     When every key is distinct the arguments come back as they are.
     """
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
     if new.all():
-        return keys if keep_keys else None, counts
-    counts = np.add.reduceat(counts, np.flatnonzero(new))
-    return keys[new] if keep_keys else None, counts
-
-
-def _unpack(words, low: int, bits: int, counts=None) -> tuple:
-    """Keys and counts of the words (key - low) << bits | count, keys in the words' buffer."""
-    counts = np.bitwise_and(words, (1 << bits) - 1, out=counts)
-    words >>= bits
-    words += low
-    return words, counts
+        return keys, counts
+    return keys[new], np.add.reduceat(counts, np.flatnonzero(new))
 
 
 def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
@@ -185,18 +195,13 @@ def _band(keys, weights, spans, low: int, high: int, bound: int, squares: bool):
     The band is the spans (i, u, offset, mult) of `_fill`; its keys lie in
     [low, high] and its filled weights are at most `bound`.  An int64 band
     whose words (key - low) << b | weight, with b the bit length of bound,
-    stay below 2^63 is filled as words and sorted in place; object bands
-    and wider words take `_fill` and `_reduce`.
+    stay below 2^63 is filled as words (`_reduce_words`); object bands and
+    wider words take `_fill` and `_reduce`.
     """
     bits = bound.bit_length()
     if keys.dtype == object or (high - low + 1) << bits >= 2**63:
-        band = _reduce(*_fill(keys, weights, spans), not squares)
-        return exact_dot(band[1], band[1]) if squares else band
-    words = _fill_words(keys, weights, spans, low, bits)
-    words.sort()
-    if squares:
-        return _square_sum_of_words(words, bits)
-    return _add_equal(*_unpack(words, low, bits))
+        return _reduce(*_fill(keys, weights, spans), squares)
+    return _reduce_words(_fill_words(keys, weights, spans, low, bits), low, bits, squares)
 
 
 def _sum_runs(keys, weights, starts, runs, squares: bool = False):
@@ -563,7 +568,3 @@ class Ledger:
             rest = (rest - v) // width
         out.append(rest)
         return out
-
-    def matched_negated(self) -> int:
-        """Number of pairs of tuples whose keys sum to zero."""
-        return exact_dot(self.counts, self.lookup(-self.keys))

@@ -426,6 +426,7 @@ def padic_witness(
     sys: DiagonalSystem,
     p: int,
     rng: Optional[np.random.Generator] = None,
+    budget: int = DEFAULT_LEDGER_BUDGET,
 ) -> PadicWitness:
     """Search for a solution mod p^k whose Jacobian minors allow lifting.
 
@@ -433,8 +434,8 @@ def padic_witness(
     p-adic valuation v qualifies when k >= 2v + 1.  Depths k = 1, 3, 5, ...
     are tried in turn; mod 2 the Phi row vanishes identically, so p = 2
     genuinely needs k >= 3.  Alongside, M(p^t) is computed exactly for the
-    feasible t and the growth floor M(p^t) >= p^((t-w)(s-2)) is used to pin
-    the smallest workable w.
+    t with p^t <= 150 (or t = 1) whose s p^(3t) is within `budget`, and
+    the growth floor M(p^t) >= p^((t-w)(s-2)) pins the smallest workable w.
     """
     rng = rng if rng is not None else np.random.default_rng(p)
     if sys.s < 2:
@@ -460,20 +461,13 @@ def padic_witness(
         if found:
             break
     # exact M(p^t) for the t within budget; p^t <= 150 keeps folds cheap
-    t_list = []
-    t = 1
-    while p**t <= 150:
-        t_list.append(t)
-        t += 1
-    if not t_list:
-        t_list = [1]
-    Ms = {t: count_congruences(sys, p**t).M for t in t_list if sys.s * p ** (3 * t) <= DEFAULT_LEDGER_BUDGET}
+    t_max = 1
+    while p ** (t_max + 1) <= 150:
+        t_max += 1
+    Ms = {t: count_congruences(sys, p**t, budget).M for t in range(1, t_max + 1) if sys.s * p ** (3 * t) <= budget}
     w = 0
     while True:
-        ok = all(
-            M >= p ** ((t - w) * (sys.s - 2)) if t >= w else True
-            for t, M in Ms.items()
-        )
+        ok = all(M >= p ** ((t - w) * (sys.s - 2)) for t, M in Ms.items() if t >= w)
         if ok or w > max(Ms, default=0) + 1:
             break
         w += 1

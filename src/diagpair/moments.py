@@ -2,12 +2,15 @@
 
 By orthogonality, every even moment here equals the number of integer
 solutions of a system of diagonal equations, so it is computed exactly:
-fold the generators of one side into a `Ledger` of form-value vectors with
-`Ledger.fold`, then match keys (equal keys, negated keys, or keys within a
-window of the linear field).  Equal keys need no ledger: their count, the
-sum of squared multiplicities, is taken band by band from the fold's top
-step (`Ledger.fold_sum_of_squares`).  All counts are exact integers;
-nothing is accumulated in floats.
+fold the generators of one side into form-value vectors with `Ledger`,
+then pair tuples in one of two ways.  Equal keys need no ledger: their
+count, the sum of squared multiplicities, is taken band by band from the
+fold's top step (`Ledger.fold_sum_of_squares`).  That serves T, J, I, J1
+and the mixed moments; I pairs a key with its negation, but its
+generators are closed under negation, so that match is the same sum of
+squares.  Only `moment_T_shifted` with a window past 0 builds its ledger,
+to pair keys within that window of the linear field.  All counts are
+exact integers; nothing is accumulated in floats.
 """
 
 from __future__ import annotations
@@ -88,24 +91,22 @@ def moment_T_shifted(
 
 
 def _block_generators(Y: int, H: int):
-    for h in range(-H, H + 1):
-        if h == 0:
-            continue
-        for y in range(1, Y + 1):
-            yield (h, h * y, h * y * y)
+    return ((h, h * y, h * y * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1))
 
 
 def moment_I(s: int, Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
     """Exact count of 2s-tuples (h_i, y_i) with sum h_i y_i^j = 0 for j = 0, 1, 2.
 
-    0 < |h_i| <= H and 1 <= y_i <= Y; the sign of each generator is already
-    carried by h, so all 2s generators enter with a plus sign and the ledger
-    n_s is matched against its key negation.
+    0 < |h_i| <= H and 1 <= y_i <= Y; the sign of each generator is carried
+    by h, so the count is sum_k n_s(k) n_s(-k) over the s-fold ledger n_s.
+    h -> -h negates the generator (h, h y, h y^2), so n_s(-k) = n_s(k) and
+    the count is sum_k n_s(k)^2, taken band by band with `top_pairs` and
+    `top_bands` in the params, as in `moment_T`.
     """
     if s < 1 or Y < 1 or H < 1:
         raise ValueError("s, Y, H must be >= 1")
-    n_s = Ledger.fold([(2 * H * Y, _block_generators(Y, H), s)], budget)
-    return MomentResult(n_s.matched_negated(), {"s": s, "Y": Y, "H": H})
+    top = Ledger.fold_sum_of_squares([(2 * H * Y, _block_generators(Y, H), s)], budget)
+    return MomentResult(top.value, {"s": s, "Y": Y, "H": H, **_top_counters(top)})
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,18 @@ def moment_J(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
 
 
 def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
-    """Count of h1 y1 + h2 y2 = h3 y3 + h4 y4 with h1 + h2 = h3 + h4."""
+    """Count of h1 y1 + h2 y2 = h3 y3 + h4 y4 with h1 + h2 = h3 + h4.
+
+    The two pairs of generators (h, h y), 0 < |h| <= H and 1 <= y <= Y,
+    have equal sums, so the count is sum_k n_2(k)^2 over their square n_2,
+    taken as in `moment_I`; h -> -h negates a generator, so it is also the
+    negated match sum_k n_2(k) n_2(-k).
+    """
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
     pairs = ((h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1))
-    n_2 = Ledger.fold([(2 * H * Y, pairs, 2)], budget)
-    return MomentResult(n_2.matched_negated(), {"Y": Y, "H": H})
+    top = Ledger.fold_sum_of_squares([(2 * H * Y, pairs, 2)], budget)
+    return MomentResult(top.value, {"Y": Y, "H": H, **_top_counters(top)})
 
 
 def mixed_moment(

@@ -17,6 +17,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .budget import DEFAULT_LEDGER_BUDGET
+
 
 @dataclass(frozen=True)
 class DiagonalSystem:
@@ -144,38 +146,33 @@ def phi_indefinite(sys: DiagonalSystem) -> bool:
     return any(v > 0 for v in coeffs) and any(v < 0 for v in coeffs)
 
 
-def check_conditions(
-    sys: DiagonalSystem,
-    prime_bound: int = 100,
-    with_anchor: bool = True,
-    with_padic: bool = True,
-    rng=None,
-) -> ConditionReport:
+# p-adic witnesses are searched at every prime up to this bound
+_WITNESS_PRIME_BOUND = 100
+
+
+def check_conditions(sys: DiagonalSystem, rng=None, budget: int = DEFAULT_LEDGER_BUDGET) -> ConditionReport:
     """Evaluate the solvability hypotheses, gathering evidence where needed.
 
-    prime_bound limits the p-adic witness search; anchor search failure is
+    The p-adic witness search covers the primes up to _WITNESS_PRIME_BOUND,
+    each within `budget` (`local.padic_witness`); anchor search failure is
     recorded as real_solution=None, not raised.
     """
+    # Deferred imports: solver and local depend on this module.
+    from . import local, solver
+    from .smooth import primes_up_to
+
     report = ConditionReport(
         indefinite_phi=phi_indefinite(sys),
         count_cubic_ok=sys.l + sys.m >= 7,
         count_quad_ok=sys.l + sys.n >= 5,
         total_ok=sys.s >= 11,
     )
-    if with_anchor:
-        # Deferred import: solver depends on this module.
-        from . import solver
-
-        try:
-            report.real_solution = solver.find_real_anchor(sys, rng=rng)
-        except solver.AnchorError:
-            report.real_solution = None
-    if with_padic:
-        from . import local
-        from .smooth import primes_up_to
-
-        for p in primes_up_to(prime_bound):
-            report.padic_witnesses[p] = local.padic_witness(sys, p, rng=rng)
+    try:
+        report.real_solution = solver.find_real_anchor(sys, rng=rng)
+    except solver.AnchorError:
+        report.real_solution = None
+    for p in primes_up_to(_WITNESS_PRIME_BOUND):
+        report.padic_witnesses[p] = local.padic_witness(sys, p, rng=rng, budget=budget)
     return report
 
 

@@ -108,19 +108,34 @@ def test_out_file_and_stability(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
+# (moments argv, its artifact's result): I and J1 are sums of squares too,
+# as their generators are closed under negation; their tops form C(129, 2)
+# and C(801, 2) pairs of 128 and 800 generators
+TOP_COUNTED = [
+    (("--kind", "T", "--s", "4", "--x", "80"),
+     {"kind": "T", "value": "961516672", "top_pairs": "1837620", "top_bands": "2"}),
+    (("--kind", "I", "--s", "2", "--y", "8", "--h", "8"),
+     {"kind": "I", "value": "65744", "top_pairs": "8256", "top_bands": "1"}),
+    (("--kind", "J1", "--y", "20", "--h", "20"),
+     {"kind": "J1", "value": "26943744", "top_pairs": "320400", "top_bands": "1"}),
+]
+
+
 def test_moments_artifact_carries_top_counters(tmp_path, capsys):
     # the top step's key pairs and bands are deterministic, so they sit in
     # `result`, and config and result are byte-identical across runs
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
-        code, _, _ = run(capsys, "moments", "--kind", "T", "--s", "4", "--x", "80", "--out", str(path))
-        assert code == 0
-    doc = json.loads(paths[0].read_text())
-    assert doc["result"] == {"kind": "T", "value": "961516672", "top_pairs": "1837620", "top_bands": "2"}
-    a, b = (p.read_text().split('\n  "config": ', 1)[1] for p in paths)
-    assert a == b
-    # a count with no sum of squares has no top counters
-    assert run_json(capsys, "moments", "--kind", "J1", "--y", "6", "--h", "4")["result"] == {"kind": "J1", "value": "20448"}
+    for argv, result in TOP_COUNTED:
+        paths = [tmp_path / f"{result['kind']}-a.json", tmp_path / f"{result['kind']}-b.json"]
+        for path in paths:
+            code, _, _ = run(capsys, "moments", *argv, "--out", str(path))
+            assert code == 0
+        doc = json.loads(paths[0].read_text())
+        assert doc["result"] == result
+        a, b = (p.read_text().split('\n  "config": ', 1)[1] for p in paths)
+        assert a == b
+    # a count with no sum of squares, a window past 0, has no top counters
+    doc = run_json(capsys, "moments", "--kind", "T-shifted", "--s", "2", "--x", "6", "--hmax", "1")
+    assert doc["result"] == {"kind": "T-shifted", "value": str(moment_T_shifted(2, 6, 1).value)}
 
 
 def test_verify_artifact_is_deterministic(tmp_path, capsys):
@@ -164,6 +179,20 @@ def test_local_chi(capsys):
     assert chi["M"] == "1539"
     assert float(chi["series_side"]) == pytest.approx(float(chi["count_side"]), rel=1e-9)
     assert doc["result"]["congruences"]["M"] == "1539"
+
+
+def test_padic_witness_follows_budget(capsys):
+    # M(p^t) is computed for the t whose congruence ledger, s p^(3t), fits
+    # --budget: for balanced11 at p = 2 that is t <= 5 at 10^6, and t <= 7
+    # (p^t <= 150) at the default
+    for extra, ts in (((), 7), (("--budget", "1000000"), 5)):
+        doc = run_json(capsys, "local", "--builtin", "balanced11", "--witness", "2", *extra)
+        assert doc["result"]["padic_witness"]["t_checked"] == [str(t) for t in range(1, ts + 1)]
+    # solve --conditions passes --budget to the witness search at every prime:
+    # tiny2 at p = 2 fits t <= 2 (2 * 2^6 <= 1000), and nothing at p = 97
+    doc = run_json(capsys, "solve", "--builtin", "tiny2", "--conditions", "--budget", "1000")
+    witnesses = doc["result"]["conditions"]["padic_witnesses"]
+    assert (witnesses["2"]["t_checked"], witnesses["97"]["t_checked"]) == (["1", "2"], [])
 
 
 def test_local_series_counters(capsys):

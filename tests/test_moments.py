@@ -19,7 +19,8 @@ from diagpair import (
     moment_T,
     moment_T_shifted,
 )
-from diagpair import ledger, oracles
+from diagpair import Ledger, ledger, oracles
+from diagpair.ledger import SquareSum
 from diagpair.moments import I2Classification
 
 # frozen from the brute-force enumerations in oracles.py
@@ -119,6 +120,26 @@ def test_ledgers_match_brute_at_larger_sizes(moment, args):
         count_J1: oracles.brute_count_J1,
     }[moment]
     assert moment(*args).value == brute(*args)
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3))
+def test_I_and_J1_ledgers_are_symmetric_under_negation(s, Y, H):
+    # h -> -h maps each generator (h, h y, h y^2) of I, and (h, h y) of J1,
+    # to its negative, so n(-k) = n(k) over the ledgers they fold: their
+    # negated matches are the sums of squares they take
+    folds = []
+
+    def fold(parts, budget):
+        folds.append(Ledger.fold(parts, budget))
+        return SquareSum(0, 0, 0)
+
+    with mock.patch.object(Ledger, "fold_sum_of_squares", side_effect=fold):
+        moment_I(s, Y, H)
+        count_J1(Y, H)
+    assert len(folds) == 2
+    for n in folds:
+        assert n.keys.tolist() == (-n.keys[::-1]).tolist()
+        assert n.counts.tolist() == n.counts[::-1].tolist()
 
 
 def _classify_I2_by_dict(Y, H):
@@ -259,10 +280,15 @@ def test_default_budget_admits_T5():
 def test_top_counters_repeat_exactly():
     f = BoxSumSpec(theta=0.5, P=12, cubic=1, quad=1)
     g = BoxSumSpec(theta=0.4, P=12, cubic=-1)
-    for count in (lambda: moment_T(4, 80), lambda: moment_J(3, 40), lambda: mixed_moment([f, g], [4, 2])):
+    for count in (lambda: moment_T(4, 80), lambda: moment_J(3, 40), lambda: mixed_moment([f, g], [4, 2]),
+                  lambda: moment_I(2, 8, 8), lambda: count_J1(20, 20)):
         first, again = count(), count()
         assert first.params == again.params and first.value == again.value
         assert first.params["top_pairs"] >= first.params["top_bands"] >= 1
+    # I and J1 end in the square of their 2HY distinct generators, one
+    # band of C(2HY + 1, 2) pairs
+    for count, pairs in ((moment_I(2, 8, 8), 8_256), (count_J1(20, 20), 320_400), (count_J1(6, 4), 1_176)):
+        assert (count.params["top_pairs"], count.params["top_bands"]) == (pairs, 1)
     # T_4 at X = 80 ends in the multiset step: each multiset of 4 of the 80
     # generators is one pair, cut into two bands of at most 2^20
     top = moment_T(4, 80).params

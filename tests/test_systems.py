@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from diagpair import (
     parse_system,
     phi_indefinite,
 )
+from diagpair.smooth import primes_up_to
 
 nonzero = st.integers(-9, 9).filter(lambda v: v != 0)
 
@@ -65,20 +67,27 @@ def test_phi_indefinite(sample5, tiny2):
     assert not phi_indefinite(DiagonalSystem(a=(1, -1), b=(1, 1)))
 
 
-def test_check_conditions_counts(balanced11, sample5):
-    rep = check_conditions(balanced11, with_anchor=False, with_padic=False)
+@pytest.fixture(scope="module")
+def reports(balanced11, sample5):
+    """One default `check_conditions` report per system: anchor and witnesses at every prime to 100."""
+    return {name: check_conditions(sys, rng=np.random.default_rng(1234))
+            for name, sys in (("balanced11", balanced11), ("sample5", sample5))}
+
+
+def test_check_conditions_counts(reports):
+    rep = reports["balanced11"]
     assert rep.indefinite_phi and rep.count_cubic_ok and rep.count_quad_ok and rep.total_ok
-    rep5 = check_conditions(sample5, with_anchor=False, with_padic=False)
+    rep5 = reports["sample5"]
     assert rep5.indefinite_phi
     assert not rep5.total_ok
     assert not (rep5.indefinite_phi and rep5.count_cubic_ok and rep5.count_quad_ok and rep5.total_ok)
 
 
-def test_check_conditions_witnesses(balanced11, rng):
-    rep = check_conditions(balanced11, prime_bound=11, rng=rng)
+def test_check_conditions_witnesses(reports):
+    rep = reports["balanced11"]
     assert rep.real_solution is not None
     assert rep.real_solution.singular_values[1] > 1e-6  # Jacobian rank 2
-    assert set(rep.padic_witnesses) == {2, 3, 5, 7, 11}
+    assert set(rep.padic_witnesses) == set(primes_up_to(100))
     assert all(w.found for w in rep.padic_witnesses.values())
 
 
