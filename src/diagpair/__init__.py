@@ -17,7 +17,7 @@ from .systems import (
     parse_system,
     phi_indefinite,
 )
-from .expsums import BoxSumSpec, SumValue, block_sum, block_sums, box_sum
+from .expsums import BoxSumSpec, SumValue, block_sums, box_sum
 from .ledger import Ledger
 from .moments import (
     I2Classification,
@@ -54,7 +54,6 @@ from .local import (
     count_congruences,
     padic_witness,
     singular_series,
-    t_factor,
 )
 from .archimedean import (
     OscillatoryValue,

@@ -312,17 +312,21 @@ def _cmd_verify(args, cfg: RunConfig):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the subcommands' copy of the global flags has no defaults, so it keeps the flags given before them
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the artifact to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=DEFAULT_LEDGER_BUDGET)
+    after = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flags in (common, after):
+        flags.add_argument("--out", help="write the artifact to this path instead of stdout")
+        flags.add_argument("--format", choices=("json", "csv"))
+        flags.add_argument("--seed", type=int)
+        flags.add_argument("--budget", type=int)
+    common.set_defaults(format="json", seed=0, budget=DEFAULT_LEDGER_BUDGET)
 
     parser = argparse.ArgumentParser(prog="diagpair", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        return sub.add_parser(name, parents=[after], **kw)
 
     p = add_parser("moments", help="exact moment counts")
     p.add_argument("--kind", choices=("T", "T-shifted", "I", "J", "J1", "mixed"), default="T")

@@ -124,11 +124,6 @@ def block_sums(coeffs: Sequence[tuple[float, float, float]], Y: int, H: int) -> 
     return _phase_sums([[scaled_coeff(a) for a in c] for c in coeffs], mults, w)
 
 
-def block_sum(a1: float, a2: float, a3: float, Y: int, H: int) -> SumValue:
-    """Double sum of e(h*a1 + h*y*a2 + h*y^2*a3) over 0 < |h| <= H, 1 <= y <= Y."""
-    return block_sums([(a1, a2, a3)], Y, H)[0]
-
-
 @dataclass(frozen=True)
 class BoxSumSpec:
     """A box-restricted sum over integer x in (theta*P/2, 2*theta*P].

@@ -59,12 +59,12 @@ that sum to zero over generators closed under negation is that sum too.
 `Ledger.fold_sum_of_squares` runs the same fold, with the same checks,
 but its last step adds up each band's sum of squares and drops the band.
 That sum over disjoint bands is the sum over the whole ledger, so the
-top ledger is never built.  A packed band is never unpacked either
-(`_square_sum_of_words`): adjacent sorted words share a key when their
-XOR is below 2^b, the counts are masked in place and their squares
-summed, and each run of equal keys then trades its words' squares for
-the square of its total.  The peak is the tuples of the level below the
-top plus one band's words.
+top ledger is never built.  A packed band is never unpacked either: it
+is read in slices that end between keys (`_square_sum_of_words`).  The
+top step holds the level below it, one band's words and one slice's
+temporaries: moment_T(4, 80) peaks there at 13.1 MiB under tracemalloc
+(21.4 MiB with band-sized temporaries), and moment_T(6, 40) below it, at
+68.3 MiB in its multiset step's `_sort_groups`.
 """
 
 from __future__ import annotations
@@ -80,11 +80,9 @@ _INT64_LIMIT = 2**62
 # Pairs per band of a ledger step or per chunk of the solver's pair sum: 8 MiB
 # per int64 temporary.  perfbench's exact-ledgers workload peaks in the banded
 # top step of moment_T(4, 80), 1837620 multisets summed as squares in packed
-# words.  Over ten passes of its ops in one process (2-vCPU Xeon), bands of
-# 2^19, 2^20 and 2^21 pairs peaked at 46, 54 and 65 MB; 2^19 cuts the tops
-# of moment_T(3, 160) and moment_J(3, 150) into two bands where 2^20 takes
-# one, and those two ops took about 3 and 4 ms more each (medians of ten
-# calls).  2^21 ran no faster than 2^20 beyond the noise.
+# words.  With bands of 2^19, 2^20 and 2^21 pairs the workload peaked at 43.6,
+# 46.0 and 52.2 MB, and its median passes took 0.27, 0.23 and 0.22 s
+# (perfbench/run.py --seconds 8, two runs each, 2-vCPU Xeon).
 _CHUNK_PAIRS = 2**20
 
 
@@ -134,7 +132,8 @@ def _add_equal(keys, counts) -> tuple:
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
     if new.all():
         return keys, counts
-    return keys[new], np.add.reduceat(counts, np.flatnonzero(new))
+    counts = np.add.reduceat(counts, np.flatnonzero(new))  # frees the run-start index before the key gather
+    return keys[new], counts
 
 
 def _fill(keys, weights, spans) -> tuple[np.ndarray, np.ndarray]:
@@ -171,21 +170,27 @@ def _square_sum_of_words(words, bits: int) -> int:
     """Sum of the squared counts of sorted packed words key << bits | count, per key.
 
     Adjacent words share a key when they differ only in the count bits.
-    The counts are masked in place and their squares summed; each run of
-    equal keys then has the square of its total put in place of the
-    squares of its words.
+    The words are cut into slices of about a sixteenth of a band, each
+    ended after the last word of a key, so no key spans two slices and
+    every temporary is slice-sized.  A slice's counts are masked in place
+    and their squares summed; each run of equal keys then has the square of
+    its total put in place of the squares of its words.
     """
-    same = np.flatnonzero((words[1:] ^ words[:-1]) < 1 << bits)  # words j and j + 1 share a key
-    words &= (1 << bits) - 1
-    total = exact_dot(words, words)
-    if same.size:
-        # a run of equal keys is a stretch of consecutive j in `same`, with
-        # the word after its last j
-        opens = np.concatenate(([0], np.flatnonzero(np.diff(same) != 1) + 1))
-        heads = words[same]
-        tails = words[same[np.append(opens[1:], len(same)) - 1] + 1]
-        runs = np.add.reduceat(heads, opens) + tails
-        total += exact_dot(runs, runs) - exact_dot(heads, heads) - exact_dot(tails, tails)
+    mask = (1 << bits) - 1
+    step = max(_CHUNK_PAIRS // 16, 1)
+    total = 0
+    for part in np.split(words, np.searchsorted(words, words[step - 1 :: step] | mask, side="right")):
+        same = np.flatnonzero((part[1:] ^ part[:-1]) <= mask)  # words j and j + 1 share a key
+        part &= mask
+        total += exact_dot(part, part)
+        if same.size:
+            # a run of equal keys is a stretch of consecutive j in `same`, with
+            # the word after its last j
+            opens = np.concatenate(([0], np.flatnonzero(np.diff(same) != 1) + 1))
+            heads = part[same]
+            tails = part[same[np.append(opens[1:], len(same)) - 1] + 1]
+            runs = np.add.reduceat(heads, opens) + tails
+            total += exact_dot(runs, runs) - exact_dot(heads, heads) - exact_dot(tails, tails)
     return total
 
 

@@ -80,16 +80,6 @@ def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> CompleteSum:
     return CompleteSum(q, r2 % q, r3 % q, value)
 
 
-def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
-    """q^(-s) times the product of all component complete sums."""
-    if math.gcd(math.gcd(q, r2), r3) != 1:
-        raise ValueError("(q, r2, r3) must be coprime as a triple")
-    prod = complex(1.0)
-    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        prod *= complete_sum(q, r2, r3, A3, A2).value
-    return prod * float(q) ** (-sys.s)
-
-
 # -- rows of all r2 at once ------------------------------------------------
 
 def _component_rows(q: int, key: np.ndarray, r3: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expsums import BoxSumSpec
-from .local import _unity_table
+from .local import _unity_table, complete_sum
 from .systems import DiagonalSystem
 
 
@@ -205,7 +205,7 @@ def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
     """A(q) and B(q) as sums of T(q, r) over the primitive (r2, r3) mod q.
 
     Each T(q, r) is q^(-s) times the product of its direct q-term complete
-    sums, the same sums as `local.t_factor`: no FFT, no orbits and no
+    sums, the same sums as `t_factor`: no FFT, no orbits and no
     multiplicativity, so composite q checks the Euler product.  The phase
     indices of one variable's sums at every primitive pair are one array.
     Cost is about q^3 * s terms.
@@ -227,3 +227,13 @@ def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
         A += abs(t)
         B += t
     return A, B
+
+
+def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
+    """q^(-s) times the product of all component complete sums."""
+    if math.gcd(math.gcd(q, r2), r3) != 1:
+        raise ValueError("(q, r2, r3) must be coprime as a triple")
+    prod = complex(1.0)
+    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
+        prod *= complete_sum(q, r2, r3, A3, A2).value
+    return prod * float(q) ** (-sys.s)

@@ -357,13 +357,15 @@ def count_solutions(
     Restrictions: "smooth-y" intersects the pure-cubic block with the
     R-smooth set, "smooth-xl" restricts the last shared variable.
     `budget` caps the count's generators and key pairs and the witness
-    scan's nodes; witness_limit = 0 skips the witness scan.
+    scan's nodes; witness_limit = 0 skips the witness scan, and so does a
+    count that the zero tuple alone makes up.
     """
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
     ranges = _build_ranges(sys, bounds, restriction, R)
     count, pairs = _count_via_ledgers(sys, ranges, budget)
-    if witness_limit == 0:
+    nonzero = count - all(0 in r for r in ranges)  # the zero tuple counts when every range holds 0
+    if witness_limit == 0 or nonzero == 0:
         return SolutionCount(bounds, count, restriction, (), False, pairs)
     witnesses, visited = _witness_scan(sys, ranges, witness_limit, budget)
     return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > budget, pairs)

@@ -457,14 +457,15 @@ def test_volume_does_not_depend_on_chunk_size(ladder4, monkeypatch):
 
 
 def test_volume_memory_is_bounded(ladder6):
-    # draws in `_MC_CHUNK_ROWS` chunks; 10^6-row chunks peaked at about 123 MB here
+    # draws in `_MC_CHUNK_ROWS` chunks: 2^14 rows peak at 1.7 MiB here, 2^17
+    # rows at 13.1 MiB and 10^6 rows at about 123 MB
     tracemalloc.start()
     try:
         volume_constant(ladder6, THETA6, samples=400_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 4 * 2**20
 
 
 def test_volume_rejects_degenerate_anchor(tiny2, rng):

@@ -94,6 +94,36 @@ def test_global_flags_after_subcommand(capsys):
     assert out.splitlines()[0].startswith("kind")
 
 
+# arguments of each subcommand that reads --budget, refused at --budget 5
+REFUSED_AT_BUDGET_5 = {
+    "moments": ("--kind", "T", "--s", "3", "--x", "40"),
+    "local": ("--builtin", "balanced11", "--series", "100"),
+    "arch": ("--builtin", "ladder6"),
+    "solve": ("--builtin", "balanced11", "--b", "3"),
+}
+
+
+@pytest.mark.parametrize("before", [True, False])
+@pytest.mark.parametrize("subcommand", sorted(REFUSED_AT_BUDGET_5))
+def test_budget_holds_before_or_after_the_subcommand(capsys, subcommand, before):
+    args = (subcommand, *REFUSED_AT_BUDGET_5[subcommand])
+    code, _, err = run(capsys, *(("--budget", "5", *args) if before else (*args, "--budget", "5")))
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(err)["cap"] == "5"
+
+
+def test_global_flags_before_subcommand(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "moments", "--kind", "J", "--s", "2", "--x", "4")
+    assert code == 0
+    assert out.splitlines()[0].startswith("kind")
+    anchor = ("solve", "--builtin", "sample5", "--anchor")
+    flags = ("--seed", "3", "--budget", "7000000")
+    before, after, default = (run_json(capsys, *argv) for argv in ((*flags, *anchor), (*anchor, *flags), anchor))
+    assert before["config"] == after["config"]
+    assert (before["config"]["seed"], before["config"]["budget"]) == (3, 7_000_000)
+    assert before["result"] == after["result"] != default["result"]
+
+
 def test_out_file_and_stability(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

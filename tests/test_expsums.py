@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diagpair import BoxSumSpec, BudgetError, block_sum, block_sums, box_sum
+from diagpair import BoxSumSpec, BudgetError, block_sums, box_sum
 from diagpair import expsums
 from diagpair.expsums import _LIMB_WIDTHS, _SCALE, PHASE_BITS, TWO_PI, _limb_width, _phase_sums, scaled_coeff
 
@@ -169,7 +169,7 @@ def test_weyl_at_zero_is_count(spec):
 @given(angles, angles, angles, st.integers(1, 12), st.integers(1, 12))
 def test_block_sum_is_real(a1, a2, a3, Y, H):
     # h and -h contribute conjugate phases
-    assert abs(block_sum(a1, a2, a3, Y, H).im) <= 1e-9 * (2 * H * Y)
+    assert abs(block_sums([(a1, a2, a3)], Y, H)[0].im) <= 1e-9 * (2 * H * Y)
 
 
 def test_block_sum_direct():
@@ -180,7 +180,7 @@ def test_block_sum_direct():
         if h != 0
         for y in range(1, Y + 1)
     )
-    got = _complex(block_sum(a1, a2, a3, Y, H))
+    got = _complex(block_sums([(a1, a2, a3)], Y, H)[0])
     assert abs(got - direct) <= 1e-9 * (2 * H * Y)
 
 

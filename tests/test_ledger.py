@@ -206,6 +206,19 @@ def test_runs_of_equal_keys_match_dict_reference(chunk, parts):
     assert max(runs) >= 3
 
 
+@pytest.mark.parametrize("span", [1, 9, 40_000])
+def test_square_sum_of_words_across_slices(span):
+    # 3 * 2^16 + 5 words on `span` keys: runs of equal keys straddle the
+    # nominal slice ends, and one key alone fills several slices
+    rng = np.random.default_rng(span)
+    keys = rng.integers(0, span, size=3 * 2**16 + 5)
+    counts = rng.integers(1, 32, size=len(keys))
+    totals = np.zeros(span, dtype=np.int64)
+    np.add.at(totals, keys, counts)
+    words = np.sort(keys << 5 | counts)
+    assert ledger._square_sum_of_words(words, 5) == int(totals @ totals)
+
+
 def test_band_bounds_come_from_its_runs():
     # the multiset step's top runs shift consecutive groups by one generator
     # and merge into spans that cross groups, so a span's first and last keys

@@ -15,10 +15,9 @@ from diagpair import (
     count_congruences,
     padic_witness,
     singular_series,
-    t_factor,
 )
 from diagpair import local
-from diagpair.oracles import brute_count_congruences, direct_series_term
+from diagpair.oracles import brute_count_congruences, direct_series_term, t_factor
 from diagpair.smooth import smallest_prime_factors
 from diagpair.systems import BUILTIN_SYSTEMS
 

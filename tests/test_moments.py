@@ -311,6 +311,23 @@ def test_T5_peaks_below_its_top_ledger():
     assert peak < 16 * 9_927_951
 
 
+@pytest.mark.parametrize("s, X, value, mib", [(4, 80, 961_516_672, 16), (6, 40, 3_432_403_136_800, 75)])
+def test_T_peaks_stay_bounded(s, X, value, mib):
+    # T_4 at X = 80 holds one band of at most 2^20 words (8 MiB) and
+    # slice-sized temporaries (13.1 MiB here); T_6 at X = 40 peaks while the
+    # multiset step reduces its tuples, where _add_equal frees the run-start
+    # index before it gathers the keys (68.3 MiB here, 84.7 when the index
+    # outlives the gather)
+    tracemalloc.start()
+    try:
+        got = moment_T(s, X).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == value
+    assert peak < mib * 2**20
+
+
 @pytest.mark.parametrize("moment", [moment_T, moment_T_shifted])
 def test_first_square_is_refused_before_its_generators_are_built(moment):
     # 10^6 generator tuples would take about 100 MB

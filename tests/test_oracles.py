@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagpair import BoxSumSpec, DiagonalSystem, t_factor
+from diagpair import BoxSumSpec, DiagonalSystem
 from diagpair import oracles
-from diagpair.oracles import brute_count_box_solutions, brute_count_congruences, brute_count_solutions, direct_series_term
+from diagpair.oracles import (
+    brute_count_box_solutions,
+    brute_count_congruences,
+    brute_count_solutions,
+    direct_series_term,
+    t_factor,
+)
 
 
 def _loop_count(system, ranges, q=None) -> int:

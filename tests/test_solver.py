@@ -290,6 +290,21 @@ def test_witness_limit_zero_skips_the_scan(tiny2):
         count_solutions(tiny2, 5, witness_limit=-1)
 
 
+def test_count_without_a_nonzero_solution_skips_the_scan(tiny2, monkeypatch):
+    scans = []
+    scan = solver._witness_scan
+    monkeypatch.setattr(solver, "_witness_scan", lambda *args: scans.append(args) or scan(*args))
+    # Phi = x1^2 + x2^2 vanishes only at the zero tuple: the ball holds it
+    # alone, and the box (0.75, 3]^2 holds no solution
+    blocked = DiagonalSystem(a=(1, 2), b=(1, 1))
+    for bounds, count in ((3, 1), ((5.0, (0.3, 0.3)), 0)):
+        res = count_solutions(blocked, bounds)
+        assert (res.count, res.witnesses, res.witnesses_truncated) == (count, (), False)
+    assert not scans
+    assert count_solutions(tiny2, 5).witnesses
+    assert len(scans) == 1
+
+
 def test_search_witness(tiny2, balanced11):
     assert search_witness(tiny2, 5) == (1, 1)
     w = search_witness(balanced11, 1)
