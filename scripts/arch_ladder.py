@@ -14,15 +14,10 @@ import argparse
 
 import numpy as np
 
-from diagpair import (
-    extrapolate_ladder,
-    find_real_anchor,
-    load_system,
-    unit_singular_integral,
-    volume_constant,
-)
 from diagpair.acceptance import LADDER6_THETA
-from diagpair.systems import BUILTIN_SYSTEMS
+from diagpair.archimedean import extrapolate_ladder, unit_singular_integral, volume_constant
+from diagpair.solver import find_real_anchor
+from diagpair.systems import BUILTIN_SYSTEMS, load_system
 
 ANCHORS = {"ladder6": LADDER6_THETA}
 

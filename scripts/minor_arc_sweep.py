@@ -14,7 +14,8 @@ import argparse
 
 import numpy as np
 
-from diagpair import BoxSumSpec, minor_arc_weyl_check, transfer_grid
+from diagpair.arcs import minor_arc_weyl_check, transfer_grid
+from diagpair.expsums import BoxSumSpec
 
 
 def main() -> None:

@@ -17,7 +17,8 @@ Run: python3 scripts/moment_scan.py [--s 3] [--xmax 160]
 import argparse
 import math
 
-from diagpair import BudgetError, DEFAULT_LEDGER_BUDGET, fit_exponent, moment_T
+from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
+from diagpair.moments import fit_exponent, moment_T
 
 
 def holder_report(xs, budget: int) -> None:

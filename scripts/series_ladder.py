@@ -11,9 +11,10 @@ Run: python3 scripts/series_ladder.py [--builtin balanced11] [--height 400]
 
 import argparse
 
-from diagpair import DEFAULT_LEDGER_BUDGET, load_system, singular_series
+from diagpair.budget import DEFAULT_LEDGER_BUDGET
+from diagpair.local import singular_series
 from diagpair.oracles import direct_series_term
-from diagpair.systems import BUILTIN_SYSTEMS
+from diagpair.systems import BUILTIN_SYSTEMS, load_system
 
 
 def main() -> None:

@@ -15,26 +15,26 @@ import argparse
 import csv
 import io
 import json
-import math
+import numbers
 import platform
 import sys
 from dataclasses import asdict, dataclass, is_dataclass
 from datetime import datetime, timezone
 from typing import Any, Optional
 
-import numpy as np
-
+# Engine modules (and numpy with them) load inside the subcommand that runs,
+# so `--help`, parsing and config errors stay cheap.
 from . import __version__
-from .acceptance import format_results, run_all
-from .arcs import ArcFamily, dirichlet_approx, membership, transfer_grid, transfer_lambda
-from .archimedean import singular_integral, volume_constant
 from .budget import DEFAULT_LEDGER_BUDGET, BudgetError
-from .expsums import BoxSumSpec
-from .local import chi_p_partial, count_congruences, padic_witness, singular_series
-from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
-from .smooth import c_eta, dickman_rho, smooth_set
-from .solver import AnchorError, count_solutions, find_real_anchor, predict_and_compare, search_witness
-from .systems import BUILTIN_SYSTEMS, DiagonalSystem, check_conditions, classify, format_system, load_system
+from .systems import (
+    BUILTIN_SYSTEMS,
+    AnchorError,
+    DiagonalSystem,
+    check_conditions,
+    classify,
+    format_system,
+    load_system,
+)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -62,14 +62,14 @@ def _jsonify(obj: Any) -> Any:
         return [_jsonify(v) for v in obj]
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # numpy integers register here too
         return str(int(obj))
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, numbers.Real):
+        return float(obj)
+    if hasattr(obj, "tolist"):  # a numpy array
+        return _jsonify(obj.tolist())
     return obj
 
 
@@ -88,12 +88,14 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
 
 
 def _report(cfg: RunConfig, result: Any) -> dict:
+    import numpy
+
     return {
         "header": {
             "tool": "diagpair",
             "version": __version__,
             "python": platform.python_version(),
-            "numpy": np.__version__,
+            "numpy": numpy.__version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
         "config": {
@@ -134,6 +136,9 @@ def _load_spec(args) -> DiagonalSystem:
 
 
 def _cmd_moments(args, cfg: RunConfig):
+    from .expsums import BoxSumSpec
+    from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
+
     kind = args.kind
     if kind == "T":
         result = moment_T(args.s, args.x, budget=cfg.budget)
@@ -170,6 +175,10 @@ def _cmd_moments(args, cfg: RunConfig):
 
 
 def _cmd_local(args, cfg: RunConfig):
+    import numpy as np
+
+    from .local import chi_p_partial, count_congruences, padic_witness, singular_series
+
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.series is not None:
@@ -199,6 +208,11 @@ def _cmd_local(args, cfg: RunConfig):
 
 
 def _cmd_arch(args, cfg: RunConfig):
+    import numpy as np
+
+    from .archimedean import singular_integral, volume_constant
+    from .solver import find_real_anchor
+
     sysd = _load_spec(args)
     if args.theta:
         theta = tuple(float(t) for t in args.theta.split(","))
@@ -225,6 +239,10 @@ def _cmd_arch(args, cfg: RunConfig):
 
 
 def _cmd_arcs(args, cfg: RunConfig):
+    import numpy as np
+
+    from .arcs import ArcFamily, dirichlet_approx, membership, transfer_grid, transfer_lambda
+
     out: dict = {}
     if args.member:
         a2, a3 = (float(v) for v in args.member.split(","))
@@ -250,11 +268,13 @@ def _cmd_arcs(args, cfg: RunConfig):
 
 
 def _cmd_smooth(args, cfg: RunConfig):
+    from .smooth import c_eta, dickman_rho, smooth_set
+
     out: dict = {}
     if args.x is not None:
         if args.r is None:
             raise ValueError("--x needs --r")
-        members = smooth_set(args.x, args.r)
+        members = smooth_set(args.x, args.r, budget=cfg.budget)
         out["count"] = len(members)
         out["density"] = len(members) / args.x
         if len(members) <= 50:
@@ -269,6 +289,10 @@ def _cmd_smooth(args, cfg: RunConfig):
 
 
 def _cmd_solve(args, cfg: RunConfig):
+    import numpy as np
+
+    from .solver import count_solutions, find_real_anchor, predict_and_compare, search_witness
+
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.conditions:
@@ -297,6 +321,8 @@ def _cmd_solve(args, cfg: RunConfig):
 
 
 def _cmd_verify(args, cfg: RunConfig):
+    from .acceptance import format_results, run_all
+
     results = run_all(args.profile)
     sys.stdout.write(format_results(results) + "\n")
     failed = not all(r.passed for r in results)

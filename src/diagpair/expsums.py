@@ -154,8 +154,8 @@ class BoxSumSpec:
         hi = math.floor(2 * self.theta * self.P)
         return lo, hi
 
-    def members(self) -> list[int]:
-        """Summation range as an explicit list, smoothness applied."""
+    def members(self, budget: int = DEFAULT_LEDGER_BUDGET) -> list[int]:
+        """Summation range as an explicit list, smoothness applied within `budget`."""
         lo, hi = self.range_bounds()
         if hi < lo:
             return []
@@ -164,7 +164,7 @@ class BoxSumSpec:
             return list(xs)
         from .smooth import smooth_mask
 
-        mask = smooth_mask(hi, self.smooth_R)
+        mask = smooth_mask(hi, self.smooth_R, budget)
         return [x for x in xs if mask[x]]
 
 

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .smooth import smallest_prime_factors
+from .smooth import is_prime, smallest_prime_factors
 from .systems import DiagonalSystem
 
 
@@ -340,6 +340,8 @@ def chi_p_partial(sys: DiagonalSystem, p: int, t: int, budget: int = DEFAULT_LED
     p^h `_row_count(p, h)` row cells of the series terms, so no row is
     built past it.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if t < 0:
         raise ValueError("t must be >= 0")
     M = count_congruences(sys, p**t, budget=budget).M
@@ -427,6 +429,8 @@ def padic_witness(
     t with p^t <= 150 (or t = 1) whose s p^(3t) is within `budget`, and
     the growth floor M(p^t) >= p^((t-w)(s-2)) pins the smallest workable w.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     rng = rng if rng is not None else np.random.default_rng(p)
     if sys.s < 2:
         raise ValueError("need at least two variables")

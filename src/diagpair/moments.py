@@ -212,7 +212,7 @@ def mixed_moment(
             continue
         lo, hi = spec.range_bounds()
         check_budget(hi - lo + 1, budget, what="ledger generators")
-        xs = spec.members()
+        xs = spec.members(budget)
         if not xs:
             return MomentResult(0, {"factors": len(factors), "top_pairs": 0, "top_bands": 0})
         parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))

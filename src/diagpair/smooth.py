@@ -14,6 +14,8 @@ from math import isqrt
 
 import numpy as np
 
+from .budget import DEFAULT_LEDGER_BUDGET, check_budget
+
 _RHO_PER_UNIT = 10_000  # grid step 1e-4
 _RHO_MAX_U = 20
 
@@ -38,6 +40,34 @@ def primes_up_to(n: int) -> list[int]:
     return [q for q in range(2, n + 1) if spf[q] == q]
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact for n < 3.3e24
+# (Sorenson and Webster, Math. Comp. 86 (2017)), and a strong test past it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Primality by Miller-Rabin on `_MR_BASES`, in O(log n) multiplications."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def gpf_table(N: int) -> np.ndarray:
     """gpf_table(N)[x] is the greatest prime factor of x, with gpf(1) = 1."""
     if N < 1:
@@ -50,18 +80,22 @@ def gpf_table(N: int) -> np.ndarray:
     return gpf
 
 
-def smooth_mask(N: int, R: int) -> np.ndarray:
-    """Boolean array of length N + 1, True at R-smooth x in [1, N]."""
+def smooth_mask(N: int, R: int, budget: int = DEFAULT_LEDGER_BUDGET) -> np.ndarray:
+    """Boolean array of length N + 1, True at R-smooth x in [1, N].
+
+    Its N + 1 table cells are checked against `budget` before any is built.
+    """
     if R < 2:
         raise ValueError("R must be >= 2")
+    check_budget(N + 1, budget, what="smooth table cells")
     mask = gpf_table(N) <= R
     mask[0] = False
     return mask
 
 
-def smooth_set(X: int, R: int) -> list[int]:
+def smooth_set(X: int, R: int, budget: int = DEFAULT_LEDGER_BUDGET) -> list[int]:
     """Sorted R-smooth integers in [1, X], including 1."""
-    return [int(x) for x in np.nonzero(smooth_mask(X, R))[0]]
+    return [int(x) for x in np.nonzero(smooth_mask(X, R, budget))[0]]
 
 
 def _build_rho() -> tuple[np.ndarray, np.ndarray]:

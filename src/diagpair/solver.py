@@ -35,11 +35,7 @@ from . import ledger
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .expsums import BoxSumSpec
 from .ledger import Ledger, check_fold, dtype_for, form_values
-from .systems import DiagonalSystem
-
-
-class AnchorError(RuntimeError):
-    pass
+from .systems import AnchorError, DiagonalSystem
 
 
 @dataclass(frozen=True)
@@ -308,6 +304,7 @@ def _build_ranges(
     bounds: Union[int, tuple],
     restriction: str,
     R: Optional[int],
+    budget: int,
 ) -> _WitnessRanges:
     if isinstance(bounds, int):
         if bounds < 0:
@@ -336,7 +333,7 @@ def _build_ranges(
         lo, hi = spec.range_bounds()
         if hi < lo:
             raise ValueError(f"box for variable {i} is empty at P={P}")
-        out.append(range(lo, hi + 1) if spec.smooth_R is None else spec.members())
+        out.append(range(lo, hi + 1) if spec.smooth_R is None else spec.members(budget))
         if not out[i]:
             raise ValueError(f"smooth restriction empties the box of variable {i}")
     return out
@@ -356,13 +353,13 @@ def count_solutions(
     or a pair (P, theta) for the boxes (theta_i P/2, 2 theta_i P].
     Restrictions: "smooth-y" intersects the pure-cubic block with the
     R-smooth set, "smooth-xl" restricts the last shared variable.
-    `budget` caps the count's generators and key pairs and the witness
-    scan's nodes; witness_limit = 0 skips the witness scan, and so does a
-    count that the zero tuple alone makes up.
+    `budget` caps the count's generators, key pairs and smooth tables and
+    the witness scan's nodes; witness_limit = 0 skips the witness scan,
+    and so does a count that the zero tuple alone makes up.
     """
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
-    ranges = _build_ranges(sys, bounds, restriction, R)
+    ranges = _build_ranges(sys, bounds, restriction, R, budget)
     count, pairs = _count_via_ledgers(sys, ranges, budget)
     nonzero = count - all(0 in r for r in ranges)  # the zero tuple counts when every range holds 0
     if witness_limit == 0 or nonzero == 0:

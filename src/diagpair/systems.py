@@ -123,6 +123,10 @@ def classify(sys: DiagonalSystem) -> SystemClass:
     return SystemClass.UNCLASSIFIED
 
 
+class AnchorError(RuntimeError):
+    """No nonsingular real solution was found (`solver.find_real_anchor`)."""
+
+
 @dataclass
 class ConditionReport:
     """Checklist of solvability hypotheses for a system.
@@ -169,7 +173,7 @@ def check_conditions(sys: DiagonalSystem, rng=None, budget: int = DEFAULT_LEDGER
     )
     try:
         report.real_solution = solver.find_real_anchor(sys, rng=rng)
-    except solver.AnchorError:
+    except AnchorError:
         report.real_solution = None
     for p in primes_up_to(_WITNESS_PRIME_BOUND):
         report.padic_witnesses[p] = local.padic_witness(sys, p, rng=rng, budget=budget)

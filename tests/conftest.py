@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from diagpair import DiagonalSystem
-from diagpair.systems import BUILTIN_SYSTEMS
+from diagpair.systems import BUILTIN_SYSTEMS, DiagonalSystem
 
 settings.register_profile(
     "suite",

@@ -10,20 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
-from diagpair import (
-    ArcFamily,
-    BudgetError,
-    DiagonalSystem,
+from diagpair import archimedean
+from diagpair.acceptance import LADDER6_THETA as THETA6
+from diagpair.archimedean import (
     extrapolate_ladder,
-    find_real_anchor,
     oscillatory_v,
     singular_integral,
     star_approx,
     unit_singular_integral,
     volume_constant,
 )
-from diagpair import archimedean
-from diagpair.acceptance import LADDER6_THETA as THETA6
+from diagpair.arcs import ArcFamily
+from diagpair.budget import BudgetError
+from diagpair.solver import find_real_anchor
+from diagpair.systems import DiagonalSystem
 
 THETA4 = (0.3, 0.3, 0.3, 0.3)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -490,7 +490,7 @@ def test_volume_does_not_import_scipy_stats():
     # 68 MB to import)
     code = (
         "import sys, diagpair, diagpair.cli\n"
-        "from diagpair import volume_constant\n"
+        "from diagpair.archimedean import volume_constant\n"
         "from diagpair.systems import BUILTIN_SYSTEMS\n"
         f"volume_constant(BUILTIN_SYSTEMS['ladder6'], {THETA6!r}, samples=20_000)\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"

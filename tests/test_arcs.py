@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import (
+from diagpair.arcs import (
     ArcFamily,
-    BoxSumSpec,
     dirichlet_approx,
     membership,
     minor_arc_weyl_check,
     transfer_bound_check,
     transfer_grid,
     transfer_lambda,
+    _witnesses_at_q,
 )
-from diagpair.arcs import _witnesses_at_q
-from diagpair.expsums import _SCALE, TWO_PI, scaled_coeff
+from diagpair.expsums import _SCALE, TWO_PI, BoxSumSpec, scaled_coeff
 
 FAM = ArcFamily(Q=6.0, P=200.0, t=2)
 

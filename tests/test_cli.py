@@ -1,20 +1,32 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diagpair import (
-    DEFAULT_LEDGER_BUDGET,
-    cli,
-    find_real_anchor,
-    format_system,
-    moment_T_shifted,
-    transfer_grid,
-    unit_singular_integral,
-)
+from diagpair import cli
+from diagpair.archimedean import unit_singular_integral
+from diagpair.arcs import transfer_grid
+from diagpair.budget import DEFAULT_LEDGER_BUDGET
+from diagpair.moments import moment_T_shifted
 from diagpair.oracles import brute_moment_T
+from diagpair.solver import find_real_anchor
+from diagpair.systems import format_system
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def fresh(*args, timeout=120, **kw):
+    """Run `python *args` in a new interpreter that imports this session's diagpair."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, **kw)
 
 
 def run(capsys, *argv):
@@ -100,6 +112,7 @@ REFUSED_AT_BUDGET_5 = {
     "local": ("--builtin", "balanced11", "--series", "100"),
     "arch": ("--builtin", "ladder6"),
     "solve": ("--builtin", "balanced11", "--b", "3"),
+    "smooth": ("--x", "10", "--r", "3"),
 }
 
 
@@ -320,6 +333,25 @@ def test_budget_error_exit_code(capsys, argv):
         assert (payload["what"], payload["estimate"]) == ("ledger key pairs", "67863915")
 
 
+def test_smooth_table_refused_before_it_is_built():
+    # 10^9 + 1 cells of 8 bytes; the child's address space is capped at 2 GiB,
+    # so a missing check fails on MemoryError instead of taking the host's memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = fresh("-m", "diagpair.cli", "smooth", "--x", "1000000000", "--r", "5", timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "budget", "what": "smooth table cells", "estimate": "1000000001", "cap": str(DEFAULT_LEDGER_BUDGET)}
+
+
+def test_smooth_factor_table_obeys_budget(capsys):
+    # the factor's 1500 generators fit, its smooth table's 2001 cells do not
+    code, _, err = run(capsys, "moments", "--kind", "mixed", "--p", "1000", "--factor", "1:1:1:2:5", "--budget", "2000")
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(err) == {"error": "budget", "what": "smooth table cells", "estimate": "2001", "cap": "2000"}
+
+
 def test_moments_T6_admitted_at_the_default_budget(capsys):
     doc = run_json(capsys, "moments", "--kind", "T", "--s", "6", "--x", "24")
     assert doc["result"]["value"] == str(moment_T_shifted(6, 24, 138).value) == "126925310616"
@@ -347,19 +379,20 @@ def test_jobs_flag_is_gone(capsys):
 
 def test_verify_exit_wiring(capsys, monkeypatch):
     # full profiles are exercised in test_acceptance; here only the exit
-    # code wiring is checked, on a stubbed result set (cli binds run_all
-    # at import, so patch the cli reference)
+    # code wiring is checked, on a stubbed result set (`verify` imports
+    # run_all when it runs, so patch the acceptance module's)
+    from diagpair import acceptance
     from diagpair.acceptance import CriterionResult
 
     monkeypatch.setattr(
-        cli, "run_all", lambda profile: [CriterionResult(1, "stub", True, "ok", 0.0)]
+        acceptance, "run_all", lambda profile: [CriterionResult(1, "stub", True, "ok", 0.0)]
     )
     code, out, _ = run(capsys, "verify", "--profile", "smoke")
     assert code == cli.EXIT_OK
     assert "PASS criterion" in out
 
     monkeypatch.setattr(
-        cli, "run_all", lambda profile: [CriterionResult(1, "stub", False, "no", 0.0)]
+        acceptance, "run_all", lambda profile: [CriterionResult(1, "stub", False, "no", 0.0)]
     )
     code, out, _ = run(capsys, "verify")
     assert code == cli.EXIT_ASSERT
@@ -371,3 +404,74 @@ def test_solve_predict_reports_witness_truncation(capsys):
     pred = doc["result"]["predict"]
     assert pred["witnesses_truncated"] is False
     assert int(pred["count"]) >= len(pred["witnesses"]) > 0
+
+
+def test_local_witness_rejects_a_non_prime():
+    # p = 1 once looped forever, so a regression fails on the timeout
+    proc = fresh("-m", "diagpair.cli", "local", "--builtin", "sample5", "--witness", "1", timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error") and "prime" in proc.stderr
+
+
+# the modules loaded after the CLI's import, and after `main(argv)` when
+# argv is given
+LOADED = (
+    "import json, sys\n"
+    "import diagpair, diagpair.cli\n"
+    "if sys.argv[1:]:\n"
+    "    assert diagpair.cli.main(sys.argv[1:]) == 0\n"
+    "sys.stderr.write(json.dumps(sorted(sys.modules)))\n"
+)
+ENGINE = ("expsums", "ledger", "moments", "smooth", "arcs", "local", "archimedean", "solver", "oracles", "acceptance")
+
+
+def loaded(*argv) -> set:
+    proc = fresh("-c", LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr))
+
+
+def test_cli_imports_engine_modules_on_demand():
+    assert not {"numpy", *(f"diagpair.{m}" for m in ENGINE)} & loaded()
+    assert fresh("-m", "diagpair.cli", "--help").returncode == 0
+    mods = loaded("moments", "--kind", "T", "--s", "2", "--x", "10")
+    assert "diagpair.moments" in mods
+    assert not {f"diagpair.{m}" for m in ("archimedean", "local", "arcs", "acceptance", "oracles")} & mods
+
+
+# one small run of every branch of every subcommand; verify has its own test
+BRANCHES = {
+    "moments-T": ("moments", "--kind", "T", "--s", "3", "--x", "10"),
+    "moments-T-shifted": ("moments", "--kind", "T-shifted", "--s", "2", "--x", "6", "--hmax", "1"),
+    "moments-I": ("moments", "--kind", "I", "--s", "2", "--y", "4", "--h", "4"),
+    "moments-J": ("moments", "--kind", "J", "--s", "2", "--x", "6"),
+    "moments-J1": ("moments", "--kind", "J1", "--y", "6", "--h", "4"),
+    "moments-mixed": ("moments", "--kind", "mixed", "--p", "10", "--factor", "0.4:1:1:2", "--factor", "0.3:1:0:4:3"),
+    "local-series": ("local", "--builtin", "sample5", "--series", "40"),
+    "local-q": ("local", "--builtin", "sample5", "--q", "9"),
+    "local-chi": ("local", "--builtin", "sample5", "--chi", "3", "2"),
+    "local-witness": ("local", "--builtin", "sample5", "--witness", "3"),
+    "arch-volume": ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "4",
+                    "--volume", "--mc-samples", "2000"),
+    "arcs-member": ("arcs", "--member", "0.1,0.2"),
+    "arcs-dirichlet": ("arcs", "--dirichlet", "0.3,10"),
+    "arcs-lam": ("arcs", "--lam", "0.3,2,3,1.5"),
+    "arcs-transfer-report": ("arcs", "--transfer-report"),
+    "smooth": ("smooth", "--x", "100", "--r", "5", "--rho", "2.5", "--c-eta", "0.4"),
+    "solve-conditions": ("solve", "--builtin", "sample5", "--conditions"),
+    "solve-anchor": ("solve", "--builtin", "sample5", "--anchor"),
+    "solve-b": ("solve", "--builtin", "tiny2", "--b", "10"),
+    "solve-witness-bound": ("solve", "--builtin", "tiny2", "--witness-bound", "5"),
+    "solve-predict": ("solve", "--builtin", "ladder6", "--predict", "10", "--series-q", "10"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BRANCHES.values()), ids=list(BRANCHES))
+def test_every_branch_repeats_byte_for_byte(tmp_path, capsys, argv):
+    # at a fixed seed, config and result repeat once the header is dropped
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, _, err = run(capsys, *argv, "--seed", "5", "--out", str(path))
+        assert code == cli.EXIT_OK, err
+    a, b = (p.read_text().split('\n  "config": ', 1)[1] for p in paths)
+    assert a == b

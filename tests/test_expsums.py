@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diagpair import BoxSumSpec, BudgetError, block_sums, box_sum
 from diagpair import expsums
+from diagpair.budget import BudgetError
+from diagpair.expsums import BoxSumSpec, block_sums, box_sum
 from diagpair.expsums import _LIMB_WIDTHS, _SCALE, PHASE_BITS, TWO_PI, _limb_width, _phase_sums, scaled_coeff
 
 angles = st.floats(-4.0, 4.0, allow_nan=False)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diagpair import BudgetError, Ledger, ledger, moment_I, moment_T
-from diagpair.budget import DEFAULT_LEDGER_BUDGET
+from diagpair import ledger
+from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
+from diagpair.ledger import Ledger
+from diagpair.moments import moment_I, moment_T
 from diagpair.oracles import brute_moment_T
 
 

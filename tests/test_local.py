@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagpair import (
-    DEFAULT_LEDGER_BUDGET,
-    DiagonalSystem,
-    BudgetError,
-    chi_p_partial,
-    complete_sum,
-    count_congruences,
-    padic_witness,
-    singular_series,
-)
 from diagpair import local
+from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
+from diagpair.local import chi_p_partial, complete_sum, count_congruences, padic_witness, singular_series
 from diagpair.oracles import brute_count_congruences, direct_series_term, t_factor
 from diagpair.smooth import smallest_prime_factors
-from diagpair.systems import BUILTIN_SYSTEMS
+from diagpair.systems import BUILTIN_SYSTEMS, DiagonalSystem
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -173,6 +165,16 @@ def test_chi_refuses_before_any_table(sample5, monkeypatch):
     with pytest.raises(BudgetError) as info:
         chi_p_partial(sample5, 3, 6, budget=1000)
     assert (info.value.what, info.value.cap) == ("congruence ledger", 1000)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_padic_functions_reject_a_non_prime(sample5, p):
+    # p = 0 and 1 once looped forever in padic_witness, and p = 4 reported
+    # a "4-adic" witness and a failed chi identity
+    with pytest.raises(ValueError, match="prime"):
+        padic_witness(sample5, p)
+    with pytest.raises(ValueError, match="prime"):
+        chi_p_partial(sample5, p, 2)
 
 
 def test_chi_depth_zero(sample5):

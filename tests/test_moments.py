@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagpair import (
-    BoxSumSpec,
-    BudgetError,
+from diagpair import ledger, oracles
+from diagpair.budget import BudgetError
+from diagpair.expsums import BoxSumSpec
+from diagpair.ledger import Ledger, SquareSum
+from diagpair.moments import (
+    I2Classification,
     classify_I2,
     count_J1,
     fit_exponent,
@@ -19,9 +22,6 @@ from diagpair import (
     moment_T,
     moment_T_shifted,
 )
-from diagpair import Ledger, ledger, oracles
-from diagpair.ledger import SquareSum
-from diagpair.moments import I2Classification
 
 # frozen from the brute-force enumerations in oracles.py
 FROZEN = {

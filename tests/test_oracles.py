@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagpair import BoxSumSpec, DiagonalSystem
 from diagpair import oracles
+from diagpair.expsums import BoxSumSpec
 from diagpair.oracles import (
     brute_count_box_solutions,
     brute_count_congruences,
@@ -16,6 +16,7 @@ from diagpair.oracles import (
     direct_series_term,
     t_factor,
 )
+from diagpair.systems import DiagonalSystem
 
 
 def _loop_count(system, ranges, q=None) -> int:

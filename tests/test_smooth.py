@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import c_eta, dickman_rho, smooth_mask, smooth_set
-from diagpair.smooth import gpf_table, primes_up_to
+from diagpair.budget import BudgetError
+from diagpair.smooth import c_eta, dickman_rho, gpf_table, is_prime, primes_up_to, smooth_mask, smooth_set
 
 # frozen from a 30-digit mpmath quadrature of the delay equation
 RHO_TABLE = {
@@ -29,6 +29,25 @@ def brute_gpf(x):
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime():
+    primes = set(primes_up_to(20_000))
+    assert [n for n in range(-3, 20_001) if is_prime(n)] == sorted(primes)
+    # strong pseudoprimes to the first 4, 7 and 12 prime bases, and Mersenne
+    # primes on either side of 2^64
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_smooth_table_obeys_budget():
+    # N + 1 cells, checked before the table is built
+    assert smooth_set(10, 3, budget=11) == [1, 2, 3, 4, 6, 8, 9]
+    with pytest.raises(BudgetError) as info:
+        smooth_mask(10, 3, budget=10)
+    assert (info.value.what, info.value.estimate) == ("smooth table cells", 11)
 
 
 def test_gpf_table_matches_brute():

@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagpair import (
+from diagpair import ledger, solver
+from diagpair.acceptance import LADDER6_THETA
+from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
+from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
+from diagpair.smooth import c_eta
+from diagpair.solver import (
     AnchorError,
-    BudgetError,
-    DiagonalSystem,
     count_solutions,
     find_real_anchor,
     predict_and_compare,
     search_witness,
     verify_solution,
 )
-from diagpair import ledger, solver
-from diagpair.acceptance import LADDER6_THETA
-from diagpair.smooth import c_eta
-from diagpair.systems import BUILTIN_SYSTEMS
-from diagpair.budget import DEFAULT_LEDGER_BUDGET
-from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
+from diagpair.systems import BUILTIN_SYSTEMS, DiagonalSystem
 
 # frozen brute-force counts
 SAMPLE5_N3 = 45
@@ -260,6 +258,14 @@ def test_smooth_restriction_shrinks(ladder6):
     plain = count_solutions(ladder6, (30.0, theta))
     smooth = count_solutions(ladder6, (30.0, theta), restriction="smooth-y", R=3)
     assert 0 < smooth.count <= plain.count
+
+
+def test_smooth_restriction_table_obeys_budget(balanced11):
+    # the y-block's smooth table, 13 cells at 2 theta P = 12, is checked
+    # against the count's budget before it is built
+    with pytest.raises(BudgetError) as info:
+        count_solutions(balanced11, (20.0, (0.3,) * 11), restriction="smooth-y", R=3, budget=12)
+    assert (info.value.what, info.value.estimate, info.value.cap) == ("smooth table cells", 13, 12)
 
 
 def test_smooth_restriction_needs_box(sample5):

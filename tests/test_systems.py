@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diagpair import (
+from diagpair.smooth import primes_up_to
+from diagpair.systems import (
     DiagonalSystem,
     SystemClass,
     check_conditions,
@@ -12,7 +13,6 @@ from diagpair import (
     parse_system,
     phi_indefinite,
 )
-from diagpair.smooth import primes_up_to
 
 nonzero = st.integers(-9, 9).filter(lambda v: v != 0)
 
