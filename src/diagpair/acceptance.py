@@ -44,7 +44,7 @@ from .oracles import (
     brute_moment_T,
     direct_series_term,
 )
-from .smooth import dickman_rho, smooth_set
+from .smooth import dickman_rho, smooth_mask, smooth_set
 from .solver import count_solutions, verify_solution
 from .systems import BUILTIN_SYSTEMS, DiagonalSystem
 
@@ -349,7 +349,7 @@ def criterion_11(profile: str = "desk") -> CriterionResult:
         if rho_err > 1e-6:
             return False, f"rho(2) off by {rho_err:.2e}"
         X = 10**5
-        dens = len(smooth_set(X, math.isqrt(X))) / X
+        dens = np.count_nonzero(smooth_mask(X, math.isqrt(X))) / X
         gap = abs(dens - (1 - math.log(2)))
         small = smooth_set(10, 3)
         if small != [1, 2, 3, 4, 6, 8, 9]:

@@ -408,9 +408,11 @@ def _grid_candidates(sys: DiagonalSystem, pk: int, tail) -> list[tuple[int, ...]
     return [(int(r), int(c), *map(int, tail)) for r, c in zip(rows, cols)]
 
 
-# padic_witness search: depths k = 1, 3, ..., 2 * _WITNESS_MAX_DEPTH + 1, and
-# _WITNESS_TRIES random tails at a depth too large to enumerate
+# padic_witness search: depths k = 1, 3, ..., 2 * _WITNESS_MAX_DEPTH + 1 with
+# p^k <= _WITNESS_MAX_MODULUS, and _WITNESS_TRIES random tails at a depth too
+# large to enumerate
 _WITNESS_MAX_DEPTH = 2
+_WITNESS_MAX_MODULUS = 2000
 _WITNESS_TRIES = 40
 
 
@@ -424,21 +426,28 @@ def padic_witness(
 
     A solution mod p^k with some 2x2 minor of the (Theta, Phi) Jacobian of
     p-adic valuation v qualifies when k >= 2v + 1.  Depths k = 1, 3, 5, ...
-    are tried in turn; mod 2 the Phi row vanishes identically, so p = 2
-    genuinely needs k >= 3.  Alongside, M(p^t) is computed exactly for the
+    with p^k <= 2000 are tried in turn; mod 2 the Phi row vanishes
+    identically, so p = 2 genuinely needs k >= 3.  Alongside, M(p^t) is computed exactly for the
     t with p^t <= 150 (or t = 1) whose s p^(3t) is within `budget`, and
     the growth floor M(p^t) >= p^((t-w)(s-2)) pins the smallest workable w.
+    A p > 2000 whose M(p) is past `budget` leaves nothing to check and
+    raises ValueError rather than report a miss.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     rng = rng if rng is not None else np.random.default_rng(p)
     if sys.s < 2:
         raise ValueError("need at least two variables")
+    if p > _WITNESS_MAX_MODULUS and sys.s * p**3 > budget:
+        raise ValueError(
+            f"p = {p} is past the witness search's modulus cap {_WITNESS_MAX_MODULUS}, and M({p}) "
+            f"needs {sys.s * p**3} cells against budget {budget}: nothing could be checked"
+        )
     found = None
     for v_target in range(_WITNESS_MAX_DEPTH + 1):
         k = 2 * v_target + 1
         pk = p**k
-        if pk > 2000:
+        if pk > _WITNESS_MAX_MODULUS:
             break
         if pk ** (sys.s - 2) <= 10_000:
             tails = product(range(pk), repeat=sys.s - 2)

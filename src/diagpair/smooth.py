@@ -3,24 +3,35 @@
 An integer is R-smooth when its largest prime factor is at most R; the
 empty product 1 counts as smooth for every R.  The asymptotic density of
 X^(1/u)-smooth numbers below X is the Dickman function rho(u), computed
-here by stepping the delay equation u rho'(u) = -rho(u - 1) with the
-implicit trapezoid rule on a grid whose step divides 1 exactly, so the
-lagged value is always an earlier grid point.
+per call from one power series per unit interval (Marsaglia, Zaman and
+Marsaglia, Math. Comp. 53 (1989)).  On [k, k+1], rho(k + 1/2 + x) =
+sum_i a_i x^i for |x| <= 1/2, starting from rho = 1 on [0, 1].  The
+delay equation u rho'(u) = -rho(u - 1) fixes a_1, a_2, ... from the unit
+below, and the integral form u rho(u) = int_{u-1}^{u} rho at the midpoint
+fixes a_0 as a sum of positive terms.  Unit k's series converges out to
+its singularity at u = k - 1, so its terms fall like 3^-i; with 40 terms
+the relative error stays below 1e-14 on all of [0, 20], rho(20) ~ 2.5e-29
+included.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import ceil, isqrt
 
 import numpy as np
 
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 
-_RHO_PER_UNIT = 10_000  # grid step 1e-4
 _RHO_MAX_U = 20
+_RHO_TERMS = 40
 
-_rho_grid: np.ndarray | None = None
-_rho_vals: np.ndarray | None = None
+
+def _spf_array(n: int) -> np.ndarray:
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    return spf
 
 
 def smallest_prime_factors(n: int) -> list[int]:
@@ -28,11 +39,7 @@ def smallest_prime_factors(n: int) -> list[int]:
 
     q > 1 is prime exactly when spf[q] == q.
     """
-    spf = np.arange(n + 1)
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
-    return spf.tolist()
+    return _spf_array(n).tolist()
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -72,11 +79,10 @@ def gpf_table(N: int) -> np.ndarray:
     """gpf_table(N)[x] is the greatest prime factor of x, with gpf(1) = 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    gpf = np.zeros(N + 1, dtype=np.int64)
-    gpf[1] = 1
-    for p in range(2, N + 1):
-        if gpf[p] == 0:
-            gpf[p::p] = p
+    gpf = _spf_array(N)
+    # ascending primes, so the largest prime dividing x writes gpf[x] last
+    for p in np.flatnonzero(gpf == np.arange(N + 1))[2:].tolist():
+        gpf[p::p] = p
     return gpf
 
 
@@ -98,31 +104,34 @@ def smooth_set(X: int, R: int, budget: int = DEFAULT_LEDGER_BUDGET) -> list[int]
     return [int(x) for x in np.nonzero(smooth_mask(X, R, budget))[0]]
 
 
-def _build_rho() -> tuple[np.ndarray, np.ndarray]:
-    n = _RHO_PER_UNIT
-    h = 1.0 / n
-    grid = np.arange(n * _RHO_MAX_U + 1) * h
-    vals = np.ones(grid.size)
-    for unit in range(1, _RHO_MAX_U):
-        base = unit * n
-        lag = vals[base - n : base + 1]
-        t = grid[base : base + n + 1]
-        f = lag / t
-        inc = (h / 2.0) * (f[:-1] + f[1:])
-        vals[base + 1 : base + n + 1] = vals[base] - np.cumsum(inc)
-    return grid, vals
-
-
 def dickman_rho(u: float) -> float:
-    """Dickman's rho on [0, 20], linear interpolation on the stepped table."""
+    """Dickman's rho on [0, 20] from the per-unit series of the module docstring.
+
+    Unit k's a_i for i >= 1 follow from the unit below, b, in the same x:
+    (k + 1/2)(i + 1) a_(i+1) = -(b_i + i a_i).  Then
+    k a_0 = int_0^(1/2) b + int_(-1/2)^0 (a - a_0), both terms positive
+    (fixing a_0 by continuity at u = k instead cancels catastrophically in
+    the tail).  Relative error below 1e-14 on [0, 20]; nothing is kept
+    between calls.
+    """
     if u < 0 or u > _RHO_MAX_U:
         raise ValueError(f"u out of range [0, {_RHO_MAX_U}]: {u}")
     if u <= 1:
         return 1.0
-    global _rho_grid, _rho_vals
-    if _rho_vals is None:
-        _rho_grid, _rho_vals = _build_rho()
-    return float(np.interp(u, _rho_grid, _rho_vals))
+    top = ceil(u) - 1  # u in (top, top + 1]
+    a = [1.0] + [0.0] * (_RHO_TERMS - 1)
+    for k in range(1, top + 1):
+        b, a = a, [0.0] * _RHO_TERMS
+        for i in range(_RHO_TERMS - 1):
+            a[i + 1] = -(b[i] + i * a[i]) / ((k + 0.5) * (i + 1))
+        upper = sum(b[i] * 0.5 ** (i + 1) / (i + 1) for i in range(_RHO_TERMS))
+        lower = sum(a[i] * (-0.5) ** i * 0.5 / (i + 1) for i in range(1, _RHO_TERMS))
+        a[0] = (upper + lower) / k
+    x = u - (top + 0.5)
+    val = 0.0
+    for coeff in reversed(a):
+        val = val * x + coeff
+    return val
 
 
 def c_eta(eta: float) -> float:

@@ -249,6 +249,9 @@ def test_smooth_outputs(capsys):
     doc = run_json(capsys, "smooth", "--x", "10", "--r", "3", "--rho", "2.0")
     assert doc["result"]["count"] == "7"
     assert float(doc["result"]["rho"]) == pytest.approx(0.30685281944005469, abs=1e-8)
+    # the tail once went negative from u = 10
+    doc = run_json(capsys, "smooth", "--rho", "10", "--c-eta", "0.1")
+    assert float(doc["result"]["rho"]) > 0 and float(doc["result"]["c_eta"]) > 0
 
 
 def test_arcs_dirichlet(capsys):
@@ -411,6 +414,12 @@ def test_local_witness_rejects_a_non_prime():
     proc = fresh("-m", "diagpair.cli", "local", "--builtin", "sample5", "--witness", "1", timeout=60)
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stderr.startswith("config error") and "prime" in proc.stderr
+
+
+def test_local_witness_refuses_an_empty_search(capsys):
+    code, out, err = run(capsys, "local", "--builtin", "sample5", "--witness", "2003")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error: p = 2003") and "cap 2000" in err
 
 
 # the modules loaded after the CLI's import, and after `main(argv)` when

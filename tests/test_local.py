@@ -177,6 +177,15 @@ def test_padic_functions_reject_a_non_prime(sample5, p):
         chi_p_partial(sample5, p, 2)
 
 
+def test_padic_witness_refuses_an_empty_search(sample5):
+    # past p^1 = 2000 no depth is tried, and M(p) needs s p^3 cells, past
+    # the default budget; the search once reported that as an ordinary miss
+    with pytest.raises(ValueError, match="p = 2003 .* cap 2000"):
+        padic_witness(sample5, 2003)
+    wit = padic_witness(sample5, 1999)
+    assert (wit.found, wit.k, wit.t_checked) == (True, 1, ())
+
+
 def test_chi_depth_zero(sample5):
     part = chi_p_partial(sample5, 3, 0)
     assert part.series_side == 1.0

@@ -1,19 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diagpair import smooth
 from diagpair.budget import BudgetError
 from diagpair.smooth import c_eta, dickman_rho, gpf_table, is_prime, primes_up_to, smooth_mask, smooth_set
 
-# frozen from a 30-digit mpmath quadrature of the delay equation
+# u = 2, 2.5 and 3.5 from the closed form and 25-digit mpmath quadrature of
+# the delay equation; the integers from 3 on are the published values
+# (Marsaglia, Zaman and Marsaglia, Math. Comp. 53 (1989))
 RHO_TABLE = {
     2.0: 0.30685281944005469,
     2.5: 0.13031956183225075,
-    3.0: 0.048608388291131567,
-    3.5: 0.016229593119445972,
-    4.0: 0.004910925663511926,
+    3.0: 0.0486083882911316,
+    3.5: 0.016229593243235992,
+    4.0: 4.91092564776083e-3,
+    5.0: 3.54724700456040e-4,
+    6.0: 1.96496963539553e-5,
+    7.0: 8.74566995329392e-7,
+    8.0: 3.23206930422610e-8,
+    9.0: 1.01624828273784e-9,
+    10.0: 2.77017183772596e-11,
 }
 
 
@@ -70,19 +80,20 @@ def test_smooth_set_small():
 
 
 def test_rho_closed_form_harmonics():
-    assert dickman_rho(2.0) == pytest.approx(1 - math.log(2), abs=1e-9)
+    assert dickman_rho(2.0) == pytest.approx(1 - math.log(2), abs=1e-15)
     for u in (0.0, 0.3, 1.0):
         assert dickman_rho(u) == 1.0
 
 
 def test_rho_frozen_table():
     for u, val in RHO_TABLE.items():
-        assert dickman_rho(u) == pytest.approx(val, abs=1e-8)
+        assert dickman_rho(u) == pytest.approx(val, rel=1e-12)
+    assert dickman_rho(20.0) == pytest.approx(2.4617828e-29, rel=1e-7)
 
 
 def test_rho_table_derivation():
     # re-derive two frozen entries from the delay equation with mpmath
-    # quadrature, independent of the stepped table
+    # quadrature, independent of the power series
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 20
     rho2 = 1 - mp.log(2)
@@ -91,11 +102,21 @@ def test_rho_table_derivation():
     assert float(rho3) == pytest.approx(RHO_TABLE[3.0], abs=1e-12)
 
 
-@given(st.floats(1.0, 7.0), st.floats(0.01, 0.9))
+@given(st.floats(1.0, 19.1), st.floats(0.01, 0.9))
 def test_rho_decreasing(u, step):
-    # the stepped table is absolutely accurate to ~1e-9, so the deep tail
-    # (rho below that) is excluded
-    assert dickman_rho(u + step) <= dickman_rho(u) + 1e-10
+    assert 0 < dickman_rho(u + step) < dickman_rho(u)
+
+
+def test_rho_keeps_no_state():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dickman_rho(20.0)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(after - before) < 1024
+    assert not [name for name, val in vars(smooth).items() if isinstance(val, np.ndarray)]
 
 
 def test_rho_rejects_out_of_range():
