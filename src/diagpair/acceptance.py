@@ -1,9 +1,12 @@
 """Gate checks tying the whole pipeline together, with smoke/desk tiers.
 
-Each criterion function returns a CriterionResult and never raises on a
-mathematical failure; run_all collects all twelve so a report always shows
-one line per criterion.  The smoke tier shrinks grids to fit under a minute
-and says so in the detail string; desk runs the full grids.
+Each criterion is a body registered with `_criterion`, which numbers it
+by its place in `_CRITERIA`, times it, turns a crash into a failure, and
+in the smoke tier appends the criterion's smoke tag to the detail string.
+A body takes `desk` (True for the full grids, False for the smoke tier's
+smaller ones) and returns (passed, detail).  Every `criterion_k(profile)`
+returns a CriterionResult and never raises; run_all collects all twelve so
+a report always shows one line per criterion.
 """
 
 from __future__ import annotations
@@ -67,45 +70,56 @@ class CriterionResult:
     elapsed: float
 
 
-def _run(index: int, name: str, body) -> CriterionResult:
-    start = time.time()
-    try:
-        passed, detail = body()
-    except Exception as exc:  # noqa: BLE001 - a crashed criterion is a failed criterion
-        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CriterionResult(index, name, passed, detail, time.time() - start)
+_CRITERIA: list = []
 
 
-def criterion_1(profile: str = "desk") -> CriterionResult:
+def _criterion(name: str, smoke_tag: str = ""):
+    """Register `body(desk)` as the next criterion, numbered by its place in `_CRITERIA`."""
+
+    def register(body):
+        index = len(_CRITERIA) + 1
+
+        def criterion(profile: str = "desk") -> CriterionResult:
+            start = time.time()
+            try:
+                passed, detail = body(profile == "desk")
+            except Exception as exc:  # noqa: BLE001 - a crashed criterion is a failed criterion
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            if profile != "desk":
+                detail += smoke_tag
+            return CriterionResult(index, name, passed, detail, time.time() - start)
+
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        _CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+@_criterion("diagonal moment T_3 limit", " (smoke grid)")
+def criterion_1(desk: bool) -> tuple[bool, str]:
     """T_3(X)/X^3 approaches 6 with deviation inside 30 X^(-2/3), shrinking."""
-
-    def body():
-        xs = [60, 90, 120] if profile == "desk" else [30, 60]
-        devs = []
-        for X in xs:
-            t3 = int(moment_T(3, X))
-            dev = abs(t3 / X**3 - 6.0)
-            if dev > 5 * 6 * X ** (-2 / 3):
-                return False, f"X={X}: deviation {dev:.4f} exceeds bound"
-            devs.append(dev)
-        mono = all(a > b for a, b in zip(devs, devs[1:]))
-        tag = "" if profile == "desk" else " (smoke grid)"
-        return mono, f"deviations {[round(d, 4) for d in devs]} monotone={mono}{tag}"
-
-    return _run(1, "diagonal moment T_3 limit", body)
+    xs = [60, 90, 120] if desk else [30, 60]
+    devs = []
+    for X in xs:
+        t3 = int(moment_T(3, X))
+        dev = abs(t3 / X**3 - 6.0)
+        if dev > 5 * 6 * X ** (-2 / 3):
+            return False, f"X={X}: deviation {dev:.4f} exceeds bound"
+        devs.append(dev)
+    mono = all(a > b for a, b in zip(devs, devs[1:]))
+    return mono, f"deviations {[round(d, 4) for d in devs]} monotone={mono}"
 
 
-def criterion_2(profile: str = "desk") -> CriterionResult:
+@_criterion("T_4 growth exponent")
+def criterion_2(desk: bool) -> tuple[bool, str]:
     """log T_4 against log X fits a slope in [3.8, 4.7]."""
-
-    def body():
-        xs = [20, 30, 40, 60] if profile == "desk" else [20, 30, 40]
-        series = [(X, int(moment_T(4, X))) for X in xs]
-        slope, resid = fit_exponent(series)
-        ok = 3.8 <= slope <= 4.7
-        return ok, f"slope {slope:.4f} resid {resid:.4f} over X={xs}"
-
-    return _run(2, "T_4 growth exponent", body)
+    xs = [20, 30, 40, 60] if desk else [20, 30, 40]
+    series = [(X, int(moment_T(4, X))) for X in xs]
+    slope, resid = fit_exponent(series)
+    ok = 3.8 <= slope <= 4.7
+    return ok, f"slope {slope:.4f} resid {resid:.4f} over X={xs}"
 
 
 _TINY2 = BUILTIN_SYSTEMS["tiny2"]
@@ -113,8 +127,7 @@ _SMALL4 = DiagonalSystem(a=(1, -1), b=(1, -1), c=(), d=(1, -1))
 _SMALL3 = DiagonalSystem(a=(1, 1), b=(1, -1), c=(1,), d=())
 
 
-def _oracle_instances(profile: str):
-    smoke = profile != "desk"
+def _oracle_instances(desk: bool):
     f_spec = BoxSumSpec(theta=0.3, P=8.0, cubic=1, quad=1)
     h_spec = BoxSumSpec(theta=0.4, P=8.0, quad=1)
     g_spec = BoxSumSpec(theta=0.3, P=10.0, cubic=1)
@@ -135,7 +148,7 @@ def _oracle_instances(profile: str):
         ("moment_J(3,6)", lambda: int(moment_J(3, 6)), lambda: brute_moment_J(3, 6)),
         ("count_J1(2,2)", lambda: int(count_J1(2, 2)), lambda: brute_count_J1(2, 2)),
     ]
-    if smoke:
+    if not desk:
         return inst
     inst += [
         ("moment_T(2,25)", lambda: int(moment_T(2, 25)), lambda: brute_moment_T(2, 25)),
@@ -155,76 +168,63 @@ def _oracle_instances(profile: str):
     return inst
 
 
-def criterion_3(profile: str = "desk") -> CriterionResult:
+@_criterion("oracle equivalence", " (smoke subset)")
+def criterion_3(desk: bool) -> tuple[bool, str]:
     """Every counting path agrees exactly with nested-loop brute force."""
-
-    def body():
-        inst = _oracle_instances(profile)
-        for name, fast, brute in inst:
-            got, want = fast(), brute()
-            if got != want:
-                return False, f"{name}: ledger {got} != brute {want}"
-        tag = "" if profile == "desk" else " (smoke subset)"
-        return True, f"{len(inst)} instances exact{tag}"
-
-    return _run(3, "oracle equivalence", body)
+    inst = _oracle_instances(desk)
+    for name, fast, brute in inst:
+        got, want = fast(), brute()
+        if got != want:
+            return False, f"{name}: ledger {got} != brute {want}"
+    return True, f"{len(inst)} instances exact"
 
 
-def criterion_4(profile: str = "desk") -> CriterionResult:
+@_criterion("shifted-block structure identity", " (smoke grid)")
+def criterion_4(desk: bool) -> tuple[bool, str]:
     """Product identity holds on every I_2 solution; I_2 under its bound."""
-
-    def body():
-        top = 6 if profile == "desk" else 4
-        worst = 0.0
-        for Y in range(1, top + 1):
-            for H in range(1, top + 1):
-                cls = classify_I2(Y, H)
-                if cls.identity_violations:
-                    return False, f"(Y,H)=({Y},{H}): {cls.identity_violations} identity violations"
-                if cls.total != int(moment_I(2, Y, H)):
-                    return False, f"(Y,H)=({Y},{H}): bucket total {cls.total} != I_2"
-                bound = 10 * (H**3 * Y + (H * Y) ** 2 * (1 + math.log(H * Y)) ** 2)
-                worst = max(worst, cls.total / bound)
-                if cls.total > bound:
-                    return False, f"(Y,H)=({Y},{H}): I_2 {cls.total} above bound {bound:.0f}"
-        tag = "" if profile == "desk" else " (smoke grid)"
-        return True, f"grid <= {top}: identity exact, worst I_2/bound {worst:.3f}{tag}"
-
-    return _run(4, "shifted-block structure identity", body)
+    top = 6 if desk else 4
+    worst = 0.0
+    for Y in range(1, top + 1):
+        for H in range(1, top + 1):
+            cls = classify_I2(Y, H)
+            if cls.identity_violations:
+                return False, f"(Y,H)=({Y},{H}): {cls.identity_violations} identity violations"
+            if cls.total != int(moment_I(2, Y, H)):
+                return False, f"(Y,H)=({Y},{H}): bucket total {cls.total} != I_2"
+            bound = 10 * (H**3 * Y + (H * Y) ** 2 * (1 + math.log(H * Y)) ** 2)
+            worst = max(worst, cls.total / bound)
+            if cls.total > bound:
+                return False, f"(Y,H)=({Y},{H}): I_2 {cls.total} above bound {bound:.0f}"
+    return True, f"grid <= {top}: identity exact, worst I_2/bound {worst:.3f}"
 
 
-def criterion_5(profile: str = "desk") -> CriterionResult:
+@_criterion("Vinogradov cubic ratio")
+def criterion_5(desk: bool) -> tuple[bool, str]:
     """Cubic Vinogradov ratio J_{3,3}(X)/X^3 stays under 40."""
-
-    def body():
-        xs = [20, 40, 60, 80, 100] if profile == "desk" else [20, 40, 60]
-        ratios = []
-        for X in xs:
-            r = int(moment_J(3, X)) / X**3
-            if r > 40:
-                return False, f"X={X}: ratio {r:.2f} > 40"
-            ratios.append(round(r, 3))
-        return True, f"ratios {ratios}"
-
-    return _run(5, "Vinogradov cubic ratio", body)
+    xs = [20, 40, 60, 80, 100] if desk else [20, 40, 60]
+    ratios = []
+    for X in xs:
+        r = int(moment_J(3, X)) / X**3
+        if r > 40:
+            return False, f"X={X}: ratio {r:.2f} > 40"
+        ratios.append(round(r, 3))
+    return True, f"ratios {ratios}"
 
 
-def criterion_6(profile: str = "desk") -> CriterionResult:
+@_criterion("local identity")
+def criterion_6(desk: bool) -> tuple[bool, str]:
     """Sum of complete sums at p^h equals the normalized congruence count."""
-
-    def body():
-        worst = 0.0
-        for p, t in [(2, 2), (3, 2), (5, 1)]:
-            part = chi_p_partial(SAMPLE5, p, t)
-            worst = max(worst, part.relative_gap)
-            if part.relative_gap > 1e-8:
-                return False, f"(p,t)=({p},{t}): relative gap {part.relative_gap:.2e}"
-        return True, f"worst relative gap {worst:.2e}"
-
-    return _run(6, "local identity", body)
+    worst = 0.0
+    for p, t in [(2, 2), (3, 2), (5, 1)]:
+        part = chi_p_partial(SAMPLE5, p, t)
+        worst = max(worst, part.relative_gap)
+        if part.relative_gap > 1e-8:
+            return False, f"(p,t)=({p},{t}): relative gap {part.relative_gap:.2e}"
+    return True, f"worst relative gap {worst:.2e}"
 
 
-def criterion_7(profile: str = "desk") -> CriterionResult:
+@_criterion("complete-sum magnitudes")
+def criterion_7(desk: bool) -> tuple[bool, str]:
     """Gauss magnitudes, the trivial bound, and the recorded Weyl-ratio ceiling.
 
     The Weyl ratio is max |S(q; r)| q^(-2/3-0.05) over the primitive r mod
@@ -232,177 +232,139 @@ def criterion_7(profile: str = "desk") -> CriterionResult:
     one scaling-orbit row per orbit of r3 (`local._primitive_max`), not
     from the q x q table.
     """
-
-    def body():
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            for dk in (1, -1, 2):
-                if dk % p == 0:
-                    continue
-                for r2 in range(1, p):
-                    mag = complete_sum(p, r2, 0, 0, dk).magnitude
-                    if abs(mag - math.sqrt(p)) > 1e-8:
-                        return False, f"|S({p}, r2={r2}; 0, {dk})| = {mag:.8f} != sqrt({p})"
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            q = int(rng.integers(1, 60))
-            r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
-            for A3, A2 in [(1, -2), (3, 0), (0, -1)]:
-                if complete_sum(q, r2, r3, A3, A2).magnitude > q + 1e-9:
-                    return False, f"|S({q}; {A3}, {A2})| above trivial bound"
-        q_top = 200 if profile == "desk" else 100
-        ratio = 0.0
-        for q in range(1, q_top + 1):
-            for mag in _primitive_max(q, ((1, 1), (1, -1))):
-                ratio = max(ratio, mag * q ** (-2 / 3 - 0.05))
-        if ratio > WEYL_RATIO_CONST:
-            return False, f"Weyl ratio {ratio:.4f} exceeds recorded {WEYL_RATIO_CONST}"
-        return True, f"gauss exact, trivial bound held, Weyl ratio {ratio:.4f} <= {WEYL_RATIO_CONST}"
-
-    return _run(7, "complete-sum magnitudes", body)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for dk in (1, -1, 2):
+            if dk % p == 0:
+                continue
+            for r2 in range(1, p):
+                mag = complete_sum(p, r2, 0, 0, dk).magnitude
+                if abs(mag - math.sqrt(p)) > 1e-8:
+                    return False, f"|S({p}, r2={r2}; 0, {dk})| = {mag:.8f} != sqrt({p})"
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        q = int(rng.integers(1, 60))
+        r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
+        for A3, A2 in [(1, -2), (3, 0), (0, -1)]:
+            if complete_sum(q, r2, r3, A3, A2).magnitude > q + 1e-9:
+                return False, f"|S({q}; {A3}, {A2})| above trivial bound"
+    q_top = 200 if desk else 100
+    ratio = 0.0
+    for q in range(1, q_top + 1):
+        for mag in _primitive_max(q, ((1, 1), (1, -1))):
+            ratio = max(ratio, mag * q ** (-2 / 3 - 0.05))
+    if ratio > WEYL_RATIO_CONST:
+        return False, f"Weyl ratio {ratio:.4f} exceeds recorded {WEYL_RATIO_CONST}"
+    return True, f"gauss exact, trivial bound held, Weyl ratio {ratio:.4f} <= {WEYL_RATIO_CONST}"
 
 
-def criterion_8(profile: str = "desk") -> CriterionResult:
+@_criterion("singular series convergence", " (smoke heights)")
+def criterion_8(desk: bool) -> tuple[bool, str]:
     """Singular series tails shrink and A(q) is exactly multiplicative."""
-
-    def body():
-        heights = [50, 100, 200, 400] if profile == "desk" else [50, 100, 200]
-        res = singular_series(BALANCED11, heights[-1])
-        partials = [float(res.partials[Q - 1]) for Q in heights]
-        diffs = [abs(b - a) for a, b in zip(partials, partials[1:])]
-        if not all(a > b for a, b in zip(diffs, diffs[1:])):
-            return False, f"differences not decreasing: {diffs}"
-        if partials[-1] <= 0:
-            return False, f"final partial {partials[-1]:.6f} <= 0"
-        # res.A at composite q is built as a product, so the left side of the
-        # identity comes from direct complete sums, which every res.A[q] matches;
-        # q = 15 is the first composite where balanced11's A(q) is not 0
-        direct = {q: direct_series_term(BALANCED11, q)[0] for q in range(2, 16)}
-        for q, a in direct.items():
-            if abs(res.A[q] - a) > 1e-9 * max(1.0, abs(a)):
-                return False, f"A({q}) != direct A({q})"
-        for q1 in range(2, 16):
-            for q2 in range(2, 16):
-                if q1 * q2 > 15 or math.gcd(q1, q2) != 1:
-                    continue
-                lhs, rhs = direct[q1 * q2], res.A[q1] * res.A[q2]
-                if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-                    return False, f"A({q1 * q2}) != A({q1})A({q2})"
-        tag = "" if profile == "desk" else " (smoke heights)"
-        return True, f"partials {[round(p, 6) for p in partials]}, A multiplicative{tag}"
-
-    return _run(8, "singular series convergence", body)
+    heights = [50, 100, 200, 400] if desk else [50, 100, 200]
+    res = singular_series(BALANCED11, heights[-1])
+    partials = [float(res.partials[Q - 1]) for Q in heights]
+    diffs = [abs(b - a) for a, b in zip(partials, partials[1:])]
+    if not all(a > b for a, b in zip(diffs, diffs[1:])):
+        return False, f"differences not decreasing: {diffs}"
+    if partials[-1] <= 0:
+        return False, f"final partial {partials[-1]:.6f} <= 0"
+    # res.A at composite q is built as a product, so the left side of the
+    # identity comes from direct complete sums, which every res.A[q] matches;
+    # q = 15 is the first composite where balanced11's A(q) is not 0
+    direct = {q: direct_series_term(BALANCED11, q)[0] for q in range(2, 16)}
+    for q, a in direct.items():
+        if abs(res.A[q] - a) > 1e-9 * max(1.0, abs(a)):
+            return False, f"A({q}) != direct A({q})"
+    for q1 in range(2, 16):
+        for q2 in range(2, 16):
+            if q1 * q2 > 15 or math.gcd(q1, q2) != 1:
+                continue
+            lhs, rhs = direct[q1 * q2], res.A[q1] * res.A[q2]
+            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
+                return False, f"A({q1 * q2}) != A({q1})A({q2})"
+    return True, f"partials {[round(p, 6) for p in partials]}, A multiplicative"
 
 
-def criterion_9(profile: str = "desk") -> CriterionResult:
+@_criterion("singular integral vs volume", " (smoke sizes)")
+def criterion_9(desk: bool) -> tuple[bool, str]:
     """Dyadic W(Q) tails decay in the expected band; the coarea MC density matches the limit."""
-
-    def body():
-        heights = [16, 32, 64, 128] if profile == "desk" else [16, 32, 64]
-        _, diag = singular_integral(LADDER6, heights[-1], 1.0, LADDER6_THETA, heights=heights)
-        ratios = diag["tail_ratios"]
-        for r in ratios:
-            if not 0.25 <= r <= 0.75:
-                return False, f"tail ratio {r:.3f} outside [0.25, 0.75] (ratios {ratios})"
-        limit, err = extrapolate_ladder([diag["ladder"][h] for h in heights])
-        samples = 400_000 if profile == "desk" else 100_000
-        c, sigma = volume_constant(LADDER6, LADDER6_THETA, samples=samples)
-        gap = abs(limit - c)
-        window = 3 * math.hypot(err, sigma)
-        ok = gap <= window
-        tag = "" if profile == "desk" else " (smoke sizes)"
-        return ok, (
-            f"ratios {[round(r, 3) for r in ratios]}, limit {limit:.5f}+-{err:.1e}, "
-            f"MC {c:.5f}+-{sigma:.1e}, gap {gap:.2e} vs {window:.2e}{tag}"
-        )
-
-    return _run(9, "singular integral vs volume", body)
+    heights = [16, 32, 64, 128] if desk else [16, 32, 64]
+    _, diag = singular_integral(LADDER6, heights[-1], 1.0, LADDER6_THETA, heights=heights)
+    ratios = diag["tail_ratios"]
+    for r in ratios:
+        if not 0.25 <= r <= 0.75:
+            return False, f"tail ratio {r:.3f} outside [0.25, 0.75] (ratios {ratios})"
+    limit, err = extrapolate_ladder([diag["ladder"][h] for h in heights])
+    samples = 400_000 if desk else 100_000
+    c, sigma = volume_constant(LADDER6, LADDER6_THETA, samples=samples)
+    gap = abs(limit - c)
+    window = 3 * math.hypot(err, sigma)
+    ok = gap <= window
+    return ok, (
+        f"ratios {[round(r, 3) for r in ratios]}, limit {limit:.5f}+-{err:.1e}, "
+        f"MC {c:.5f}+-{sigma:.1e}, gap {gap:.2e} vs {window:.2e}"
+    )
 
 
-def criterion_10(profile: str = "desk") -> CriterionResult:
+@_criterion("solution-count growth")
+def criterion_10(desk: bool) -> tuple[bool, str]:
     """Meet-in-middle N(B) grows like B^6 on the balanced system, with a witness."""
-
-    def body():
-        start = time.time()
-        r6 = count_solutions(BALANCED11, 6)
-        r12 = count_solutions(BALANCED11, 12)
-        ratio = r12.count / r6.count
-        if not 32 <= ratio <= 128:
-            return False, f"N(12)/N(6) = {ratio:.2f} outside [32, 128]"
-        if not r6.witnesses:
-            return False, "no nonzero witness found"
-        w = r6.witnesses[0]
-        if not verify_solution(BALANCED11, w):
-            return False, f"witness {w} fails exact verification"
-        elapsed = time.time() - start
-        if elapsed > 600:
-            return False, f"runtime {elapsed:.0f}s over 10 min"
-        return True, f"N(6)={r6.count}, N(12)={r12.count}, ratio {ratio:.2f}, witness {w}"
-
-    return _run(10, "solution-count growth", body)
+    start = time.time()
+    r6 = count_solutions(BALANCED11, 6)
+    r12 = count_solutions(BALANCED11, 12)
+    ratio = r12.count / r6.count
+    if not 32 <= ratio <= 128:
+        return False, f"N(12)/N(6) = {ratio:.2f} outside [32, 128]"
+    if not r6.witnesses:
+        return False, "no nonzero witness found"
+    w = r6.witnesses[0]
+    if not verify_solution(BALANCED11, w):
+        return False, f"witness {w} fails exact verification"
+    elapsed = time.time() - start
+    if elapsed > 600:
+        return False, f"runtime {elapsed:.0f}s over 10 min"
+    return True, f"N(6)={r6.count}, N(12)={r12.count}, ratio {ratio:.2f}, witness {w}"
 
 
-def criterion_11(profile: str = "desk") -> CriterionResult:
+@_criterion("smooth numbers and Dickman")
+def criterion_11(desk: bool) -> tuple[bool, str]:
     """Dickman value, smooth-count density, and the exact small set."""
-
-    def body():
-        rho_err = abs(dickman_rho(2.0) - (1 - math.log(2)))
-        if rho_err > 1e-6:
-            return False, f"rho(2) off by {rho_err:.2e}"
-        X = 10**5
-        dens = np.count_nonzero(smooth_mask(X, math.isqrt(X))) / X
-        gap = abs(dens - (1 - math.log(2)))
-        small = smooth_set(10, 3)
-        if small != [1, 2, 3, 4, 6, 8, 9]:
-            return False, f"A(10,3) = {small}"
-        if gap > 0.02:
-            return False, (
-                f"rho(2) exact to {rho_err:.1e} and A(10,3) exact, but "
-                f"|A(1e5,316)|/1e5 = {dens:.5f} is {gap:.4f} from rho(2); the "
-                f"finite-size excess decays like 1/log X and is ~0.05 at this X"
-            )
-        return True, f"rho(2) err {rho_err:.1e}, density gap {gap:.4f}, A(10,3) exact"
-
-    return _run(11, "smooth numbers and Dickman", body)
+    rho_err = abs(dickman_rho(2.0) - (1 - math.log(2)))
+    if rho_err > 1e-6:
+        return False, f"rho(2) off by {rho_err:.2e}"
+    X = 10**5
+    dens = np.count_nonzero(smooth_mask(X, math.isqrt(X))) / X
+    gap = abs(dens - (1 - math.log(2)))
+    small = smooth_set(10, 3)
+    if small != [1, 2, 3, 4, 6, 8, 9]:
+        return False, f"A(10,3) = {small}"
+    if gap > 0.02:
+        return False, (
+            f"rho(2) exact to {rho_err:.1e} and A(10,3) exact, but "
+            f"|A(1e5,316)|/1e5 = {dens:.5f} is {gap:.4f} from rho(2); the "
+            f"finite-size excess decays like 1/log X and is ~0.05 at this X"
+        )
+    return True, f"rho(2) err {rho_err:.1e}, density gap {gap:.4f}, A(10,3) exact"
 
 
-def criterion_12(profile: str = "desk") -> CriterionResult:
+@_criterion("transference bound report", " (smoke grid)")
+def criterion_12(desk: bool) -> tuple[bool, str]:
     """Transference arithmetic exact; block-sum bound constants bounded on the grid."""
-
-    def body():
-        if transfer_lambda(Fraction(1, 3), 1, 3, 10) != 3:
-            return False, "lambda(1/3; 1,3) != 3"
-        if transfer_lambda(Fraction(51, 100), 1, 2, 100) != 4:
-            return False, "lambda(0.51; 1,2, Z=100) != 4"
-        if transfer_lambda(Fraction(2, 7), 1, 3, 14) != 5:
-            return False, "lambda(2/7; 1,3, Z=14) != 5"
-        lo, hi = (4, 13) if profile == "desk" else (4, 9)
-        cells = [(H, Y) for H in range(lo, hi) for Y in range(lo, hi)]
-        grid = transfer_grid(cells, np.random.default_rng(12))
-        vals = [rep["C2_observed"] for rep in grid.values()]
-        if not all(math.isfinite(v) for v in vals):
-            return False, "non-finite C2 on the grid"
-        if max(vals) > TRANSFER_C2_CEILING:
-            return False, f"C2 max {max(vals):.4f} exceeds recorded {TRANSFER_C2_CEILING}"
-        tag = "" if profile == "desk" else " (smoke grid)"
-        return True, f"lambda exact; C2 in [{min(vals):.3f}, {max(vals):.3f}]{tag}"
-
-    return _run(12, "transference bound report", body)
-
-
-_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-]
+    if transfer_lambda(Fraction(1, 3), 1, 3, 10) != 3:
+        return False, "lambda(1/3; 1,3) != 3"
+    if transfer_lambda(Fraction(51, 100), 1, 2, 100) != 4:
+        return False, "lambda(0.51; 1,2, Z=100) != 4"
+    if transfer_lambda(Fraction(2, 7), 1, 3, 14) != 5:
+        return False, "lambda(2/7; 1,3, Z=14) != 5"
+    lo, hi = (4, 13) if desk else (4, 9)
+    cells = [(H, Y) for H in range(lo, hi) for Y in range(lo, hi)]
+    grid = transfer_grid(cells, np.random.default_rng(12))
+    vals = [rep["C2_observed"] for rep in grid.values()]
+    if not all(math.isfinite(v) for v in vals):
+        return False, "non-finite C2 on the grid"
+    if max(vals) > TRANSFER_C2_CEILING:
+        return False, f"C2 max {max(vals):.4f} exceeds recorded {TRANSFER_C2_CEILING}"
+    return True, f"lambda exact; C2 in [{min(vals):.3f}, {max(vals):.3f}]"
 
 
 def run_all(profile: str = "desk", jobs: int = 1) -> list[CriterionResult]:

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .budget import DEFAULT_LEDGER_BUDGET
 from .expsums import BoxSumSpec, block_sums, box_sum
 
 
@@ -190,14 +191,16 @@ def transfer_bound_check(
     }
 
 
-def transfer_grid(cells: Iterable[tuple[int, int]], rng: np.random.Generator) -> dict:
+def transfer_grid(
+    cells: Iterable[tuple[int, int]], rng: np.random.Generator, budget: int = DEFAULT_LEDGER_BUDGET
+) -> dict:
     """transfer_bound_check report of the block sum at each (H, Y) cell.
 
     Each cell takes 24 samples with a1 and a2 uniform on [0, 1): 16 with a3
     uniform and 8 with a3 = b/r + N(0, 1e-3) noise, r uniform in [1, 8] and
     b uniform in [0, r].  All 24 are drawn first, then their block sums come
-    from one `block_sums` call.  The block sum is measured against X = H Y
-    and Z = H Y^2 at theta = 1/2.
+    from one `block_sums` call within `budget`.  The block sum is measured
+    against X = H Y and Z = H Y^2 at theta = 1/2.
     """
     grid = {}
     for H, Y in cells:
@@ -210,7 +213,7 @@ def transfer_grid(cells: Iterable[tuple[int, int]], rng: np.random.Generator) ->
                 a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
             a1, a2 = float(rng.random()), float(rng.random())
             coeffs.append((a1, a2, a3))
-        sums = block_sums(coeffs, Y, H)
+        sums = block_sums(coeffs, Y, H, budget)
         samples = [(a3, s.magnitude) for (_, _, a3), s in zip(coeffs, sums)]
         grid[(H, Y)] = transfer_bound_check(
             samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5

@@ -260,7 +260,7 @@ def _cmd_arcs(args, cfg: RunConfig):
         cells = [(H, Y) for H in (4, 8, 12) for Y in (4, 8, 12)]
         out["transfer_report"] = {
             f"H={H},Y={Y}": {"C1": rep["C1_fitted"], "C2": rep["C2_observed"]}
-            for (H, Y), rep in transfer_grid(cells, np.random.default_rng(cfg.seed)).items()
+            for (H, Y), rep in transfer_grid(cells, np.random.default_rng(cfg.seed), cfg.budget).items()
         }
     if not out:
         raise ValueError("arcs needs one of --member/--dirichlet/--lam/--transfer-report")

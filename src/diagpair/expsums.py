@@ -107,15 +107,17 @@ def _phase_sums(coeffs: Sequence[Sequence[int]], mults: np.ndarray, w: int) -> l
     return [SumValue(math.fsum(re.tolist()), math.fsum(im.tolist())) for re, im in zip(np.cos(angles), np.sin(angles))]
 
 
-def block_sums(coeffs: Sequence[tuple[float, float, float]], Y: int, H: int) -> list[SumValue]:
+def block_sums(
+    coeffs: Sequence[tuple[float, float, float]], Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET
+) -> list[SumValue]:
     """Double sum of e(h*a1 + h*y*a2 + h*y^2*a3) over 0 < |h| <= H, 1 <= y <= Y, per (a1, a2, a3).
 
-    The 2HY terms of every triple are checked against the default budget
-    before any array is built.
+    The 2HY terms of every triple are checked against `budget` before any
+    array is built.
     """
     if Y < 1 or H < 1:
         raise ValueError("Y and H must be >= 1")
-    check_budget(len(coeffs) * 2 * H * Y, DEFAULT_LEDGER_BUDGET, what="exponential sum terms")
+    check_budget(len(coeffs) * 2 * H * Y, budget, what="exponential sum terms")
     w = _limb_width(H * (1 + Y + Y * Y))
     h = np.concatenate([np.arange(-H, 0), np.arange(1, H + 1)])[:, None]
     y = np.arange(1, Y + 1)

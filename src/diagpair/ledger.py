@@ -232,21 +232,14 @@ def _sum_runs(keys, weights, starts, runs, squares: bool = False):
     formed, bands, sum_sq = total - int(lo.sum()), 0, 0
 
     def cutter():
-        # ends(K) and the pairs below K; in the order of (group, -offset) the
-        # queries of any K ascend, which speeds up the searchsorted
+        # ends(K) and the pairs below K
         flat, low, width = _flat(keys, starts)
-        order = np.lexsort((-offset, group))
-        base, shift, run_lo, run_hi = group[order].astype(flat.dtype) * width, offset[order] + low, lo[order], hi[order]
-
-        def sorted_ends(K):
-            return np.clip(np.searchsorted(flat, np.clip(K - shift, 0, width - 1).astype(flat.dtype) + base), run_lo, run_hi)
+        base, shift = group.astype(flat.dtype) * width, offset + low
 
         def ends(K):
-            out = np.empty_like(lo)
-            out[order] = sorted_ends(K)
-            return out
+            return np.clip(np.searchsorted(flat, np.clip(K - shift, 0, width - 1).astype(flat.dtype) + base), lo, hi)
 
-        return ends, lambda K: int(sorted_ends(K).sum())
+        return ends, lambda K: int(ends(K).sum())
 
     start, cuts, out = lo, None, None
     heaviest = int(weights.max())

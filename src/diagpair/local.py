@@ -430,18 +430,17 @@ def padic_witness(
     identically, so p = 2 genuinely needs k >= 3.  Alongside, M(p^t) is computed exactly for the
     t with p^t <= 150 (or t = 1) whose s p^(3t) is within `budget`, and
     the growth floor M(p^t) >= p^((t-w)(s-2)) pins the smallest workable w.
-    A p > 2000 whose M(p) is past `budget` leaves nothing to check and
-    raises ValueError rather than report a miss.
+    Past p = 2000 no depth can be tried, so any such p raises ValueError,
+    at any budget, before M(p) is computed.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     rng = rng if rng is not None else np.random.default_rng(p)
     if sys.s < 2:
         raise ValueError("need at least two variables")
-    if p > _WITNESS_MAX_MODULUS and sys.s * p**3 > budget:
+    if p > _WITNESS_MAX_MODULUS:
         raise ValueError(
-            f"p = {p} is past the witness search's modulus cap {_WITNESS_MAX_MODULUS}, and M({p}) "
-            f"needs {sys.s * p**3} cells against budget {budget}: nothing could be checked"
+            f"p = {p} is past the witness search's modulus cap {_WITNESS_MAX_MODULUS}: no depth can be tried"
         )
     found = None
     for v_target in range(_WITNESS_MAX_DEPTH + 1):

@@ -95,16 +95,16 @@ def _normalize_signs(sys: DiagonalSystem, x: np.ndarray):
     return np.abs(x), flips, normalized
 
 
-# find_real_anchor's random Newton starts before the sign-pattern sweep
+# find_real_anchor's random Newton starts, each polished once
 _RANDOM_STARTS = 200
 
 
 def find_real_anchor(sys: DiagonalSystem, rng: Optional[np.random.Generator] = None) -> RealAnchor:
     """Multi-start damped Newton search for Theta = Phi = 0 in (0, 1/2)^s.
 
-    Starts are random sign/magnitude draws, then a deterministic sweep over
-    sign patterns as fallback.  The returned anchor is sign-normalized: the
-    flipped system has the same counts and all theta_i positive.
+    The starts are _RANDOM_STARTS random sign/magnitude draws, with no
+    fallback.  The returned anchor is sign-normalized: the flipped system
+    has the same counts and all theta_i positive.
     """
     rng = rng if rng is not None else np.random.default_rng(2023)
     s = sys.s
@@ -114,11 +114,6 @@ def find_real_anchor(sys: DiagonalSystem, rng: Optional[np.random.Generator] = N
             mag = rng.uniform(0.05, 0.45, size=s)
             sign = rng.choice([-1.0, 1.0], size=s)
             yield mag * sign
-
-    def grid_starts():
-        for idx in range(min(2**s, 4096)):
-            sign = np.array([1.0 if (idx >> i) & 1 else -1.0 for i in range(s)])
-            yield 0.3 * sign
 
     def polish(x0):
         x = _newton_polish(sys, x0)
@@ -153,8 +148,6 @@ def find_real_anchor(sys: DiagonalSystem, rng: Optional[np.random.Generator] = N
         score = float(np.min(np.abs(hit[0])))
         if score > best_score:
             best, best_score = hit, score
-    if best is None:
-        best = next((hit for hit in map(polish, grid_starts()) if hit is not None), None)
     if best is not None:
         return pack(*best)
     raise AnchorError(

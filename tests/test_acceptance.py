@@ -11,7 +11,26 @@ computationally reachable X.
 
 import pytest
 
+from diagpair import acceptance
 from diagpair.acceptance import format_results, run_all
+
+NAMES = [
+    "diagonal moment T_3 limit",
+    "T_4 growth exponent",
+    "oracle equivalence",
+    "shifted-block structure identity",
+    "Vinogradov cubic ratio",
+    "local identity",
+    "complete-sum magnitudes",
+    "singular series convergence",
+    "singular integral vs volume",
+    "solution-count growth",
+    "smooth numbers and Dickman",
+    "transference bound report",
+]
+# the tags that end a smoke run's details, by criterion
+SMOKE_TAGS = {1: "(smoke grid)", 3: "(smoke subset)", 4: "(smoke grid)", 8: "(smoke heights)",
+              9: "(smoke sizes)", 12: "(smoke grid)"}
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +108,32 @@ def test_report_covers_all_criteria(desk):
 def test_run_all_is_serial():
     with pytest.raises(ValueError):
         run_all("smoke", jobs=2)
+
+
+def test_registry_order_names_and_smoke_tags(desk):
+    assert acceptance._CRITERIA == [getattr(acceptance, f"criterion_{k}") for k in range(1, 13)]
+    assert [(r.index, r.name) for r in desk.values()] == list(enumerate(NAMES, 1))
+    smoke = run_all("smoke")
+    assert [(r.index, r.name) for r in smoke] == list(enumerate(NAMES, 1))
+    for r in smoke:
+        tagged = [tag for tag in set(SMOKE_TAGS.values()) if r.detail.endswith(" " + tag)]
+        assert tagged == ([SMOKE_TAGS[r.index]] if r.index in SMOKE_TAGS else []), r.detail
+        assert r.detail.count("(smoke") == len(tagged)
+
+
+def test_registered_criterion_is_numbered_timed_and_never_raises(monkeypatch):
+    monkeypatch.setattr(acceptance, "_CRITERIA", list(acceptance._CRITERIA))
+
+    @acceptance._criterion("crashes", " (smoke tag)")
+    def criterion_13(desk):
+        """Raises on desk, passes on smoke."""
+        if desk:
+            raise ZeroDivisionError("desk")
+        return True, "ok"
+
+    assert acceptance._CRITERIA[-1] is criterion_13
+    assert (criterion_13.__name__, criterion_13.__doc__) == ("criterion_13", "Raises on desk, passes on smoke.")
+    desk, smoke = criterion_13("desk"), criterion_13("smoke")
+    assert (desk.index, desk.name, desk.passed, desk.detail) == (13, "crashes", False, "raised ZeroDivisionError: desk")
+    assert (smoke.index, smoke.passed, smoke.detail) == (13, True, "ok (smoke tag)")
+    assert desk.elapsed >= 0

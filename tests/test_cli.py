@@ -113,6 +113,7 @@ REFUSED_AT_BUDGET_5 = {
     "arch": ("--builtin", "ladder6"),
     "solve": ("--builtin", "balanced11", "--b", "3"),
     "smooth": ("--x", "10", "--r", "3"),
+    "arcs": ("--transfer-report",),
 }
 
 

@@ -177,11 +177,17 @@ def test_padic_functions_reject_a_non_prime(sample5, p):
         chi_p_partial(sample5, p, 2)
 
 
-def test_padic_witness_refuses_an_empty_search(sample5):
-    # past p^1 = 2000 no depth is tried, and M(p) needs s p^3 cells, past
-    # the default budget; the search once reported that as an ordinary miss
-    with pytest.raises(ValueError, match="p = 2003 .* cap 2000"):
-        padic_witness(sample5, 2003)
+def test_padic_witness_refuses_an_empty_search(sample5, monkeypatch):
+    # past p^1 = 2000 no depth is tried, so p = 2003 is refused at any
+    # budget, before M(p) is counted
+    def no_count(*args, **kwargs):
+        raise AssertionError("M(p) counted for a refused p")
+
+    monkeypatch.setattr(local, "count_congruences", no_count)
+    for budget in (DEFAULT_LEDGER_BUDGET, 5 * 2003**3):
+        with pytest.raises(ValueError, match="p = 2003 .* cap 2000"):
+            padic_witness(sample5, 2003, budget=budget)
+    monkeypatch.undo()
     wit = padic_witness(sample5, 1999)
     assert (wit.found, wit.k, wit.t_checked) == (True, 1, ())
 

@@ -49,11 +49,20 @@ def test_anchor_sign_normalization(sample5, rng):
     assert tuple(abs(v) for v in anchor.system.a) == tuple(abs(v) for v in sample5.a)
 
 
-def test_anchor_requires_real_solution(rng):
-    # positive definite pair has no nonzero real zero
+def test_anchor_requires_real_solution(rng, monkeypatch):
+    # positive definite pair has no nonzero real zero; each random start is
+    # polished once, and no sweep over the 2^s sign patterns follows
     blocked = DiagonalSystem(a=(1, 2), b=(1, 1))
+    polish, polished = solver._newton_polish, []
+
+    def counted(*args):
+        polished.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(solver, "_newton_polish", counted)
     with pytest.raises(AnchorError):
         find_real_anchor(blocked, rng=rng)
+    assert len(polished) == solver._RANDOM_STARTS
 
 
 def test_anchor_rank_relaxation(rng):
