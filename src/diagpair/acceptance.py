@@ -56,7 +56,7 @@ SAMPLE5 = BUILTIN_SYSTEMS["sample5"]
 LADDER6 = BUILTIN_SYSTEMS["ladder6"]
 LADDER6_THETA = (0.3, 0.3, 0.25, 0.25, 0.35, 0.35)
 
-# frozen empirical ceilings; regenerate with scripts/ if the sweeps change
+# frozen empirical ceilings, each read off its criterion's desk detail line
 WEYL_RATIO_CONST = 2.394  # max |S_f| q^(-2/3-0.05) over q <= 200, measured 2.3931
 TRANSFER_C2_CEILING = 4.0  # observed max 2.0813 on the desk grid, seed 12
 
@@ -223,7 +223,7 @@ def criterion_6(desk: bool) -> tuple[bool, str]:
     return True, f"worst relative gap {worst:.2e}"
 
 
-@_criterion("complete-sum magnitudes")
+@_criterion("complete-sum magnitudes", " (smoke grid)")
 def criterion_7(desk: bool) -> tuple[bool, str]:
     """Gauss magnitudes, the trivial bound, and the recorded Weyl-ratio ceiling.
 
@@ -237,7 +237,7 @@ def criterion_7(desk: bool) -> tuple[bool, str]:
             if dk % p == 0:
                 continue
             for r2 in range(1, p):
-                mag = complete_sum(p, r2, 0, 0, dk).magnitude
+                mag = abs(complete_sum(p, r2, 0, 0, dk))
                 if abs(mag - math.sqrt(p)) > 1e-8:
                     return False, f"|S({p}, r2={r2}; 0, {dk})| = {mag:.8f} != sqrt({p})"
     rng = np.random.default_rng(3)
@@ -245,7 +245,7 @@ def criterion_7(desk: bool) -> tuple[bool, str]:
         q = int(rng.integers(1, 60))
         r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
         for A3, A2 in [(1, -2), (3, 0), (0, -1)]:
-            if complete_sum(q, r2, r3, A3, A2).magnitude > q + 1e-9:
+            if abs(complete_sum(q, r2, r3, A3, A2)) > q + 1e-9:
                 return False, f"|S({q}; {A3}, {A2})| above trivial bound"
     q_top = 200 if desk else 100
     ratio = 0.0

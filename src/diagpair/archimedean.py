@@ -156,16 +156,6 @@ def _refine(integrate: Callable[[int], complex], tol: float, floor: float) -> tu
         prev, m = cur, 2 * m
 
 
-@dataclass(frozen=True)
-class OscillatoryValue:
-    beta2: float
-    beta3: float
-    P: float
-    theta: float
-    value: complex
-    error_estimate: float
-
-
 def oscillatory_v(
     A3: int,
     A2: int,
@@ -174,8 +164,8 @@ def oscillatory_v(
     P: float,
     theta_i: float,
     tol: float = 1e-9,
-) -> OscillatoryValue:
-    """Integral of e(A3 beta3 g^3 + A2 beta2 g^2) over (theta_i P/2, 2 theta_i P).
+) -> tuple[complex, float]:
+    """Integral v of e(A3 beta3 g^3 + A2 beta2 g^2) over (theta_i P/2, 2 theta_i P): (v, error_estimate).
 
     (A3, A2) is one variable's (cubic, quadratic) coefficient pair.  Panel
     count doubles until two successive passes agree within
@@ -197,7 +187,7 @@ def oscillatory_v(
         return complex(np.dot(grid.weights, np.exp(1j * phase)))
 
     value, err, _ = _refine(integrate, tol, 1.0)
-    return OscillatoryValue(beta2, beta3, P, theta_i, value, err)
+    return value, err
 
 
 def _phase_factors(
@@ -536,6 +526,5 @@ def star_approx(
         return StarApprox(None, 0j)
     q, r2, r3 = mem.witness
     A3, A2 = sys.cubic_coeffs()[index], sys.quad_coeffs()[index]
-    S = complete_sum(q, r2, r3, A3, A2)
-    v = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
-    return StarApprox(mem.witness, S.value * v.value / q)
+    v, _ = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
+    return StarApprox(mem.witness, complete_sum(q, r2, r3, A3, A2) * v / q)

@@ -214,7 +214,7 @@ def transfer_grid(
             a1, a2 = float(rng.random()), float(rng.random())
             coeffs.append((a1, a2, a3))
         sums = block_sums(coeffs, Y, H, budget)
-        samples = [(a3, s.magnitude) for (_, _, a3), s in zip(coeffs, sums)]
+        samples = [(a3, abs(s)) for (_, _, a3), s in zip(coeffs, sums)]
         grid[(H, Y)] = transfer_bound_check(
             samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5
         )
@@ -253,7 +253,7 @@ def minor_arc_weyl_check(
             rejected += 1
             continue
         kept += 1
-        mag = box_sum(spec, a2, a3).magnitude
+        mag = abs(box_sum(spec, a2, a3))
         max_norm = max(max_norm, mag / norm)
     return {
         "Q": Q,

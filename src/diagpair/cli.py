@@ -306,9 +306,8 @@ def _cmd_solve(args, cfg: RunConfig):
             "residuals": anchor.residuals,
         }
     if args.b is not None:
-        res = count_solutions(sysd, args.b, restriction=args.restriction, R=args.r, budget=cfg.budget)
-        out["count"] = {"B": args.b, "N": res.count, "restriction": res.restriction,
-                        "witnesses": [list(w) for w in res.witnesses],
+        res = count_solutions(sysd, args.b, budget=cfg.budget)
+        out["count"] = {"B": args.b, "N": res.count, "witnesses": [list(w) for w in res.witnesses],
                         "witnesses_truncated": res.witnesses_truncated, "pairs": res.pairs}
     if args.witness_bound is not None:
         out["witness"] = search_witness(sysd, args.witness_bound, budget=cfg.budget)
@@ -323,6 +322,8 @@ def _cmd_solve(args, cfg: RunConfig):
 def _cmd_verify(args, cfg: RunConfig):
     from .acceptance import format_results, run_all
 
+    if (cfg.budget, cfg.seed) != (DEFAULT_LEDGER_BUDGET, 0):
+        raise ValueError("verify runs at the default budget with its own fixed seeds; drop --budget and --seed")
     results = run_all(args.profile)
     sys.stdout.write(format_results(results) + "\n")
     failed = not all(r.passed for r in results)
@@ -408,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions", action="store_true")
     p.add_argument("--anchor", action="store_true")
     p.add_argument("--b", type=int, dest="b", metavar="B")
-    p.add_argument("--restriction", choices=("none", "smooth-y", "smooth-xl"), default="none")
-    p.add_argument("--r", type=int, dest="r", metavar="R")
     p.add_argument("--witness-bound", type=int, metavar="B")
     p.add_argument("--predict", type=float, metavar="P")
     p.add_argument("--series-q", type=int, default=100)
@@ -448,7 +447,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             + "\n"
         )
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, AnchorError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, AnchorError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     if result is not None:

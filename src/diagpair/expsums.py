@@ -43,16 +43,6 @@ _LIMB_WIDTHS = (48, 24, 16, 12, 8, 6, 4, 3, 2, 1)  # divisors of _HALF, widest f
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SumValue:
-    re: float
-    im: float
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-
 def scaled_coeff(alpha: float, mult: int = 1) -> int:
     """Integer A with A / 2**PHASE_BITS ~ frac(mult * alpha), exactly quantized.
 
@@ -81,8 +71,8 @@ def _limb_width(bound: int) -> int:
     raise ValueError(f"phase multipliers up to {bound} overflow int64 limbs")
 
 
-def _phase_sums(coeffs: Sequence[Sequence[int]], mults: np.ndarray, w: int) -> list[SumValue]:
-    """Sum over terms t of e(sum_i mults[i, t] coeffs[n][i] / 2**PHASE_BITS), one SumValue per row n.
+def _phase_sums(coeffs: Sequence[Sequence[int]], mults: np.ndarray, w: int) -> list[complex]:
+    """Sum over terms t of e(sum_i mults[i, t] coeffs[n][i] / 2**PHASE_BITS), one complex per row n.
 
     `coeffs` holds scaled coefficients in [0, 2**PHASE_BITS); `w` is
     `_limb_width` of the multipliers' bound.
@@ -104,12 +94,12 @@ def _phase_sums(coeffs: Sequence[Sequence[int]], mults: np.ndarray, w: int) -> l
         else:
             hi += (total & mask) << (k - _HALF)
     angles = TWO_PI * (hi * 2.0**-_HALF + lo * 2.0**-PHASE_BITS)
-    return [SumValue(math.fsum(re.tolist()), math.fsum(im.tolist())) for re, im in zip(np.cos(angles), np.sin(angles))]
+    return [complex(math.fsum(re.tolist()), math.fsum(im.tolist())) for re, im in zip(np.cos(angles), np.sin(angles))]
 
 
 def block_sums(
     coeffs: Sequence[tuple[float, float, float]], Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET
-) -> list[SumValue]:
+) -> list[complex]:
     """Double sum of e(h*a1 + h*y*a2 + h*y^2*a3) over 0 < |h| <= H, 1 <= y <= Y, per (a1, a2, a3).
 
     The 2HY terms of every triple are checked against `budget` before any
@@ -170,7 +160,7 @@ class BoxSumSpec:
         return [x for x in xs if mask[x]]
 
 
-def box_sum(spec: BoxSumSpec, alpha2: float, alpha3: float) -> SumValue:
+def box_sum(spec: BoxSumSpec, alpha2: float, alpha3: float) -> complex:
     """Evaluate the box sum of `spec` at (alpha2, alpha3); empty box gives 0.
 
     The box's hi - lo + 1 terms are checked against the default budget, and

@@ -9,9 +9,7 @@ Within those bounds packing is a bijection that commutes with addition and
 negation, so folding generators is an outer sum of keys.  Tuples are
 paired by equal keys (`Ledger.fold_sum_of_squares`, below) or, in
 `moments.moment_T_shifted`, by keys within a window; the solver alone
-looks up negated keys (`Ledger.lookup`).  A lookup gathers from a dense
-count table over the ledger's key span when that span is no larger than
-the query, and binary-searches the sorted keys otherwise.
+looks up negated keys (`solver._negated_weights`).
 
 Keys and counts are int64 while the key span and the fold's tuple count
 prod n^e stay below 2^62; past that both are Python ints in object arrays
@@ -535,26 +533,6 @@ class Ledger:
         if (m * n if e % 2 else m * (m + 1) // 2) < math.comb(n + e - 1, e):
             return lower._convolve(self, budget, squares) if e % 2 else lower._multiset(2, budget, squares)
         return self._multiset(e, budget, squares)
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Counts at the given keys, 0 where a key is absent.
-
-        When both sides are int64 and the key span keys[-1] - keys[0] + 1 is
-        no larger than the query, the counts are gathered from a dense table
-        over the span, padded with one zero cell at each end so that clipping
-        a query key into [lo - 1, hi + 1] sends every key outside the span to
-        a zero.  Clipping comes before the subtraction, so no query key near
-        the int64 edge can wrap.  Otherwise each key is found by binary
-        search.  The table costs no more memory or time than the query.
-        """
-        keys = np.asarray(keys)
-        lo, hi = int(self.keys[0]), int(self.keys[-1])
-        if self.keys.dtype != object and keys.dtype != object and hi - lo + 1 <= keys.size:
-            table = np.zeros(hi - lo + 3, dtype=self.counts.dtype)
-            table[self.keys - (lo - 1)] = self.counts
-            return table[np.clip(keys, lo - 1, hi + 1) - (lo - 1)]
-        idx = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[idx] == keys, self.counts[idx], 0)
 
     def fields(self) -> list[np.ndarray]:
         """Unpack the keys into one value array per field, lowest stride first."""

@@ -49,19 +49,7 @@ def _unity_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-@dataclass(frozen=True)
-class CompleteSum:
-    q: int
-    r2: int
-    r3: int
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
-def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> CompleteSum:
+def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> complex:
     """Direct q-term evaluation of S(q, r), the sum of e((A3 r3 u^3 + A2 r2 u^2)/q).
 
     (A3, A2) is one variable's (cubic, quadratic) coefficient pair; a
@@ -76,8 +64,7 @@ def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> CompleteSum:
     c2 = (A2 % q) * (r2 % q) % q
     idx = (c3 * (u**3 % q) + c2 * (u * u % q)) % q
     cos, sin = _unity_table(q)
-    value = complex(math.fsum(cos[idx]), math.fsum(sin[idx]))
-    return CompleteSum(q, r2 % q, r3 % q, value)
+    return complex(math.fsum(cos[idx]), math.fsum(sin[idx]))
 
 
 # -- rows of all r2 at once ------------------------------------------------

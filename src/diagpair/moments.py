@@ -214,7 +214,7 @@ def mixed_moment(
         check_budget(hi - lo + 1, budget, what="ledger generators")
         xs = spec.members(budget)
         if not xs:
-            return MomentResult(0, {"factors": len(factors), "top_pairs": 0, "top_bands": 0})
+            return MomentResult(0, {"exponents": list(exponents), "top_pairs": 0, "top_bands": 0})
         parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))
     top = Ledger.fold_sum_of_squares(parts, budget) if parts else SquareSum(1, 0, 0)
     return MomentResult(top.value, {"exponents": list(exponents), **_top_counters(top)})

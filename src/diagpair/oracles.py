@@ -235,5 +235,5 @@ def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
         raise ValueError("(q, r2, r3) must be coprime as a triple")
     prod = complex(1.0)
     for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        prod *= complete_sum(q, r2, r3, A3, A2).value
+        prod *= complete_sum(q, r2, r3, A3, A2)
     return prod * float(q) ** (-sys.s)

@@ -12,8 +12,9 @@ order of Phi_a.  The count is then
 
 evaluated chunk by chunk.  Only the pairs that the z-block can close are
 formed, at most the |A| |B| that `count key pairs` checks.  r_y and r_z are
-each read once, into a table, when the keys are int64 and their span over
-the sum is no larger than |A| |B|.  `--budget` caps each variable's range,
+each scattered once into a table when the x-halves' keys are int64 and the
+span of their sums is no larger than |A| |B|, and searched per chunk
+otherwise (`_negated_weights`).  `--budget` caps each variable's range,
 the key pairs of each fold's convolutions and of the sum, and the nodes of
 the witness scan; every block's fold is checked on its generator counts
 (`check_fold`) before any block is built.  All counts are exact integers.
@@ -168,13 +169,22 @@ def _ordered_values(rng: Sequence[int]) -> list[int]:
 def _negated_weights(r: Ledger, lo: int, hi: int, table_cap: int, dtype):
     """k -> r(-k), as `dtype`, for key arrays k with values in [lo, hi].
 
-    One `lookup` fills a table over [lo, hi] when that span is at most
-    `table_cap`; otherwise every call looks its own keys up.
+    When the span hi - lo + 1 is at most `table_cap`, r's counts at its keys
+    in [-hi, -lo] are scattered into a table over [lo, hi]; otherwise every
+    call finds its keys among r's negated keys by one searchsorted.
     """
+    keys, counts = -r.keys[::-1], r.counts[::-1]
     if hi - lo + 1 <= table_cap:
-        table = r.lookup(-np.arange(lo, hi + 1))
+        inside = (keys >= lo) & (keys <= hi)
+        table = np.zeros(hi - lo + 1, dtype=counts.dtype)
+        table[(keys[inside] - lo).astype(np.intp)] = counts[inside]
         return lambda k: table[k - lo].astype(dtype, copy=False)
-    return lambda k: r.lookup(-k).astype(dtype, copy=False)
+
+    def weights(k):
+        idx = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return np.where(keys[idx] == k, counts[idx], 0).astype(dtype, copy=False)
+
+    return weights
 
 
 def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int) -> tuple[int, int]:
@@ -207,10 +217,10 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     # Folds pick their own dtypes; products of counts reach the number of points.
     dtype = dtype_for(math.prod(len(r) for r in ranges))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
-    # lookup's own rule, a table no larger than its query, over the whole
-    # sum; object keys take no table.  One half may be int64 and the other
-    # object, so bounds add as Python ints and keys as arrays.  Phi is the
-    # high field, so phi_a and phi_b are sorted.
+    # a table no larger than the sum's key pairs; object keys take no table.
+    # One half may be int64 and the other object, so bounds add as Python
+    # ints and keys as arrays.  Phi is the high field, so phi_a and phi_b
+    # are sorted.
     table_cap = bound if object not in (half_a.keys.dtype, half_b.keys.dtype) else 0
     w_z = _negated_weights(r_z, int(phi_a[0]) + int(phi_b[0]), int(phi_a[-1]) + int(phi_b[-1]), table_cap, dtype)
     w_y = _negated_weights(r_y, int(theta_a.min()) + int(theta_b.min()), int(theta_a.max()) + int(theta_b.max()), table_cap, dtype)

@@ -29,7 +29,7 @@ NAMES = [
     "transference bound report",
 ]
 # the tags that end a smoke run's details, by criterion
-SMOKE_TAGS = {1: "(smoke grid)", 3: "(smoke subset)", 4: "(smoke grid)", 8: "(smoke heights)",
+SMOKE_TAGS = {1: "(smoke grid)", 3: "(smoke subset)", 4: "(smoke grid)", 7: "(smoke grid)", 8: "(smoke heights)",
               9: "(smoke sizes)", 12: "(smoke grid)"}
 
 

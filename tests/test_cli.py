@@ -207,6 +207,16 @@ def test_solve_builtin_counts(capsys):
     assert doc["result"]["count"]["witnesses_truncated"] is False
     # of 21 * 21 key pairs, each x1 != 0 meets x2 = x1 and x2 = -x1, and 0 meets 0
     assert doc["result"]["count"]["pairs"] == "41"
+    # a ball count takes no smooth restriction, so none is echoed
+    assert "restriction" not in doc["result"]["count"]
+
+
+@pytest.mark.parametrize("flags", [("--r", "5"), ("--restriction", "none")])
+def test_solve_has_no_restriction_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--builtin", "tiny2", "--b", "2", *flags])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_solve_spec_file(tmp_path, capsys):
@@ -288,8 +298,12 @@ def test_arcs_transfer_report(tmp_path, capsys):
         ("arch", "--builtin", "tiny2", "--q", "4"),
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "4",
          "--volume", "--mc-samples", "0"),
+        # float flags that overflow where they are rounded to an integer
+        ("arcs", "--dirichlet", "inf,5"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "inf"),
+        ("moments", "--kind", "mixed", "--p", "inf", "--factor", "0.3:1:1:2"),
     ],
-    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples"],
+    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "dirichlet-inf", "arch-q-inf", "mixed-p-inf"],
 )
 def test_config_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -379,6 +393,20 @@ def test_jobs_flag_is_gone(capsys):
         cli.main(["verify", "--jobs", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("before", [True, False])
+@pytest.mark.parametrize("flags", [("--budget", "5"), ("--seed", "9")])
+def test_verify_refuses_a_budget_or_seed_it_would_not_use(capsys, monkeypatch, flags, before):
+    # the gate runs at the default budget with its own seeds; anything else
+    # would be recorded in config without being used
+    from diagpair import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda profile: pytest.fail("the gate ran"))
+    args = ("verify", "--profile", "smoke")
+    code, out, err = run(capsys, *((*flags, *args) if before else (*args, *flags)))
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error") and out == ""
 
 
 def test_verify_exit_wiring(capsys, monkeypatch):

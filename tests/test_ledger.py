@@ -11,6 +11,7 @@ from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
 from diagpair.ledger import Ledger
 from diagpair.moments import moment_I, moment_T
 from diagpair.oracles import brute_moment_T
+from diagpair.solver import _negated_weights
 
 
 def _dict_ledger(vectors) -> dict:
@@ -93,7 +94,12 @@ def _check_against_dicts(parts):
     got = _decode(fold, bounds)  # in key order
     assert got == want
     assert list(zip(*[f.tolist() for f in fold.fields()])) == list(got)
-    assert fold.lookup(-fold.keys).tolist() == [want.get(tuple(-x for x in k), 0) for k in got]
+    # the solver's r(-k) at every key by search, and by table for int64 keys of a small span
+    negated = [want.get(tuple(-x for x in k), 0) for k in got]
+    span = int(fold.keys[-1]) - int(fold.keys[0]) + 1
+    for cap in (0, span) if span <= 2**16 and not wide else (0,):
+        weights = _negated_weights(fold, int(fold.keys[0]), int(fold.keys[-1]), cap, object)
+        assert weights(fold.keys).tolist() == negated
     _check_sum_of_squares(parts, want)
 
 
@@ -390,37 +396,46 @@ _EDGE_KEYS = [-(2**63), -(2**62) - 1, -(2**62), -(2**62) + 3, 2**62 - 3, 2**62, 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12),
        st.booleans(), st.data())
 def test_lookup_matches_dict_reference(path, vectors, wide, data):
+    # the solver's r(-k), by table or by search, against a dict of the vectors
     ledger = Ledger.fold([(len(vectors), vectors, 1)], DEFAULT_LEDGER_BUDGET)
     if wide:
         # the same ledger in object arrays, queried with int64 keys
         ledger = Ledger(ledger.keys.astype(object), ledger.counts.astype(object), ledger.strides)
     reference = Counter(x + ledger.strides[1] * y for x, y in vectors)
-    lo, hi = min(reference), max(reference)
-    span = hi - lo + 1
-    # the direct table needs a query at least as large as the key span
-    size = span + data.draw(st.integers(0, 5)) if path == "table" else span - 1
-    if size < 1:
-        return
-    # keys below keys[0], inside the span, above keys[-1], and near the int64 edges
+    lo, hi = -max(reference), -min(reference)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    forced = np.array(([lo - 1, hi + 1] + _EDGE_KEYS)[: size // 2], dtype=np.int64)
-    pool = np.array(list(range(lo - 20, hi + 21)) + _EDGE_KEYS, dtype=np.int64)
-    query = rng.permutation(np.concatenate((forced, rng.choice(pool, size - len(forced))))).tolist()
+    if path == "table":
+        # a table over [a, b], which may cut the negated keys and be narrower than their span
+        a = data.draw(st.integers(lo - 20, hi + 20))
+        b = data.draw(st.integers(a, hi + 21))
+        forced, pool, cap = [a, b], np.arange(a, b + 1), b - a + 1
+    else:
+        # keys below -keys[-1], inside the span, above -keys[0], and near the int64 edges
+        forced, pool, cap = [lo - 1, hi + 1] + _EDGE_KEYS, np.array(list(range(lo - 20, hi + 21)) + _EDGE_KEYS), 0
+    size = data.draw(st.integers(1, 12))
+    query = rng.permutation(np.concatenate((forced[:size], rng.choice(pool, size - len(forced[:size]))))).tolist()
     cols = data.draw(st.sampled_from([c for c in (1, 2, 3) if size % c == 0]))
     keys = np.array(query, dtype=np.int64).reshape(-1, cols)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        got = ledger.lookup(keys)
-    assert search.called == (path == "search" or wide)
+        got = _negated_weights(ledger, min(query), max(query), cap, np.int64)(keys)
+    assert search.called == (path == "search")
     assert got.shape == keys.shape
-    assert got.ravel().tolist() == [reference.get(k, 0) for k in query]
+    assert got.ravel().tolist() == [reference.get(-k, 0) for k in query]
 
 
 @pytest.mark.parametrize("edge", [2**62, -(2**62) + 4])
 def test_lookup_at_the_packing_edge(edge):
-    # int64 keys a few units from +-2^62, with queries out to the int64 ends
+    # int64 keys a few units from +-2^62, looked up negated by both routes;
+    # the searches take queries out to the int64 ends
     ledger = Ledger(np.array([edge - 4, edge - 2, edge - 1]), np.array([3, 1, 2]), (1,))
-    query = [edge - 5, edge - 4, edge - 3, edge - 2, edge - 1, edge] + _EDGE_KEYS
-    want = [0, 3, 0, 1, 2, 0] + [dict(zip((edge - 4, edge - 2, edge - 1), (3, 1, 2))).get(k, 0) for k in _EDGE_KEYS]
-    for cols in (1, 2):
-        assert ledger.lookup(np.array(query, dtype=np.int64).reshape(-1, cols)).ravel().tolist() == want
-    assert ledger.lookup(np.array(query[:2], dtype=np.int64)).tolist() == want[:2]
+    counts = dict(zip((edge - 4, edge - 2, edge - 1), (3, 1, 2)))
+    near = list(range(-edge, -edge + 6))
+    assert [counts.get(-k, 0) for k in near] == [0, 2, 1, 0, 3, 0]
+    table = _negated_weights(ledger, near[0], near[-1], len(near), np.int64)
+    search = _negated_weights(ledger, near[0], near[-1], 0, np.int64)
+    for query, routes in ((near, (table, search)), (near + _EDGE_KEYS, (search,))):
+        want = [counts.get(-k, 0) for k in query]
+        for weights in routes:
+            for cols in (1, 2):
+                assert weights(np.array(query, dtype=np.int64).reshape(-1, cols)).ravel().tolist() == want
+    assert search(np.array(near[:2], dtype=np.int64)).tolist() == [0, 2]

@@ -228,6 +228,13 @@ def test_mixed_moment_zero_exponent_skips_factor():
     assert mixed_moment([g1, h1], [2, 0]).value == mixed_moment([g1], [2]).value
 
 
+def test_mixed_moment_empty_box_keeps_the_params_schema():
+    # theta P / 2 = 0.15 and 2 theta P = 0.6 leave no integer in the box
+    res = mixed_moment([BoxSumSpec(0.3, 1.0, 1, 1)], [2])
+    assert res.value == 0
+    assert res.params == {"exponents": [2], "top_pairs": 0, "top_bands": 0}
+
+
 def test_mixed_moment_empty_product():
     assert mixed_moment([], []).value == 1
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,27 +218,60 @@ def test_block_count_matches_brute(case):
 _QUAD4 = DiagonalSystem(a=(1, 1, -1, -1), b=(1, -1, 1, -1), c=(1,), d=(1, -1))
 
 
+def _spy_negated_weights(monkeypatch) -> tuple[list, list]:
+    """Count the tables `solver._negated_weights` builds and the searchsorted calls of its weights.
+
+    Returns (tables, searches): one entry per call of `_negated_weights`, the
+    np.zeros calls of its build and the searchsorted calls of its build, and
+    one entry per weights call, its searchsorted calls.
+    """
+    tables, searches = [], []
+    negated = solver._negated_weights
+
+    def spy(*args):
+        with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
+                mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            weights = negated(*args)
+        tables.append((zeros.call_count, search.call_count))
+
+        def counted(k):
+            with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+                out = weights(k)
+            searches.append(search.call_count)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(solver, "_negated_weights", spy)
+    return tables, searches
+
+
 @pytest.mark.parametrize(
-    "system, B, calls",
+    "system, B, tables, searches",
     [
         # x-halves of 21 keys each: the Theta span 65 and the Phi span 17 fit
-        # in 441 pairs, so each of r_y and r_z is read once, into a table
-        (_QUAD4, 2, 2),
+        # in 441 pairs, so each of r_y and r_z is scattered into a table
+        (_QUAD4, 2, 2, 0),
         # the Phi span 201 fits in 21 * 21 = 441 pairs and r_z becomes a
-        # table; the Theta span 4001 does not, so r_y is looked up once per
+        # table; the Theta span 4001 does not, so r_y is searched once per
         # run of Phi_a = x1^2, eleven runs
-        (BUILTIN_SYSTEMS["tiny2"], 10, 1 + 11),
-        # object keys take no table: both are looked up once per run of
+        (BUILTIN_SYSTEMS["tiny2"], 10, 1, 11),
+        # object keys take no table: both are searched once per run of
         # Phi_a = x1^2 in {0, 1, 4}
-        (DiagonalSystem(a=(10**17, -(10**17)), b=(1, -1), c=(2,), d=(1,)), 2, 2 * 3),
+        (DiagonalSystem(a=(10**17, -(10**17)), b=(1, -1), c=(2,), d=(1,)), 2, 0, 2 * 3),
     ],
+    # system, B and the reads of r_y and r_z, tables plus searches
+    ids=["system0-2-2", "system1-10-12", "system2-2-6"],
 )
-def test_pair_sum_routes(system, B, calls, monkeypatch):
-    seen = []
-    lookup = ledger.Ledger.lookup
-    monkeypatch.setattr(ledger.Ledger, "lookup", lambda self, keys: seen.append(1) or lookup(self, keys))
+def test_pair_sum_routes(system, B, tables, searches, monkeypatch):
+    built, searched = _spy_negated_weights(monkeypatch)
     assert count_solutions(system, B, witness_limit=0).count == brute_count_solutions(system, B)
-    assert len(seen) == calls
+    # a table is filled by one scatter, with no search
+    assert [zeros for zeros, _ in built] == [1] * tables + [0] * (2 - tables)
+    assert all(search == 0 for _, search in built)
+    # a per-call weight searches once
+    assert sum(searched) == searches
+    assert set(searched) <= {0, 1}
 
 
 def test_pair_sum_skips_pairs_r_z_cannot_close(balanced11):
@@ -249,12 +283,17 @@ def test_pair_sum_skips_pairs_r_z_cannot_close(balanced11):
 
 
 @pytest.mark.parametrize("P, want", [(26, 44199), (40, 570521), (60, 6566691)])
-def test_balanced11_box_pins(balanced11, P, want):
+def test_balanced11_box_pins(balanced11, P, want, monkeypatch):
     # seed-0 anchor; the counts and witness scans run at the default budget
     # (at P = 60 the scan visits about 2.5 million nodes)
     anchor = find_real_anchor(balanced11, rng=np.random.default_rng(0))
+    built, searched = _spy_negated_weights(monkeypatch)
     res = count_solutions(anchor.system, (P, anchor.theta))
     assert res.count == want
+    # r_y's keys span more than the Theta sums, and its table still comes
+    # from one scatter, with no search
+    assert built == [(1, 0), (1, 0)]
+    assert searched and not any(searched)
     assert len(res.witnesses) == 10
     assert not res.witnesses_truncated
     for w in res.witnesses:
