@@ -22,9 +22,9 @@ from .arcs import transfer_grid, transfer_lambda
 from .archimedean import extrapolate_ladder, singular_integral, volume_constant
 from .expsums import BoxSumSpec
 from .local import (
+    _component_rows,
     _primitive_max,
     chi_p_partial,
-    complete_sum,
     count_congruences,
     singular_series,
 )
@@ -142,8 +142,8 @@ def _oracle_instances(desk: bool):
         ("count_J1(3,3)", lambda: int(count_J1(3, 3)), lambda: brute_count_J1(3, 3)),
         ("mixed f^2", lambda: int(mixed_moment([f_spec], [2])), lambda: brute_mixed_moment([f_spec], [2])),
         ("count_solutions s2 B=10", lambda: count_solutions(_TINY2, 10).count, lambda: brute_count_solutions(_TINY2, 10)),
-        ("count_congruences q=4", lambda: count_congruences(SAMPLE5, 4).M, lambda: brute_count_congruences(SAMPLE5, 4)),
-        ("count_congruences s2 q=3", lambda: count_congruences(_TINY2, 3).M, lambda: brute_count_congruences(_TINY2, 3)),
+        ("count_congruences q=4", lambda: count_congruences(SAMPLE5, 4), lambda: brute_count_congruences(SAMPLE5, 4)),
+        ("count_congruences s2 q=3", lambda: count_congruences(_TINY2, 3), lambda: brute_count_congruences(_TINY2, 3)),
         ("moment_I(1,5,4)", lambda: int(moment_I(1, 5, 4)), lambda: brute_moment_I(1, 5, 4)),
         ("moment_J(3,6)", lambda: int(moment_J(3, 6)), lambda: brute_moment_J(3, 6)),
         ("count_J1(2,2)", lambda: int(count_J1(2, 2)), lambda: brute_count_J1(2, 2)),
@@ -162,8 +162,8 @@ def _oracle_instances(desk: bool):
         ("count_solutions s4 B=6", lambda: count_solutions(_SMALL4, 6).count, lambda: brute_count_solutions(_SMALL4, 6)),
         ("count_solutions s3 B=8", lambda: count_solutions(_SMALL3, 8).count, lambda: brute_count_solutions(_SMALL3, 8)),
         ("count_solutions s4 B=9", lambda: count_solutions(_SMALL4, 9).count, lambda: brute_count_solutions(_SMALL4, 9)),
-        ("count_congruences q=9", lambda: count_congruences(SAMPLE5, 9).M, lambda: brute_count_congruences(SAMPLE5, 9)),
-        ("count_congruences q=12", lambda: count_congruences(SAMPLE5, 12).M, lambda: brute_count_congruences(SAMPLE5, 12)),
+        ("count_congruences q=9", lambda: count_congruences(SAMPLE5, 9), lambda: brute_count_congruences(SAMPLE5, 9)),
+        ("count_congruences q=12", lambda: count_congruences(SAMPLE5, 12), lambda: brute_count_congruences(SAMPLE5, 12)),
     ]
     return inst
 
@@ -227,6 +227,8 @@ def criterion_6(desk: bool) -> tuple[bool, str]:
 def criterion_7(desk: bool) -> tuple[bool, str]:
     """Gauss magnitudes, the trivial bound, and the recorded Weyl-ratio ceiling.
 
+    Every complete sum is read from the DFT rows of `local._component_rows`:
+    one row per (p, dk) holds S(p; r2, 0) of the Gauss check at every r2.
     The Weyl ratio is max |S(q; r)| q^(-2/3-0.05) over the primitive r mod
     q <= q_top for (A3, A2) = (1, 1) and (1, -1), each maximum read from
     one scaling-orbit row per orbit of r3 (`local._primitive_max`), not
@@ -236,16 +238,18 @@ def criterion_7(desk: bool) -> tuple[bool, str]:
         for dk in (1, -1, 2):
             if dk % p == 0:
                 continue
+            row = np.abs(_component_rows(p, np.array([(0, dk % p)]), np.array([0]))[0, 0])
             for r2 in range(1, p):
-                mag = abs(complete_sum(p, r2, 0, 0, dk))
-                if abs(mag - math.sqrt(p)) > 1e-8:
-                    return False, f"|S({p}, r2={r2}; 0, {dk})| = {mag:.8f} != sqrt({p})"
+                if abs(row[r2] - math.sqrt(p)) > 1e-8:
+                    return False, f"|S({p}, r2={r2}; 0, {dk})| = {row[r2]:.8f} != sqrt({p})"
     rng = np.random.default_rng(3)
+    key = [(1, -2), (3, 0), (0, -1)]
     for _ in range(200):
         q = int(rng.integers(1, 60))
         r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
-        for A3, A2 in [(1, -2), (3, 0), (0, -1)]:
-            if abs(complete_sum(q, r2, r3, A3, A2)) > q + 1e-9:
+        sums = _component_rows(q, np.array(key) % q, np.array([r3]))[:, 0, r2 % q]
+        for (A3, A2), S in zip(key, sums):
+            if abs(S) > q + 1e-9:
                 return False, f"|S({q}; {A3}, {A2})| above trivial bound"
     q_top = 200 if desk else 100
     ratio = 0.0

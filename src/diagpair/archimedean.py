@@ -52,7 +52,7 @@ import numpy as np
 
 from .arcs import ArcFamily, membership
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
-from .local import complete_sum
+from .local import _component_rows
 from .systems import DiagonalSystem
 
 TWO_PI = 2.0 * math.pi
@@ -281,6 +281,8 @@ def unit_singular_integral(
         raise ValueError("Q must be positive")
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
+    if not all(0 < th < math.inf for th in theta):
+        raise ValueError("theta must be s finite positive box anchors")
     # variables by coefficient pair up to sign: each key (A3, A2, theta_i) has
     # its first nonzero coefficient positive and counts [as is, negated]
     groups: dict = {}
@@ -385,8 +387,10 @@ def singular_integral(
     convergence checks consume, plus per height the quadrature error
     estimate and the work the refinement did (passes, and the final pass's
     b2, b3 and gamma nodes and 1-D and 2-D factor tables).  `budget` caps
-    the grid points of every pass at every height.
+    the grid points of every pass at every height, and P must be finite and positive.
     """
+    if not 0 < P < math.inf:
+        raise ValueError("P must be finite and positive")
     if heights is None:
         heights = [Q / 2**k for k in range(4) if Q / 2**k >= 2][::-1]
     ladder = {}
@@ -436,8 +440,8 @@ def volume_constant(
     """
     rng = rng if rng is not None else np.random.default_rng(7)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (sys.s,) or np.any(theta <= 0):
-        raise ValueError("theta must be s positive box anchors")
+    if theta.shape != (sys.s,) or not np.all((0 < theta) & (theta < np.inf)):
+        raise ValueError("theta must be s finite positive box anchors")
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     lo, hi = theta / 2.0, 2.0 * theta
@@ -520,11 +524,16 @@ def star_approx(
     theta: Sequence[float],
     tol: float = 1e-9,
 ) -> StarApprox:
-    """Major-arc model q^-1 S(q, r) v(alpha - r/q) for one component; 0 off the arcs."""
+    """Major-arc model q^-1 S(q, r) v(alpha - r/q) for one component; 0 off the arcs.
+
+    S(q, r) is one cell of `local._component_rows`; q is checked against the default budget first.
+    """
     mem = membership(alpha2, alpha3, fam)
     if not mem.inside:
         return StarApprox(None, 0j)
     q, r2, r3 = mem.witness
+    check_budget(q, DEFAULT_LEDGER_BUDGET, what="complete sum modulus")
     A3, A2 = sys.cubic_coeffs()[index], sys.quad_coeffs()[index]
     v, _ = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
-    return StarApprox(mem.witness, complete_sum(q, r2, r3, A3, A2) * v / q)
+    S = complex(_component_rows(q, np.array([(A3 % q, A2 % q)]), np.array([r3 % q]))[0, 0, r2 % q])
+    return StarApprox(mem.witness, S * v / q)

@@ -122,6 +122,8 @@ def dirichlet_approx(alpha, N: int) -> RationalApproximation:
 
 def transfer_lambda(alpha, b: int, r: int, Z):
     """lambda = r + Z |r alpha - b|; exact when alpha and Z are rational types."""
+    if not (abs(alpha) < math.inf and abs(Z) < math.inf):
+        raise ValueError("alpha and Z must be finite")
     if r < 1:
         raise ValueError("r must be >= 1")
     if math.gcd(b, r) != 1:

@@ -4,10 +4,9 @@ Every engine estimates its work up front (ledger generators, key pairs,
 row cells, grid points, search nodes, smooth table cells, a modulus) and
 passes it with the caller's budget to `check_budget`, which refuses with
 `BudgetError` instead of thrashing mid-run.  The caller's budget is
-`--budget` on the command line, except in `complete_sum`, `box_sum` and
-`oscillatory_v`, which check against the default: `verify` reaches
-`complete_sum` through criterion 7, and no command reaches `box_sum` or
-`oscillatory_v`.
+`--budget` on the command line, except in `star_approx` (the modulus of
+its complete sum), `box_sum` and `oscillatory_v`, which check against the
+default; no command reaches any of the three.
 """
 
 DEFAULT_LEDGER_BUDGET = 50_000_000

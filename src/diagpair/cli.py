@@ -193,8 +193,7 @@ def _cmd_local(args, cfg: RunConfig):
             "cells": res.cells,
         }
     if args.q is not None:
-        res = count_congruences(sysd, args.q, budget=cfg.budget)
-        out["congruences"] = {"q": res.q, "M": res.M}
+        out["congruences"] = {"q": args.q, "M": count_congruences(sysd, args.q, budget=cfg.budget)}
     if args.chi is not None:
         p, t = args.chi
         part = chi_p_partial(sysd, p, t, budget=cfg.budget)
@@ -293,6 +292,8 @@ def _cmd_solve(args, cfg: RunConfig):
 
     from .solver import count_solutions, find_real_anchor, predict_and_compare, search_witness
 
+    if args.eta is not None and args.predict is None:
+        raise ValueError("--eta is read only by --predict")
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.conditions:

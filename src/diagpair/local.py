@@ -1,8 +1,10 @@
 """Complete exponential sums mod q, the singular series, and local counts.
 
-Every phase here is an exact rational j/q, so sums are evaluated from a
-root-of-unity table (or equivalently a DFT of the phase histogram) and the
-only error is final-rounding in the trigonometric table itself.
+Every phase here is an exact rational j/q.  Complete sums S(q; r2, r3)
+are evaluated only as rows over every r2 at once (`_component_rows`), one
+inverse DFT of a phase histogram per row, so the only error is rounding in
+the trigonometric values and the FFT.  The direct q-term sum that checks
+these rows lives in `oracles`.
 
 Each variable enters through its (cubic, quadratic) coefficient pair
 (A3, A2), read from `DiagonalSystem.cubic_coeffs()`/`quad_coeffs()`; a
@@ -15,8 +17,8 @@ pair and each complete sum), so A(1) = B(1) = 1, they are computed only at
 prime powers q = p^k, and every other A(q), B(q) is the product of its
 p-part's value and its cofactor's.  No prime power needs a q x q table:
 the substitution x -> lambda x leaves T(q, r) constant on scaling orbits,
-so one row of length q per cube class of units mod each p^e (e <= k),
-plus the row r3 = 0, carries every sum (`_orbit_term`).  Criterion 8
+so one row of length q per orbit (`_orbits`) carries every sum
+(`_orbit_term`), as it carries criterion 7's maxima.  Criterion 8
 checks the product against `oracles.direct_series_term`, which sums
 direct complete sums at composite q with no orbits and no
 multiplicativity.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -41,30 +42,6 @@ import numpy as np
 from .budget import DEFAULT_LEDGER_BUDGET, check_budget
 from .smooth import is_prime, smallest_prime_factors
 from .systems import DiagonalSystem
-
-
-@lru_cache(maxsize=256)
-def _unity_table(q: int) -> tuple[np.ndarray, np.ndarray]:
-    ang = 2.0 * math.pi * np.arange(q) / q
-    return np.cos(ang), np.sin(ang)
-
-
-def complete_sum(q: int, r2: int, r3: int, A3: int, A2: int) -> complex:
-    """Direct q-term evaluation of S(q, r), the sum of e((A3 r3 u^3 + A2 r2 u^2)/q).
-
-    (A3, A2) is one variable's (cubic, quadratic) coefficient pair; a
-    pure-cubic variable has A2 = 0 and a pure-quadratic one A3 = 0.  Its q
-    terms are checked against the default budget before any is built.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    check_budget(q, DEFAULT_LEDGER_BUDGET, what="complete sum modulus")
-    u = np.arange(1, q + 1, dtype=np.int64)
-    c3 = (A3 % q) * (r3 % q) % q
-    c2 = (A2 % q) * (r2 % q) % q
-    idx = (c3 * (u**3 % q) + c2 * (u * u % q)) % q
-    cos, sin = _unity_table(q)
-    return complex(math.fsum(cos[idx]), math.fsum(sin[idx]))
 
 
 # -- rows of all r2 at once ------------------------------------------------
@@ -83,21 +60,21 @@ def _component_rows(q: int, key: np.ndarray, r3: np.ndarray) -> np.ndarray:
     # w_j of component i in row r is bin (i * rows + r) * q + j of one histogram
     phase = c3 * r3[:, None] % q * u3 % q
     slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * q + c2 * u2 % q).ravel()
-    ang = (2.0 * math.pi * phase / q).ravel()  # not `_unity_table`: its cache would keep every modulus's table
+    ang = (2.0 * math.pi * phase / q).ravel()
     size = len(key) * len(r3) * q
     w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
     return q * np.fft.ifft(w.reshape(len(key), len(r3), q), axis=-1)
 
 
-def _cube_coset_reps(m: int) -> list[int]:
-    """The least unit of each coset of the unit cubes mod m, ascending ([0] at m = 1).
+def _cube_coset_reps(m: int) -> tuple[list[int], int]:
+    """The least unit of each coset of the unit cubes mod m, ascending ([0] at m = 1), and the coset size.
 
     Units and cubes mod m are the products of those mod each prime power
     p^e exactly dividing m.  The units mod p^e are cyclic of order
     phi = phi(p^e) for odd p, and of order 2^(e-1) (all cubes) for p = 2,
     so c^(phi/g) mod p^e with g = gcd(3, phi) names the coset of c mod p^e,
-    and the tuple of those names its coset mod m.  Units are tried in
-    ascending order until all prod(g) cosets have a member.
+    and the tuple of those names its coset mod m, of phi(m)/prod(g) units.
+    Units are tried in ascending order until all cosets have a member.
     """
     parts = []  # (p^e, phi(p^e), g) for each prime power p^e exactly dividing m
     n, p = m, 2
@@ -119,22 +96,36 @@ def _cube_coset_reps(m: int) -> list[int]:
         if math.gcd(c, m) == 1:
             reps.setdefault(tuple(pow(c, phi // g, pe) for pe, phi, g in parts), c)
         c += 1
-    return list(reps.values())
+    return list(reps.values()), math.prod(phi for _, phi, _ in parts) // cosets
+
+
+def _orbits(q: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """One r3 per scaling orbit mod q, the orbit sizes, and the mask of each row's primitive r2.
+
+    A unit lambda maps row r3 to row lambda^3 r3 by r2 -> lambda^2 r2
+    (substitute u -> lambda u), which keeps the primitive r2, those with
+    gcd(r2, gcd(r3, q)) = 1.  The orbits of the r3 with gcd(r3, q) = d are
+    the r3 = d v, one v per coset of the unit cubes mod q/d.  Rows run from
+    d = q (r3 = 0) down to d = 1.
+    """
+    r3, size = [], []
+    for d in range(q, 0, -1):
+        if q % d == 0:
+            reps, n = _cube_coset_reps(q // d)
+            r3 += [d * v for v in reps]
+            size += [n] * len(reps)
+    r3 = np.array(r3, dtype=np.int64)
+    return r3, size, np.gcd.outer(np.gcd(r3, q), np.arange(q)) == 1
 
 
 def _primitive_max(q: int, comps) -> list[float]:
     """max |S(q; r2, r3)| over the primitive (r2, r3) mod q, one per (A3, A2) in `comps`.
 
-    (r2, r3) is primitive when gcd(r2, d) = 1 for d = gcd(r3, q).  A unit
-    lambda maps row r3 to row lambda^3 r3 by r2 -> lambda^2 r2 (substitute
-    u -> lambda u), which keeps that condition, so every row of one scaling
-    orbit has the same masked maximum.  The orbits of the r3 with
-    gcd(r3, q) = d are the r3 = d v, one v per coset of the unit cubes mod
-    q/d, so one row per orbit gives the maximum over all primitive pairs.
+    The rows of one scaling orbit share their primitive values, so one row
+    per orbit (`_orbits`) gives the maximum over all primitive pairs.
     """
-    r3 = np.array([d * v for d in range(1, q + 1) if q % d == 0 for v in _cube_coset_reps(q // d)], dtype=np.int64)
+    r3, _, primitive = _orbits(q)
     key = np.array([(A3 % q, A2 % q) for A3, A2 in comps], dtype=np.int64).reshape(-1, 2)
-    primitive = np.gcd.outer(np.gcd(r3, q), np.arange(q)) == 1
     return [float(rows[primitive].max()) for rows in np.abs(_component_rows(q, key, r3))]
 
 
@@ -146,30 +137,16 @@ def _row_count(p: int, k: int) -> int:
 def _orbit_term(sys: DiagonalSystem, p: int, k: int) -> tuple[float, complex]:
     """(A(q), B(q)) at q = p^k from a few rows of T instead of the q x q table.
 
-    For a unit lambda, x -> lambda x gives T(lambda^2 r2, lambda^3 r3) =
-    T(r2, r3), and lambda^2 r2 is a unit exactly when r2 is, so a row sum
-    over r2 depends only on the scaling class of r3.  A primitive pair has
-    r3 a unit and any r2, or r3 = p^j v (0 < j <= k, v a unit mod p^(k-j))
-    and r2 a unit.  With g_e = gcd(3, phi(p^e)) cube classes of units mod
-    p^e, each of phi(p^e)/g_e units,
-
-        B(q) = sum over classes c mod q of (phi(q)/g_k) sum_{all r2} T(r2, c)
-             + sum_{unit r2} T(r2, 0)
-             + sum_{0<j<k} sum over classes v mod p^(k-j) of
-               (phi(p^(k-j))/g_(k-j)) sum_{unit r2} T(r2, p^j v),
-
-    and A(q) is the same sum over |T|.  Each row r3 is a product over the
-    distinct (A3 mod q, A2 mod q) components of their `_component_rows`.
-    Components with both residues 0 contribute the constant q.
+    T is constant on scaling orbits, so B(q) sums, over one row per orbit
+    (`_orbits`), the orbit size times the row's sum over its primitive r2:
+    r3 = 0 with the unit r2, then r3 = p^(k-e) v, v a cube class of units
+    mod p^e, with the unit r2 when e < k and every r2 at e = k.  A(q) is
+    the same sum over |T|.  Each row is a product over the distinct
+    (A3 mod q, A2 mod q) components of their `_component_rows`;
+    components with both residues 0 contribute the constant q.
     """
     q = p**k
-    r3 = [0]
-    weight = [1]
-    for e in range(1, k + 1):
-        reps = _cube_coset_reps(p**e)
-        r3 += [p ** (k - e) * v for v in reps]
-        weight += [(p**e - p ** (e - 1)) // len(reps)] * len(reps)
-    r3 = np.array(r3, dtype=np.int64)
+    r3, size, primitive = _orbits(q)
     comps = Counter((A3 % q, A2 % q) for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()))
     scale = float(q) ** (comps.pop((0, 0), 0) - sys.s)
     sums = _component_rows(q, np.array(list(comps), dtype=np.int64).reshape(-1, 2), r3)
@@ -177,11 +154,9 @@ def _orbit_term(sys: DiagonalSystem, p: int, k: int) -> tuple[float, complex]:
     for factor, n in zip(sums, comps.values()):
         for _ in range(n):
             rows *= factor
-    unit = np.arange(q) % p != 0
-    A = 0.0
-    B = complex(0.0)
-    for row, r, n in zip(rows, r3, weight):
-        row = row if r % p else row[unit]  # r3 a unit pairs with every r2, else only with unit r2
+    A, B = 0.0, complex(0.0)
+    for row, keep, n in zip(rows, primitive, size):
+        row = row[keep]
         A += n * np.abs(row).sum()
         B += n * row.sum()
     return float(A), complex(B)
@@ -254,20 +229,14 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
 
 # -- congruence counts ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceCount:
-    q: int
-    M: int
-
-
 def _fold_vars(q: int, comps) -> np.ndarray:
     """Ledger over (Phi mod q, Theta mod q), one variable folded at a time.
 
     int64 until counts could reach 2^62, then object dtype keeps exactness.
     The values u of a variable are grouped by their key shift
-    (A2 u^2, A3 u^3) mod q; each distinct shift adds the ledger, times its
-    multiplicity, into one buffer as four slice-adds (the cyclic wrap on
-    each axis).
+    (A2 u^2, A3 u^3) mod q.  Each shift (d2, d3) adds, times its
+    multiplicity, the one slice [q - d2 : 2q - d2, q - d3 : 2q - d3] of the
+    ledger tiled 2 x 2: the ledger cyclically shifted by (d2, d3).
     """
     arr = np.zeros((q, q), dtype=np.int64)
     arr[0, 0] = 1
@@ -277,19 +246,15 @@ def _fold_vars(q: int, comps) -> np.ndarray:
         if bound >= 2**62 and arr.dtype != object:
             arr = arr.astype(object)
         shifts = Counter(((A2 * u * u) % q, (A3 * u**3) % q) for u in range(q))
-        new = np.zeros_like(arr)
-        scaled = np.empty_like(arr)
+        tiled = np.tile(arr, (2, 2))
+        arr = np.zeros_like(arr)
         for (d2, d3), n in shifts.items():
-            src = arr if n == 1 else np.multiply(arr, n, out=scaled)
-            new[d2:, d3:] += src[: q - d2, : q - d3]
-            new[d2:, :d3] += src[: q - d2, q - d3 :]
-            new[:d2, d3:] += src[q - d2 :, : q - d3]
-            new[:d2, :d3] += src[q - d2 :, q - d3 :]
-        arr = new
+            src = tiled[q - d2 : 2 * q - d2, q - d3 : 2 * q - d3]
+            arr += src if n == 1 else n * src
     return arr
 
 
-def count_congruences(sys: DiagonalSystem, q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> CongruenceCount:
+def count_congruences(sys: DiagonalSystem, q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> int:
     """Exact M(q) by meeting two half-variable ledgers in the middle."""
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -303,7 +268,7 @@ def count_congruences(sys: DiagonalSystem, q: int, budget: int = DEFAULT_LEDGER_
         right = right.astype(object)
     # right at negated keys: flip both axes, then shift 1 to fix residue 0
     neg = np.roll(np.roll(right[::-1, ::-1], 1, axis=0), 1, axis=1)
-    return CongruenceCount(q, int((left * neg).sum()))
+    return int((left * neg).sum())
 
 
 @dataclass(frozen=True)
@@ -331,7 +296,7 @@ def chi_p_partial(sys: DiagonalSystem, p: int, t: int, budget: int = DEFAULT_LED
         raise ValueError(f"p must be prime, got {p}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    M = count_congruences(sys, p**t, budget=budget).M
+    M = count_congruences(sys, p**t, budget=budget)
     total = complex(1.0)  # h = 0 term
     for h in range(1, t + 1):
         total += _orbit_term(sys, p, h)[1]
@@ -453,7 +418,7 @@ def padic_witness(
     t_max = 1
     while p ** (t_max + 1) <= 150:
         t_max += 1
-    Ms = {t: count_congruences(sys, p**t, budget).M for t in range(1, t_max + 1) if sys.s * p ** (3 * t) <= budget}
+    Ms = {t: count_congruences(sys, p**t, budget) for t in range(1, t_max + 1) if sys.s * p ** (3 * t) <= budget}
     w = 0
     while True:
         ok = all(M >= p ** ((t - w) * (sys.s - 2)) for t, M in Ms.items() if t >= w)

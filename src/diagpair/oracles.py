@@ -27,9 +27,9 @@ block is scanned for zeros, or for zeros mod q.  Arrays are int64 when
 sum_i (|c_i| max|v|^3 + |d_i| max v^2) < 2^62, which bounds every partial
 sum, and object arrays of Python ints otherwise.
 
-`direct_series_term` sums every complete sum term by term, one q-term
-`math.fsum` per residue pair and variable, reading e(j/q) from
-`local._unity_table`.
+`direct_series_term` and `t_factor` sum every complete sum term by term,
+one q-term `math.fsum` per residue pair and variable, from an e(j/q)
+table built per call; `local` evaluates the same sums only as DFT rows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expsums import BoxSumSpec
-from .local import _unity_table, complete_sum
 from .systems import DiagonalSystem
 
 
@@ -201,29 +200,35 @@ def brute_count_congruences(sys: DiagonalSystem, q: int) -> int:
     return _count_points(sys, [range(q)] * sys.s, q)
 
 
-def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
-    """A(q) and B(q) as sums of T(q, r) over the primitive (r2, r3) mod q.
+def _t_values(sys: DiagonalSystem, q: int, r2: np.ndarray, r3: np.ndarray) -> list[complex]:
+    """T(q, r) at each pair (r2[i], r3[i]): q^(-s) times the product of direct complete sums.
 
-    Each T(q, r) is q^(-s) times the product of its direct q-term complete
-    sums, the same sums as `t_factor`: no FFT, no orbits and no
-    multiplicativity, so composite q checks the Euler product.  The phase
-    indices of one variable's sums at every primitive pair are one array.
-    Cost is about q^3 * s terms.
+    A variable's sum is one `math.fsum` per part over its q terms, read
+    from an e(j/q) table; its phase indices at every pair are one array.
     """
-    r2, r3 = np.divmod(np.arange(q * q), q)
-    keep = np.gcd(np.gcd(q, r2), r3) == 1
-    r2, r3 = r2[keep, None], r3[keep, None]
+    r2, r3 = r2[:, None] % q, r3[:, None] % q
     u = np.arange(1, q + 1, dtype=np.int64)
     u2, u3 = u * u % q, u**3 % q
-    cos, sin = _unity_table(q)
+    ang = 2.0 * math.pi * np.arange(q) / q
+    cos, sin = np.cos(ang), np.sin(ang)
     terms = [complex(1.0)] * len(r2)
     for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
         idx = ((A3 % q) * r3 % q * u3 + (A2 % q) * r2 % q * u2) % q
         terms = [t * complex(math.fsum(re.tolist()), math.fsum(im.tolist())) for t, re, im in zip(terms, cos[idx], sin[idx])]
-    A = 0.0
-    B = complex(0.0)
-    for t in terms:
-        t *= float(q) ** (-sys.s)
+    return [t * float(q) ** (-sys.s) for t in terms]
+
+
+def direct_series_term(sys: DiagonalSystem, q: int) -> tuple[float, complex]:
+    """A(q) and B(q) as sums of T(q, r) over the primitive (r2, r3) mod q.
+
+    T(q, r) is from direct complete sums (`_t_values`): no FFT, no orbits
+    and no multiplicativity, so composite q checks the Euler product.  Cost
+    is about q^3 * s terms.
+    """
+    r2, r3 = np.divmod(np.arange(q * q), q)
+    keep = np.gcd(np.gcd(q, r2), r3) == 1
+    A, B = 0.0, complex(0.0)
+    for t in _t_values(sys, q, r2[keep], r3[keep]):
         A += abs(t)
         B += t
     return A, B
@@ -233,7 +238,4 @@ def t_factor(sys: DiagonalSystem, q: int, r2: int, r3: int) -> complex:
     """q^(-s) times the product of all component complete sums."""
     if math.gcd(math.gcd(q, r2), r3) != 1:
         raise ValueError("(q, r2, r3) must be coprime as a triple")
-    prod = complex(1.0)
-    for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        prod *= complete_sum(q, r2, r3, A3, A2)
-    return prod * float(q) ** (-sys.s)
+    return _t_values(sys, q, np.array([r2]), np.array([r3]))[0]

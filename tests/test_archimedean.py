@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -20,8 +21,8 @@ from diagpair.archimedean import (
     unit_singular_integral,
     volume_constant,
 )
-from diagpair.arcs import ArcFamily
-from diagpair.budget import BudgetError
+from diagpair.arcs import ArcFamily, ArcMembership
+from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
 from diagpair.solver import find_real_anchor
 from diagpair.systems import DiagonalSystem
 
@@ -351,6 +352,29 @@ def test_unit_integral_refuses_past_budget(ladder6):
         assert exc.value.cap == budget
 
 
+def _no_pass(*args, **kwargs):
+    raise AssertionError("a quadrature pass was started")
+
+
+@pytest.mark.parametrize("P", [-10.0, 0.0, math.nan, math.inf])
+def test_singular_integral_refuses_p_outside_the_model(ladder6, monkeypatch, P):
+    # J = P^(s-5) W is a density only at a finite positive P: refused before any pass
+    monkeypatch.setattr(archimedean, "unit_singular_integral", _no_pass)
+    with pytest.raises(ValueError, match="P must be finite and positive"):
+        singular_integral(ladder6, 8.0, P, THETA6)
+
+
+@pytest.mark.parametrize("last", [-0.35, 0.0, math.nan, math.inf])
+def test_theta_outside_the_model_is_refused(ladder6, monkeypatch, last):
+    # the box [theta_i/2, 2 theta_i] needs every theta_i finite and positive
+    theta = (*THETA6[:-1], last)
+    monkeypatch.setattr(archimedean, "_panels_for", _no_pass)
+    with pytest.raises(ValueError, match="theta must be s finite positive box anchors"):
+        unit_singular_integral(ladder6, theta, 8.0)
+    with pytest.raises(ValueError, match="theta must be s finite positive box anchors"):
+        volume_constant(ladder6, theta, samples=100)
+
+
 def test_unit_integral_grows_with_height(ladder6):
     W4, _ = unit_singular_integral(ladder6, THETA6, 4.0)
     W8, _ = unit_singular_integral(ladder6, THETA6, 8.0)
@@ -515,3 +539,23 @@ def test_star_approx_on_arc(sample5):
     assert approx.witness == (3, 1, 2)
     box_len = 1.5 * 0.3 * 60.0
     assert 0 < abs(approx.value) <= box_len + 1e-9
+    # q^-1 S(3; 1, 2) v(alpha - r/q), with S summed term by term
+    A3, A2 = sample5.cubic_coeffs()[2], sample5.quad_coeffs()[2]
+    S = sum(cmath.exp(2j * math.pi * (2 * A3 * x**3 + A2 * x * x) / 3) for x in range(3))
+    v, _ = oscillatory_v(A3, A2, 1 / 3 - 1 / 3, 2 / 3 - 2 / 3, 60.0, 0.3)
+    assert approx.value == pytest.approx(S * v / 3, rel=1e-12)
+
+
+def test_star_approx_refuses_past_default_budget(sample5, monkeypatch):
+    q = DEFAULT_LEDGER_BUDGET + 1
+    monkeypatch.setattr(archimedean, "membership", lambda *args: ArcMembership(True, (q, 1, 0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            star_approx(sample5, 0, 0.5, 0.5, ArcFamily(Q=5.0, P=60.0, t=1), (0.3,) * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.what, info.value.cap) == ("complete sum modulus", DEFAULT_LEDGER_BUDGET)
+    # refused before its q-term arrays (400 MB each) are allocated
+    assert peak < 1e6

@@ -129,6 +129,14 @@ def test_transfer_lambda_exact():
     assert transfer_lambda(0.51, 1, 2, 100) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("alpha,Z", [(0.5, math.inf), (math.nan, 3.0), (-math.inf, 3.0), (0.5, math.nan)])
+def test_transfer_lambda_refuses_non_finite(alpha, Z):
+    with pytest.raises(ValueError, match="alpha and Z must be finite"):
+        transfer_lambda(alpha, 1, 2, Z)
+    # exact inputs of any size stay exact: no float conversion to overflow
+    assert transfer_lambda(Fraction(1, 3), 1, 3, Fraction(10**400)) == 3
+
+
 def test_transfer_lambda_grows_with_distance():
     base = transfer_lambda(Fraction(1, 3), 1, 3, 1000)
     off = transfer_lambda(Fraction(1, 3) + Fraction(1, 50), 1, 3, 1000)

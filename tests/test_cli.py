@@ -302,8 +302,20 @@ def test_arcs_transfer_report(tmp_path, capsys):
         ("arcs", "--dirichlet", "inf,5"),
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "inf"),
         ("moments", "--kind", "mixed", "--p", "inf", "--factor", "0.3:1:1:2"),
+        # J and W are densities only at a finite positive P and theta
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "8", "--p", "-10"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "8", "--p", "0"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "8", "--p", "nan"),
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,-0.35", "--q", "8"),
+        # lambda would be NaN, which JSON cannot carry
+        ("arcs", "--lam", "0.5,1,2,inf"),
+        ("arcs", "--lam", "nan,1,2,3"),
+        # nothing reads --eta without --predict
+        ("solve", "--builtin", "tiny2", "--b", "2", "--eta", "0.4"),
     ],
-    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "dirichlet-inf", "arch-q-inf", "mixed-p-inf"],
+    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "dirichlet-inf", "arch-q-inf", "mixed-p-inf",
+         "arch-p-negative", "arch-p-zero", "arch-p-nan", "arch-theta-negative", "lam-z-inf", "lam-alpha-nan",
+         "eta-without-predict"],
 )
 def test_config_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,6 +1,6 @@
 import cmath
+import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagpair import local
 from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
-from diagpair.local import chi_p_partial, complete_sum, count_congruences, padic_witness, singular_series
+from diagpair.local import chi_p_partial, count_congruences, padic_witness, singular_series
 from diagpair.oracles import brute_count_congruences, direct_series_term, t_factor
 from diagpair.smooth import smallest_prime_factors
 from diagpair.systems import BUILTIN_SYSTEMS, DiagonalSystem
@@ -47,40 +47,33 @@ def direct_complete_sum(q, r2, r3, A3, A2):
     return total
 
 
+def component_row(q, r3, A3, A2):
+    # S(q; r2, r3) of one component at every r2, from `local._component_rows`
+    return local._component_rows(q, np.array([(A3 % q, A2 % q)]), np.array([r3 % q]))[0, 0]
+
+
 # zeros allowed: A2 = 0 is a pure-cubic variable, A3 = 0 a pure-quadratic one
 @given(st.integers(1, 30), st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=60)
 def test_complete_sum_matches_direct(q, A3, A2):
-    got = complete_sum(q, q // 3, q // 2, A3, A2)
-    assert type(got) is complex
-    want = direct_complete_sum(q, q // 3, q // 2, A3, A2)
-    assert abs(got - want) <= 1e-9 * q
+    row = component_row(q, q // 2, A3, A2)
+    assert row.dtype == np.complex128 and row.shape == (q,)
+    for r2 in range(q):
+        want = direct_complete_sum(q, r2, q // 2, A3, A2)
+        assert abs(row[r2] - want) <= 1e-9 * q
 
 
 # and one prime past 10^4: only the budget caps the modulus
 @pytest.mark.parametrize("p", [*ODD_PRIMES, 10_007])
 def test_gauss_magnitude(p):
-    # quadratic complete sum with p coprime to everything has magnitude sqrt(p)
-    val = complete_sum(p, 1, 0, 0, 1)
-    assert abs(val) == pytest.approx(math.sqrt(p), rel=1e-12)
-
-
-def test_complete_sum_refuses_past_default_budget():
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError) as info:
-            complete_sum(DEFAULT_LEDGER_BUDGET + 1, 1, 0, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (info.value.what, info.value.cap) == ("complete sum modulus", DEFAULT_LEDGER_BUDGET)
-    # refused before its q-term arrays (400 MB each) are allocated
-    assert peak < 1e6
+    # quadratic complete sum with p coprime to everything has magnitude sqrt(p) at every r2 != 0
+    row = component_row(p, 0, 0, 1)
+    assert np.abs(row[1:]) == pytest.approx(np.full(p - 1, math.sqrt(p)), rel=1e-12)
 
 
 def test_complete_sum_residue_zero_is_count():
-    assert complete_sum(12, 5, 0, 1, 0) == pytest.approx(12 + 0j)
-    assert complete_sum(9, 0, 2, 0, 1) == pytest.approx(9 + 0j)
+    assert component_row(12, 0, 1, 0)[5] == pytest.approx(12 + 0j)
+    assert component_row(9, 2, 0, 1)[0] == pytest.approx(9 + 0j)
 
 
 def test_t_factor_matches_direct(sample5):
@@ -105,26 +98,27 @@ def test_t_factor_matches_direct(sample5):
 def test_congruence_crt_multiplicativity(sample5, q1, q2):
     if math.gcd(q1, q2) != 1:
         return
-    M1 = count_congruences(sample5, q1).M
-    M2 = count_congruences(sample5, q2).M
-    assert count_congruences(sample5, q1 * q2).M == M1 * M2
+    M1 = count_congruences(sample5, q1)
+    M2 = count_congruences(sample5, q2)
+    assert count_congruences(sample5, q1 * q2) == M1 * M2
 
 
 @given(q=st.integers(1, 12))
 def test_congruences_match_brute(tiny2, q):
-    assert count_congruences(tiny2, q).M == brute_count_congruences(tiny2, q)
+    assert count_congruences(tiny2, q) == brute_count_congruences(tiny2, q)
 
 
 def test_congruences_match_brute_s5(sample5):
     for q in (4, 9):
-        assert count_congruences(sample5, q).M == brute_count_congruences(sample5, q)
+        assert count_congruences(sample5, q) == brute_count_congruences(sample5, q)
 
 
 def test_congruences_object_path():
     # mod 2 both forms reduce to x_1 + ... + x_124, so M(2) = 2^123; each
     # half folds 62 variables and crosses from int64 to object dtype
     big = DiagonalSystem(a=(1,) * 124, b=(1,) * 124)
-    assert count_congruences(big, 2).M == 2**123
+    M = count_congruences(big, 2)
+    assert type(M) is int and M == 2**123
 
 
 def test_congruence_budget():
@@ -155,7 +149,7 @@ CHI_SYSTEMS = {
 def test_chi_identity(sysd, p, t):
     part = chi_p_partial(sysd, p, t)
     assert part.relative_gap <= 1e-9
-    assert part.M == count_congruences(sysd, p**t).M
+    assert part.M == count_congruences(sysd, p**t)
 
 
 def test_chi_refuses_before_any_table(sample5, monkeypatch):
@@ -277,9 +271,41 @@ def test_cube_coset_reps_partition_units():
     for m in range(1, 201):
         units = [v for v in range(m) if math.gcd(v, m) == 1]
         cubes = {pow(v, 3, m) for v in units}
-        cosets = [sorted({c * k % m for k in cubes}) for c in local._cube_coset_reps(m)]
+        reps, size = local._cube_coset_reps(m)
+        cosets = [sorted({c * k % m for k in cubes}) for c in reps]
         assert sorted(v for coset in cosets for v in coset) == units
-        assert [coset[0] for coset in cosets] == local._cube_coset_reps(m)
+        assert [coset[0] for coset in cosets] == reps
+        assert {len(coset) for coset in cosets} == {size}
+
+
+def test_orbits_partition_residues():
+    # the scaling orbits of the rows tile Z/q once each, at their sizes, and each
+    # mask row is True exactly at the r2 with gcd(q, r2, r3) = 1
+    for q in range(1, 201):
+        cubes = {pow(v, 3, q) for v in range(q) if math.gcd(v, q) == 1}
+        r3, size, mask = local._orbits(q)
+        orbits = [{r * c % q for c in cubes} for r in r3.tolist()]
+        assert sorted(r for orbit in orbits for r in orbit) == list(range(q))
+        assert [len(orbit) for orbit in orbits] == size
+        assert r3[0] == 0 and (mask == primitive_mask(q).T[r3]).all()
+
+
+# recorded before `_orbit_term` and `_primitive_max` shared `_orbits`: the
+# sums must keep every bit, not only agree to a tolerance
+def test_singular_series_pinned():
+    res = singular_series(BUILTIN_SYSTEMS["balanced11"], 400)
+    assert (res.value, res.imag) == (1.237258091878583, -2.8468317437506655e-16)
+    assert (res.A[343], res.A[400], res.B[243]) == (2.01755456695003e-05, 7.0936952288634455e-06, 0.0002800213284537975)
+    vals = np.array([[res.A[q], res.B[q]] for q in range(1, 401)])
+    digest = hashlib.sha256(vals.tobytes() + res.partials.tobytes()).hexdigest()
+    assert digest == "1420293996361cf703e7a0e065f2f45afbcfa34137e590012e777248c33398fd"
+
+
+def test_primitive_max_pinned():
+    maxima = np.array([local._primitive_max(q, [(1, 1), (1, -1), (2, 3), (3, 0)]) for q in range(1, 201)])
+    assert maxima.max(axis=0).tolist() == [89.42511506975309, 89.42511506975309, 89.42511506975308, 200.0]
+    digest = hashlib.sha256(maxima.tobytes()).hexdigest()
+    assert digest == "fb8017ad6eab2f13418a7275cbe05029fc99a77c45306d18b251586e15db26ee"
 
 
 def test_primitive_max_matches_tables():

@@ -1,6 +1,9 @@
 """The array oracles against plain loops."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -17,6 +20,18 @@ from diagpair.oracles import (
     t_factor,
 )
 from diagpair.systems import DiagonalSystem
+
+
+def test_oracles_load_no_engine():
+    # the references share no code with the engines they check: importing them loads none
+    code = (
+        "import sys, diagpair.oracles\n"
+        "loaded = [m for m in ('diagpair.ledger', 'diagpair.solver', 'diagpair.local') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(oracles.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def _loop_count(system, ranges, q=None) -> int:
