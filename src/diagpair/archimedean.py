@@ -277,8 +277,8 @@ def unit_singular_integral(
     gamma nodes summed over the groups (`nodes_gamma`) and the 1-D and 2-D
     factor tables built, one per group (`factors_1d`, `factors_2d`).
     """
-    if Q <= 0:
-        raise ValueError("Q must be positive")
+    if not 0 < Q < math.inf:
+        raise ValueError("Q must be finite and positive")
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
     if not all(0 < th < math.inf for th in theta):
@@ -528,12 +528,12 @@ def star_approx(
 
     S(q, r) is one cell of `local._component_rows`; q is checked against the default budget first.
     """
-    mem = membership(alpha2, alpha3, fam)
-    if not mem.inside:
+    witness = membership(alpha2, alpha3, fam)
+    if witness is None:
         return StarApprox(None, 0j)
-    q, r2, r3 = mem.witness
+    q, r2, r3 = witness
     check_budget(q, DEFAULT_LEDGER_BUDGET, what="complete sum modulus")
     A3, A2 = sys.cubic_coeffs()[index], sys.quad_coeffs()[index]
     v, _ = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
     S = complex(_component_rows(q, np.array([(A3 % q, A2 % q)]), np.array([r3 % q]))[0, 0, r2 % q])
-    return StarApprox(mem.witness, S * v / q)
+    return StarApprox(witness, S * v / q)

@@ -30,10 +30,10 @@ class ArcFamily:
     homogeneous: bool = True
 
     def __post_init__(self):
-        if self.Q < 1:
-            raise ValueError("height Q must be >= 1")
-        if self.P <= 0:
-            raise ValueError("scale P must be positive")
+        if not 1 <= self.Q < math.inf:
+            raise ValueError("height Q must be finite and >= 1")
+        if not 0 < self.P < math.inf:
+            raise ValueError("scale P must be finite and positive")
         if self.t < 1:
             raise ValueError("coefficient bound t must be >= 1")
 
@@ -44,12 +44,6 @@ class ArcFamily:
     @property
     def xi3(self) -> float:
         return 18 * self.t * self.P**3
-
-
-@dataclass(frozen=True)
-class ArcMembership:
-    inside: bool
-    witness: Optional[tuple[int, int, int]] = None
 
 
 def _candidate_residues(center: float, halfwidth: float, q: int) -> range:
@@ -73,14 +67,14 @@ def _witnesses_at_q(alpha2: float, alpha3: float, fam: ArcFamily, q: int):
                 yield (q, r2, r3)
 
 
-def membership(alpha2: float, alpha3: float, fam: ArcFamily) -> ArcMembership:
-    """First witness in (q, r2, r3) lexicographic order, or outside."""
+def membership(alpha2: float, alpha3: float, fam: ArcFamily) -> Optional[tuple[int, int, int]]:
+    """First witness (q, r2, r3) in lexicographic order, or None off the arcs."""
     if not (0 <= alpha2 < 1 and 0 <= alpha3 < 1):
         raise ValueError("alpha must lie in [0,1)^2")
     for q in range(1, math.floor(fam.Q) + 1):
         for wit in _witnesses_at_q(alpha2, alpha3, fam, q):
-            return ArcMembership(True, wit)
-    return ArcMembership(False, None)
+            return wit
+    return None
 
 
 @dataclass(frozen=True)
@@ -251,7 +245,7 @@ def minor_arc_weyl_check(
     norm = P ** (1 + eps) * Q ** (-1 / 3)
     while kept < samples:
         a2, a3 = rng.random(), rng.random()
-        if membership(a2, a3, fam).inside:
+        if membership(a2, a3, fam) is not None:
             rejected += 1
             continue
         kept += 1

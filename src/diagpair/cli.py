@@ -18,7 +18,7 @@ import json
 import numbers
 import platform
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from typing import Any, Optional
 
@@ -41,15 +41,8 @@ EXIT_ASSERT = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    spec: Optional[str]
-    seed: int
-    budget: int
-    out: Optional[str]
-    format: str
-    params: dict
+# flags that are not the config's params: its own keys, or not config at all
+_NOT_PARAMS = ("func", "out", "format", "seed", "budget", "subcommand", "spec", "builtin")
 
 
 def _jsonify(obj: Any) -> Any:
@@ -87,7 +80,7 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return [(prefix.rstrip("."), obj)]
 
 
-def _report(cfg: RunConfig, result: Any) -> dict:
+def _report(args, result: Any) -> dict:
     import numpy
 
     return {
@@ -99,19 +92,19 @@ def _report(cfg: RunConfig, result: Any) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
         "config": {
-            "subcommand": cfg.subcommand,
-            "spec": cfg.spec,
-            "seed": cfg.seed,
-            "budget": cfg.budget,
-            "format": cfg.format,
-            "params": cfg.params,
+            "subcommand": args.subcommand,
+            "spec": getattr(args, "spec", None) or getattr(args, "builtin", None),
+            "seed": args.seed,
+            "budget": args.budget,
+            "format": args.format,
+            "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None},
         },
         "result": _jsonify(result),
     }
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
-    if cfg.format == "json":
+def _emit(args, report: dict) -> None:
+    if args.format == "json":
         text = json.dumps(report, indent=2)
     else:
         buf = io.StringIO()
@@ -120,8 +113,8 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         writer.writerow([k for k, _ in pairs])
         writer.writerow([v for _, v in pairs])
         text = buf.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -135,21 +128,21 @@ def _load_spec(args) -> DiagonalSystem:
     raise ValueError("need --spec FILE or --builtin NAME")
 
 
-def _cmd_moments(args, cfg: RunConfig):
+def _cmd_moments(args):
     from .expsums import BoxSumSpec
     from .moments import count_J1, mixed_moment, moment_I, moment_J, moment_T, moment_T_shifted
 
     kind = args.kind
     if kind == "T":
-        result = moment_T(args.s, args.x, budget=cfg.budget)
+        result = moment_T(args.s, args.x, budget=args.budget)
     elif kind == "T-shifted":
-        result = moment_T_shifted(args.s, args.x, args.hmax, budget=cfg.budget)
+        result = moment_T_shifted(args.s, args.x, args.hmax, budget=args.budget)
     elif kind == "I":
-        result = moment_I(args.s, args.y, args.h, budget=cfg.budget)
+        result = moment_I(args.s, args.y, args.h, budget=args.budget)
     elif kind == "J":
-        result = moment_J(args.s, args.x, budget=cfg.budget)
+        result = moment_J(args.s, args.x, budget=args.budget)
     elif kind == "J1":
-        result = count_J1(args.y, args.h, budget=cfg.budget)
+        result = count_J1(args.y, args.h, budget=args.budget)
     else:  # mixed; argparse choices rule out anything else
         factors, exps = [], []
         for text in args.factor or []:
@@ -168,13 +161,13 @@ def _cmd_moments(args, cfg: RunConfig):
             exps.append(int(part[3]))
         if not factors:
             raise ValueError("mixed needs at least one --factor")
-        result = mixed_moment(factors, exps, budget=cfg.budget)
+        result = mixed_moment(factors, exps, budget=args.budget)
     # the deterministic work counters of a sum of squares' top step
     counters = {k: result.params[k] for k in ("top_pairs", "top_bands") if k in result.params}
     return {"kind": kind, "value": result.value, **counters}, False
 
 
-def _cmd_local(args, cfg: RunConfig):
+def _cmd_local(args):
     import numpy as np
 
     from .local import chi_p_partial, count_congruences, padic_witness, singular_series
@@ -182,7 +175,7 @@ def _cmd_local(args, cfg: RunConfig):
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.series is not None:
-        res = singular_series(sysd, args.series, budget=cfg.budget)
+        res = singular_series(sysd, args.series, budget=args.budget)
         out["series"] = {
             "Q": res.Q,
             "value": res.value,
@@ -193,20 +186,20 @@ def _cmd_local(args, cfg: RunConfig):
             "cells": res.cells,
         }
     if args.q is not None:
-        out["congruences"] = {"q": args.q, "M": count_congruences(sysd, args.q, budget=cfg.budget)}
+        out["congruences"] = {"q": args.q, "M": count_congruences(sysd, args.q, budget=args.budget)}
     if args.chi is not None:
         p, t = args.chi
-        part = chi_p_partial(sysd, p, t, budget=cfg.budget)
+        part = chi_p_partial(sysd, p, t, budget=args.budget)
         out["chi"] = asdict(part)
     if args.witness is not None:
-        rng = np.random.default_rng(cfg.seed)
-        out["padic_witness"] = asdict(padic_witness(sysd, args.witness, rng=rng, budget=cfg.budget))
+        rng = np.random.default_rng(args.seed)
+        out["padic_witness"] = asdict(padic_witness(sysd, args.witness, rng=rng, budget=args.budget))
     if len(out) == 2:
         raise ValueError("local needs at least one of --series/--q/--chi/--witness")
     return out, False
 
 
-def _cmd_arch(args, cfg: RunConfig):
+def _cmd_arch(args):
     import numpy as np
 
     from .archimedean import singular_integral, volume_constant
@@ -217,9 +210,9 @@ def _cmd_arch(args, cfg: RunConfig):
         theta = tuple(float(t) for t in args.theta.split(","))
     else:
         # the anchor's theta solves its sign-flipped system, not sysd itself
-        anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))
+        anchor = find_real_anchor(sysd, rng=np.random.default_rng(args.seed))
         sysd, theta = anchor.system, anchor.theta
-    value, diag = singular_integral(sysd, Q=args.q, P=args.p, theta=theta, budget=cfg.budget)
+    value, diag = singular_integral(sysd, Q=args.q, P=args.p, theta=theta, budget=args.budget)
     out = {
         "system": format_system(sysd),
         "J": value,
@@ -231,13 +224,13 @@ def _cmd_arch(args, cfg: RunConfig):
         "theta": diag["theta"],
     }
     if args.volume:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         c, sigma = volume_constant(sysd, diag["theta"], rng=rng, samples=args.mc_samples)
         out["volume"] = {"C": c, "stderr": sigma}
     return out, False
 
 
-def _cmd_arcs(args, cfg: RunConfig):
+def _cmd_arcs(args):
     import numpy as np
 
     from .arcs import ArcFamily, dirichlet_approx, membership, transfer_grid, transfer_lambda
@@ -246,8 +239,8 @@ def _cmd_arcs(args, cfg: RunConfig):
     if args.member:
         a2, a3 = (float(v) for v in args.member.split(","))
         fam = ArcFamily(Q=args.q, P=args.p, t=args.t, homogeneous=not args.inhomogeneous)
-        mem = membership(a2, a3, fam)
-        out["member"] = {"inside": mem.inside, "witness": mem.witness}
+        witness = membership(a2, a3, fam)
+        out["member"] = {"inside": witness is not None, "witness": witness}
     if args.dirichlet:
         alpha, n = args.dirichlet.split(",")
         approx = dirichlet_approx(float(alpha), int(n))
@@ -259,21 +252,21 @@ def _cmd_arcs(args, cfg: RunConfig):
         cells = [(H, Y) for H in (4, 8, 12) for Y in (4, 8, 12)]
         out["transfer_report"] = {
             f"H={H},Y={Y}": {"C1": rep["C1_fitted"], "C2": rep["C2_observed"]}
-            for (H, Y), rep in transfer_grid(cells, np.random.default_rng(cfg.seed), cfg.budget).items()
+            for (H, Y), rep in transfer_grid(cells, np.random.default_rng(args.seed), args.budget).items()
         }
     if not out:
         raise ValueError("arcs needs one of --member/--dirichlet/--lam/--transfer-report")
     return out, False
 
 
-def _cmd_smooth(args, cfg: RunConfig):
+def _cmd_smooth(args):
     from .smooth import c_eta, dickman_rho, smooth_set
 
     out: dict = {}
     if args.x is not None:
         if args.r is None:
             raise ValueError("--x needs --r")
-        members = smooth_set(args.x, args.r, budget=cfg.budget)
+        members = smooth_set(args.x, args.r, budget=args.budget)
         out["count"] = len(members)
         out["density"] = len(members) / args.x
         if len(members) <= 50:
@@ -287,54 +280,56 @@ def _cmd_smooth(args, cfg: RunConfig):
     return out, False
 
 
-def _cmd_solve(args, cfg: RunConfig):
+def _cmd_solve(args):
     import numpy as np
 
     from .solver import count_solutions, find_real_anchor, predict_and_compare, search_witness
 
-    if args.eta is not None and args.predict is None:
-        raise ValueError("--eta is read only by --predict")
+    for flag, value in (("--eta", args.eta), ("--series-q", args.series_q)):
+        if value is not None and args.predict is None:
+            raise ValueError(f"{flag} is read only by --predict")
     sysd = _load_spec(args)
     out: dict = {"system": format_system(sysd), "class": classify(sysd).name}
     if args.conditions:
-        rng = np.random.default_rng(cfg.seed)
-        rep = check_conditions(sysd, rng=rng, budget=cfg.budget)
+        rng = np.random.default_rng(args.seed)
+        rep = check_conditions(sysd, rng=rng, budget=args.budget)
         out["conditions"] = asdict(rep)
     if args.anchor:
-        anchor = find_real_anchor(sysd, rng=np.random.default_rng(cfg.seed))
+        anchor = find_real_anchor(sysd, rng=np.random.default_rng(args.seed))
         out["anchor"] = {
             "theta": anchor.theta,
             "residuals": anchor.residuals,
         }
     if args.b is not None:
-        res = count_solutions(sysd, args.b, budget=cfg.budget)
+        res = count_solutions(sysd, args.b, budget=args.budget)
         out["count"] = {"B": args.b, "N": res.count, "witnesses": [list(w) for w in res.witnesses],
                         "witnesses_truncated": res.witnesses_truncated, "pairs": res.pairs}
     if args.witness_bound is not None:
-        out["witness"] = search_witness(sysd, args.witness_bound, budget=cfg.budget)
+        out["witness"] = search_witness(sysd, args.witness_bound, budget=args.budget)
     if args.predict is not None:
-        rng = np.random.default_rng(cfg.seed)
-        out["predict"] = predict_and_compare(sysd, args.predict, Q=args.series_q, eta=args.eta, rng=rng, budget=cfg.budget)
+        rng = np.random.default_rng(args.seed)
+        series_q = {} if args.series_q is None else {"Q": args.series_q}
+        out["predict"] = predict_and_compare(sysd, args.predict, eta=args.eta, rng=rng, budget=args.budget, **series_q)
     if len(out) == 2:
         raise ValueError("solve needs one of --conditions/--anchor/--B/--witness-bound/--predict")
     return out, False
 
 
-def _cmd_verify(args, cfg: RunConfig):
+def _cmd_verify(args):
     from .acceptance import format_results, run_all
 
-    if (cfg.budget, cfg.seed) != (DEFAULT_LEDGER_BUDGET, 0):
+    if (args.budget, args.seed) != (DEFAULT_LEDGER_BUDGET, 0):
         raise ValueError("verify runs at the default budget with its own fixed seeds; drop --budget and --seed")
     results = run_all(args.profile)
     sys.stdout.write(format_results(results) + "\n")
     failed = not all(r.passed for r in results)
-    if cfg.out:
+    if args.out:
         # run times go to the header, in criterion order, so `result` repeats
         criteria = [asdict(r) for r in results]
         elapsed = [c.pop("elapsed") for c in criteria]
-        report = _report(cfg, {"profile": args.profile, "criteria": criteria})
+        report = _report(args, {"profile": args.profile, "criteria": criteria})
         report["header"]["elapsed"] = elapsed
-        _emit(cfg, report)
+        _emit(args, report)
     # stdout already carries the line-per-criterion report
     return None, failed
 
@@ -412,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, dest="b", metavar="B")
     p.add_argument("--witness-bound", type=int, metavar="B")
     p.add_argument("--predict", type=float, metavar="P")
-    p.add_argument("--series-q", type=int, default=100)
+    p.add_argument("--series-q", type=int)
     p.add_argument("--eta", type=float)
     p.set_defaults(func=_cmd_solve)
 
@@ -426,22 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        spec=getattr(args, "spec", None) or getattr(args, "builtin", None),
-        seed=args.seed,
-        budget=args.budget,
-        out=args.out,
-        format=args.format,
-        params={
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "out", "format", "seed", "budget", "subcommand", "spec", "builtin")
-            and v is not None
-        },
-    )
     try:
-        result, failed = args.func(args, cfg)
+        result, failed = args.func(args)
+        if result is not None:
+            _emit(args, _report(args, result))
     except BudgetError as exc:
         sys.stderr.write(
             json.dumps({"error": "budget", "what": exc.what, "estimate": str(exc.estimate), "cap": str(exc.cap)})
@@ -451,8 +434,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OverflowError, OSError, KeyError, AnchorError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    if result is not None:
-        _emit(cfg, _report(cfg, result))
     return EXIT_ASSERT if failed else EXIT_OK
 
 

@@ -133,8 +133,8 @@ class BoxSumSpec:
     smooth_R: Optional[int] = None
 
     def __post_init__(self):
-        if self.theta <= 0 or self.P <= 0:
-            raise ValueError("theta and P must be positive")
+        if not (0 < self.theta < math.inf and 0 < self.P < math.inf):
+            raise ValueError("theta and P must be finite and positive")
         if self.cubic == 0 and self.quad == 0:
             raise ValueError("need a nonzero cubic or quad coefficient")
         if self.smooth_R is not None and self.smooth_R < 2:

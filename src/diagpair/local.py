@@ -26,7 +26,8 @@ multiplicativity.
 The central identity tying the two local viewpoints together: with
 B(q) = sum over primitive (q, r2, r3) of T(q, r), the congruence count
 M(q) satisfies M(p^t) = p^(t(s-2)) * sum_{h <= t} B(p^h).  Both sides are
-computed independently and compared.
+computed independently and compared: M(q) folds every variable into one
+ledger over the residues (Phi mod q, Theta mod q) and reads residue (0, 0).
 """
 
 from __future__ import annotations
@@ -232,18 +233,17 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
 def _fold_vars(q: int, comps) -> np.ndarray:
     """Ledger over (Phi mod q, Theta mod q), one variable folded at a time.
 
-    int64 until counts could reach 2^62, then object dtype keeps exactness.
-    The values u of a variable are grouped by their key shift
-    (A2 u^2, A3 u^3) mod q.  Each shift (d2, d3) adds, times its
-    multiplicity, the one slice [q - d2 : 2q - d2, q - d3 : 2q - d3] of the
-    ledger tiled 2 x 2: the ledger cyclically shifted by (d2, d3).
+    int64 until the largest count times q could reach 2^62, then object
+    dtype keeps exactness: a fold adds q shifted copies, so no entry
+    passes q times the largest.  The values u of a variable are grouped by
+    their key shift (A2 u^2, A3 u^3) mod q.  Each shift (d2, d3) adds,
+    times its multiplicity, the one slice [q - d2 : 2q - d2, q - d3 : 2q - d3]
+    of the ledger tiled 2 x 2: the ledger cyclically shifted by (d2, d3).
     """
     arr = np.zeros((q, q), dtype=np.int64)
     arr[0, 0] = 1
-    bound = 1
     for A3, A2 in comps:
-        bound *= q
-        if bound >= 2**62 and arr.dtype != object:
+        if arr.dtype != object and int(arr.max()) * q >= 2**62:
             arr = arr.astype(object)
         shifts = Counter(((A2 * u * u) % q, (A3 * u**3) % q) for u in range(q))
         tiled = np.tile(arr, (2, 2))
@@ -255,20 +255,11 @@ def _fold_vars(q: int, comps) -> np.ndarray:
 
 
 def count_congruences(sys: DiagonalSystem, q: int, budget: int = DEFAULT_LEDGER_BUDGET) -> int:
-    """Exact M(q) by meeting two half-variable ledgers in the middle."""
+    """Exact M(q): every variable folded into one ledger, read at residue (0, 0)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     check_budget(sys.s * q**3, budget, what="congruence ledger")
-    comps = list(zip(sys.cubic_coeffs(), sys.quad_coeffs()))
-    half = len(comps) // 2
-    left = _fold_vars(q, comps[:half])
-    right = _fold_vars(q, comps[half:])
-    if q**sys.s >= 2**62:
-        left = left.astype(object)
-        right = right.astype(object)
-    # right at negated keys: flip both axes, then shift 1 to fix residue 0
-    neg = np.roll(np.roll(right[::-1, ::-1], 1, axis=0), 1, axis=1)
-    return int((left * neg).sum())
+    return int(_fold_vars(q, zip(sys.cubic_coeffs(), sys.quad_coeffs()))[0, 0])
 
 
 @dataclass(frozen=True)

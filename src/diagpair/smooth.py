@@ -16,7 +16,7 @@ included.
 
 from __future__ import annotations
 
-from math import ceil, isqrt
+from math import ceil, inf, isqrt
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def dickman_rho(u: float) -> float:
     the tail).  Relative error below 1e-14 on [0, 20]; nothing is kept
     between calls.
     """
-    if u < 0 or u > _RHO_MAX_U:
+    if not 0 <= u <= _RHO_MAX_U:
         raise ValueError(f"u out of range [0, {_RHO_MAX_U}]: {u}")
     if u <= 1:
         return 1.0
@@ -136,6 +136,6 @@ def dickman_rho(u: float) -> float:
 
 def c_eta(eta: float) -> float:
     """Density constant rho(1/eta) of eta-power smooth numbers."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < inf:
+        raise ValueError("eta must be finite and positive")
     return dickman_rho(1.0 / eta)

@@ -47,10 +47,6 @@ class RealAnchor:
     flips: tuple[int, ...]
     system: DiagonalSystem  # sign-normalized so that theta > 0 solves it
 
-    @property
-    def s(self) -> int:
-        return len(self.theta)
-
 
 def _forms_and_jacobian(sys: DiagonalSystem, x: np.ndarray):
     cubic = np.array(sys.cubic_coeffs(), dtype=float)
@@ -294,9 +290,7 @@ def _witness_scan(
 
 @dataclass(frozen=True)
 class SolutionCount:
-    bound: object
     count: int
-    restriction: str
     witnesses: tuple[tuple[int, ...], ...]
     witnesses_truncated: bool  # the witness scan gave up before witness_limit hits
     pairs: int  # x-half key pairs the count formed, at most its `count key pairs`
@@ -366,9 +360,9 @@ def count_solutions(
     count, pairs = _count_via_ledgers(sys, ranges, budget)
     nonzero = count - all(0 in r for r in ranges)  # the zero tuple counts when every range holds 0
     if witness_limit == 0 or nonzero == 0:
-        return SolutionCount(bounds, count, restriction, (), False, pairs)
+        return SolutionCount(count, (), False, pairs)
     witnesses, visited = _witness_scan(sys, ranges, witness_limit, budget)
-    return SolutionCount(bounds, count, restriction, tuple(witnesses), visited > budget, pairs)
+    return SolutionCount(count, tuple(witnesses), visited > budget, pairs)
 
 
 def search_witness(sys: DiagonalSystem, B: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Optional[tuple[int, ...]]:
@@ -413,6 +407,10 @@ def predict_and_compare(
     from .local import singular_series
     from .smooth import c_eta
 
+    if not 0 < P < math.inf:
+        raise ValueError("P must be finite and positive")
+    if eta is not None and not 0 < eta < math.inf:
+        raise ValueError("eta must be finite and positive")
     anchor = find_real_anchor(sys, rng=rng)
     series = singular_series(anchor.system, Q, budget=budget)
     C, C_err = volume_constant(anchor.system, anchor.theta, rng=rng, samples=mc_samples)

@@ -21,7 +21,7 @@ from diagpair.archimedean import (
     unit_singular_integral,
     volume_constant,
 )
-from diagpair.arcs import ArcFamily, ArcMembership
+from diagpair.arcs import ArcFamily
 from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
 from diagpair.solver import find_real_anchor
 from diagpair.systems import DiagonalSystem
@@ -375,6 +375,14 @@ def test_theta_outside_the_model_is_refused(ladder6, monkeypatch, last):
         volume_constant(ladder6, theta, samples=100)
 
 
+@pytest.mark.parametrize("Q", [-8.0, 0.0, math.nan, math.inf])
+def test_unit_integral_refuses_q_outside_the_model(ladder6, monkeypatch, Q):
+    # NaN once passed `Q <= 0` and failed in `_panels_for`, naming no input
+    monkeypatch.setattr(archimedean, "_panels_for", _no_pass)
+    with pytest.raises(ValueError, match="Q must be finite and positive"):
+        unit_singular_integral(ladder6, THETA6, Q)
+
+
 def test_unit_integral_grows_with_height(ladder6):
     W4, _ = unit_singular_integral(ladder6, THETA6, 4.0)
     W8, _ = unit_singular_integral(ladder6, THETA6, 8.0)
@@ -548,7 +556,7 @@ def test_star_approx_on_arc(sample5):
 
 def test_star_approx_refuses_past_default_budget(sample5, monkeypatch):
     q = DEFAULT_LEDGER_BUDGET + 1
-    monkeypatch.setattr(archimedean, "membership", lambda *args: ArcMembership(True, (q, 1, 0)))
+    monkeypatch.setattr(archimedean, "membership", lambda *args: (q, 1, 0))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError) as info:

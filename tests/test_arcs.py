@@ -34,14 +34,16 @@ def test_family_validation():
         ArcFamily(Q=4.0, P=-1.0, t=1)
     with pytest.raises(ValueError):
         ArcFamily(Q=4.0, P=100.0, t=0)
+    for Q, P in ((math.nan, 100.0), (math.inf, 100.0), (4.0, math.nan), (4.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ArcFamily(Q=Q, P=P, t=1)
 
 
 def test_membership_at_rational_centers():
     for q, r2, r3 in [(1, 0, 0), (3, 1, 2), (5, 2, 4), (4, 1, 3)]:
-        mem = membership(r2 / q, r3 / q, FAM)
-        assert mem.inside
-        assert mem.witness is not None
-        wq, w2, w3 = mem.witness
+        witness = membership(r2 / q, r3 / q, FAM)
+        assert witness is not None
+        wq, w2, w3 = witness
         # witness reproduces the same rational point in lowest terms
         assert Fraction(w2, wq) == Fraction(r2, q)
         assert Fraction(w3, wq) == Fraction(r3, q)
@@ -49,18 +51,14 @@ def test_membership_at_rational_centers():
 
 def test_membership_off_arcs():
     # golden-ratio-ish point far from every height-6 rational
-    mem = membership(0.381966, 0.618034, FAM)
-    assert not mem.inside
-    assert mem.witness is None
+    assert membership(0.381966, 0.618034, FAM) is None
 
 
 def test_membership_width_edges():
     # halfwidth in alpha is (Q / xi2) / q around r2 / q
     w2 = FAM.Q / FAM.xi2
-    inside = membership(1 / 4 + 0.9 * w2 / 4, 3 / 4, FAM)
-    assert inside.inside and inside.witness == (4, 1, 3)
-    outside = membership(1 / 4 + 1.5 * w2 / 4, 3 / 4, FAM)
-    assert not outside.inside
+    assert membership(1 / 4 + 0.9 * w2 / 4, 3 / 4, FAM) == (4, 1, 3)
+    assert membership(1 / 4 + 1.5 * w2 / 4, 3 / 4, FAM) is None
 
 
 @given(unit, unit)
@@ -73,8 +71,8 @@ def test_arcs_disjoint(alpha2, alpha3):
 @given(unit, unit)
 def test_nesting_in_height(alpha2, alpha3):
     small = ArcFamily(Q=3.0, P=200.0, t=2)
-    if membership(alpha2, alpha3, small).inside:
-        assert membership(alpha2, alpha3, FAM).inside
+    if membership(alpha2, alpha3, small) is not None:
+        assert membership(alpha2, alpha3, FAM) is not None
 
 
 @given(st.floats(0.0, 1.0, allow_nan=False), st.integers(1, 400))

@@ -310,17 +310,62 @@ def test_arcs_transfer_report(tmp_path, capsys):
         # lambda would be NaN, which JSON cannot carry
         ("arcs", "--lam", "0.5,1,2,inf"),
         ("arcs", "--lam", "nan,1,2,3"),
-        # nothing reads --eta without --predict
+        # nothing reads --eta or --series-q without --predict
         ("solve", "--builtin", "tiny2", "--b", "2", "--eta", "0.4"),
+        ("solve", "--builtin", "tiny2", "--b", "2", "--series-q", "30"),
+        # non-finite floats: each is refused by the range check of the value
+        # it sets, not where it is rounded, and none reaches the artifact
+        ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "nan"),
+        ("arcs", "--member", "0.1,0.2", "--q", "nan"),
+        ("arcs", "--member", "0.1,0.2", "--p", "inf"),
+        ("smooth", "--rho", "nan"),
+        ("smooth", "--c-eta", "nan"),
+        ("smooth", "--c-eta", "inf"),
+        ("moments", "--kind", "mixed", "--factor", "nan:1:1:2"),
+        ("solve", "--builtin", "ladder6", "--predict", "inf"),
+        ("solve", "--builtin", "ladder6", "--predict", "10", "--eta", "inf"),
     ],
     ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "dirichlet-inf", "arch-q-inf", "mixed-p-inf",
          "arch-p-negative", "arch-p-zero", "arch-p-nan", "arch-theta-negative", "lam-z-inf", "lam-alpha-nan",
-         "eta-without-predict"],
+         "eta-without-predict", "series-q-without-predict", "arch-q-nan", "member-q-nan", "member-p-inf", "rho-nan",
+         "c-eta-nan", "c-eta-inf", "mixed-theta-nan", "predict-inf", "eta-inf"],
 )
 def test_config_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error") and err.count("\n") == 1
+    assert "cannot convert float" not in err
+
+
+def test_non_finite_predict_is_refused_before_the_anchor_search(capsys, monkeypatch):
+    from diagpair import solver
+
+    def no_anchor(*args, **kwargs):
+        raise AssertionError("the anchor search ran for a refused P or eta")
+
+    monkeypatch.setattr(solver, "find_real_anchor", no_anchor)
+    for flags in (("--predict", "inf"), ("--predict", "nan"), ("--predict", "10", "--eta", "inf")):
+        code, _, err = run(capsys, "solve", "--builtin", "ladder6", *flags)
+        assert code == cli.EXIT_CONFIG and "must be finite and positive" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--builtin", "tiny2", "--b", "2"), ("local", "--builtin", "sample5", "--q", "4"), ("verify",)],
+    ids=["solve", "local", "verify"],
+)
+def test_unopenable_out_is_a_config_error(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error") and "No such file or directory" in err
+
+
+def test_series_q_is_recorded_only_when_given(capsys):
+    doc = run_json(capsys, "solve", "--builtin", "tiny2", "--b", "2")
+    assert "series_q" not in doc["config"]["params"]
+    doc = run_json(capsys, "solve", "--builtin", "ladder6", "--predict", "10", "--series-q", "10")
+    assert doc["config"]["params"]["series_q"] == 10
+    assert doc["result"]["predict"]["Q"] == "10"
 
 
 # the top step of T_16 at X = 14: the square of its 157870-key eighth power

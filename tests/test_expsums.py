@@ -217,3 +217,6 @@ def test_box_kind_validation():
         BoxSumSpec(theta=0.3, P=10)
     with pytest.raises(ValueError):
         BoxSumSpec(theta=0.3, P=10, cubic=1, quad=1, smooth_R=1)
+    for theta, P in ((math.nan, 10.0), (math.inf, 10.0), (0.3, math.nan), (0.3, math.inf)):
+        with pytest.raises(ValueError, match="theta and P must be finite and positive"):
+            BoxSumSpec(theta=theta, P=P, cubic=1)

@@ -114,11 +114,31 @@ def test_congruences_match_brute_s5(sample5):
 
 
 def test_congruences_object_path():
-    # mod 2 both forms reduce to x_1 + ... + x_124, so M(2) = 2^123; each
-    # half folds 62 variables and crosses from int64 to object dtype
+    # mod 2 both forms reduce to x_1 + ... + x_124, so M(2) = 2^123; the
+    # fold crosses from int64 to object dtype at its 63rd variable
     big = DiagonalSystem(a=(1,) * 124, b=(1,) * 124)
     M = count_congruences(big, 2)
     assert type(M) is int and M == 2**123
+
+
+def test_congruences_pinned():
+    # recorded at the commit that met two half ledgers; M(128) passes 2^63
+    balanced11 = BUILTIN_SYSTEMS["balanced11"]
+    assert count_congruences(balanced11, 100) == 993817088000000000
+    assert count_congruences(balanced11, 128) == 9406330771716702208
+
+
+def test_fold_vars_turns_object_only_when_max_times_q_reaches_2_62():
+    # a fold adds q shifted copies, so int64 holds while max * q < 2^62.
+    # mod 2, x_1 + ... + x_k puts 2^(k-1) at two residues: the 63rd fold
+    # starts from max * q = 2^62 and is the first on object dtype
+    assert local._fold_vars(2, [(1, 1)] * 62).dtype == np.int64
+    folded = local._fold_vars(2, [(1, 1)] * 63)
+    assert folded.dtype == object and folded[0, 0] == 2**62
+    balanced11 = BUILTIN_SYSTEMS["balanced11"]
+    comps = list(zip(balanced11.cubic_coeffs(), balanced11.quad_coeffs()))
+    assert local._fold_vars(100, comps).dtype == np.int64
+    assert local._fold_vars(2, [(1, 1)] * 124).dtype == object
 
 
 def test_congruence_budget():

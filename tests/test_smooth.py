@@ -128,6 +128,8 @@ def test_rho_rejects_out_of_range():
         dickman_rho(-0.5)
     with pytest.raises(ValueError):
         dickman_rho(21.0)
+    with pytest.raises(ValueError, match="out of range"):
+        dickman_rho(math.nan)
 
 
 def test_density_approaches_rho():
@@ -144,6 +146,10 @@ def test_c_eta():
     assert c_eta(0.25) == pytest.approx(RHO_TABLE[4.0], abs=1e-8)
     with pytest.raises(ValueError):
         c_eta(0.0)
+    # 1/inf = 0 once gave rho(0) = 1, and NaN failed in `ceil`
+    for eta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            c_eta(eta)
 
 
 def test_smooth_counts_monotone_in_R():
