@@ -99,6 +99,8 @@ def dirichlet_approx(alpha, N: int) -> RationalApproximation:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n, d = alpha.as_integer_ratio()
     p_prev, q_prev = 1, 0
     p_cur, q_cur = n // d, 1

@@ -524,7 +524,8 @@ class Ledger:
         The lower power (half of e, or e - 1 for odd e) is built first; its
         square, or its product with the generators, competes with the
         multiset step's C(n + e - 1, e) pairs.  A tie goes to the multiset
-        step, so a square is always one.  `squares` goes to the top step.
+        step, so a square is always one.  When the multiset step wins, the
+        lower power is freed before it runs.  `squares` goes to the top step.
         """
         if e == 1:
             return SquareSum(exact_dot(self.counts, self.counts), 0, 0) if squares else self
@@ -532,6 +533,7 @@ class Ledger:
         n, m = len(self.keys), len(lower.keys)
         if (m * n if e % 2 else m * (m + 1) // 2) < math.comb(n + e - 1, e):
             return lower._convolve(self, budget, squares) if e % 2 else lower._multiset(2, budget, squares)
+        del lower
         return self._multiset(e, budget, squares)
 
     def fields(self) -> list[np.ndarray]:

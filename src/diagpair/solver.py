@@ -56,9 +56,9 @@ def _forms_and_jacobian(sys: DiagonalSystem, x: np.ndarray):
     return F, J
 
 
-def _newton_polish(sys: DiagonalSystem, x0: np.ndarray, steps: int = 80) -> np.ndarray:
+def _newton_polish(sys: DiagonalSystem, x0: np.ndarray) -> np.ndarray:
     x = x0.copy()
-    for _ in range(steps):
+    for _ in range(80):
         F, J = _forms_and_jacobian(sys, x)
         res = abs(F[0]) + abs(F[1])
         if res < 1e-14:
@@ -104,52 +104,36 @@ def find_real_anchor(sys: DiagonalSystem, rng: Optional[np.random.Generator] = N
     has the same counts and all theta_i positive.
     """
     rng = rng if rng is not None else np.random.default_rng(2023)
-    s = sys.s
-
-    def random_starts():
-        for _ in range(_RANDOM_STARTS):
-            mag = rng.uniform(0.05, 0.45, size=s)
-            sign = rng.choice([-1.0, 1.0], size=s)
-            yield mag * sign
-
-    def polish(x0):
-        x = _newton_polish(sys, x0)
-        F, J = _forms_and_jacobian(sys, x)
-        if abs(F[0]) > 1e-10 or abs(F[1]) > 1e-10:
-            return None
-        if np.any(np.abs(x) < 5e-3) or np.any(np.abs(x) >= 0.5):
-            return None
-        sv = np.linalg.svd(J, compute_uv=False)
-        if np.sum(sv > 1e-6) < 2:  # Jacobian rank below 2
-            return None
-        return x, F, sv
-
-    def pack(x, F, sv) -> RealAnchor:
-        theta, flips, normalized = _normalize_signs(sys, x)
-        return RealAnchor(
-            tuple(float(t) for t in theta),
-            (float(abs(F[0])), float(abs(F[1]))),
-            (float(sv[0]), float(sv[1])),
-            flips,
-            normalized,
-        )
-
     # among rank-2 solutions prefer the most interior one (largest smallest
     # coordinate): downstream box integrals degrade when any theta_i is tiny
-    best = None
-    best_score = -1.0
-    for x0 in random_starts():
-        hit = polish(x0)
-        if hit is None:
+    best, best_score = None, -1.0
+    for _ in range(_RANDOM_STARTS):
+        mag = rng.uniform(0.05, 0.45, size=sys.s)
+        x = _newton_polish(sys, mag * rng.choice([-1.0, 1.0], size=sys.s))
+        F, J = _forms_and_jacobian(sys, x)
+        if abs(F[0]) > 1e-10 or abs(F[1]) > 1e-10:
             continue
-        score = float(np.min(np.abs(hit[0])))
+        if np.any(np.abs(x) < 5e-3) or np.any(np.abs(x) >= 0.5):
+            continue
+        sv = np.linalg.svd(J, compute_uv=False)
+        if np.sum(sv > 1e-6) < 2:  # Jacobian rank below 2
+            continue
+        score = float(np.min(np.abs(x)))
         if score > best_score:
-            best, best_score = hit, score
-    if best is not None:
-        return pack(*best)
-    raise AnchorError(
-        "no nonsingular real solution found in (0, 1/2)^s; "
-        "the system may fail the real solubility condition"
+            best, best_score = (x, F, sv), score
+    if best is None:
+        raise AnchorError(
+            "no nonsingular real solution found in (0, 1/2)^s; "
+            "the system may fail the real solubility condition"
+        )
+    x, F, sv = best
+    theta, flips, normalized = _normalize_signs(sys, x)
+    return RealAnchor(
+        tuple(float(t) for t in theta),
+        (float(abs(F[0])), float(abs(F[1]))),
+        (float(sv[0]), float(sv[1])),
+        flips,
+        normalized,
     )
 
 
@@ -210,8 +194,10 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     bound = len(half_a.keys) * len(half_b.keys)
     check_budget(bound, budget, what="count key pairs")
     (theta_a, phi_a), (theta_b, phi_b) = half_a.fields(), half_b.fields()
-    # Folds pick their own dtypes; products of counts reach the number of points.
-    dtype = dtype_for(math.prod(len(r) for r in ranges))
+    # Folds pick their own dtypes.  A chunk forms at most max(_CHUNK_PAIRS, |B|)
+    # pairs, each term at most the product of the four ledgers' largest counts.
+    largest = math.prod(int(r.counts.max()) for r in (half_a, half_b, r_y, r_z))
+    dtype = dtype_for(largest * max(ledger._CHUNK_PAIRS, len(phi_b)))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
     # a table no larger than the sum's key pairs; object keys take no table.
     # One half may be int64 and the other object, so bounds add as Python
@@ -296,51 +282,26 @@ class SolutionCount:
     pairs: int  # x-half key pairs the count formed, at most its `count key pairs`
 
 
-def _build_ranges(
-    sys: DiagonalSystem,
-    bounds: Union[int, tuple],
-    restriction: str,
-    R: Optional[int],
-    budget: int,
-) -> _WitnessRanges:
+def _build_ranges(sys: DiagonalSystem, bounds: Union[int, tuple]) -> _WitnessRanges:
     if isinstance(bounds, int):
         if bounds < 0:
             raise ValueError("B must be >= 0")
-        if restriction != "none":
-            raise ValueError("smooth restrictions apply to box counts, not |x| <= B counts")
         return [range(-bounds, bounds + 1)] * sys.s
     P, theta = bounds
     if len(theta) != sys.s:
         raise ValueError("need one box anchor per variable")
-    if restriction == "none":
-        restricted: Sequence[int] = ()
-    elif R is None:
-        raise ValueError("smooth restriction needs R")
-    elif restriction == "smooth-y":
-        restricted = range(sys.l, sys.l + sys.m)
-    elif restriction == "smooth-xl":
-        if sys.l == 0:
-            raise ValueError("no shared variables to restrict")
-        restricted = [sys.l - 1]
-    else:
-        raise ValueError(f"unknown restriction {restriction!r}")
     out: list[Sequence[int]] = []
     for i, (A3, A2, th) in enumerate(zip(sys.cubic_coeffs(), sys.quad_coeffs(), theta)):
-        spec = BoxSumSpec(th, P, cubic=A3, quad=A2, smooth_R=R if i in restricted else None)
-        lo, hi = spec.range_bounds()
+        lo, hi = BoxSumSpec(th, P, cubic=A3, quad=A2).range_bounds()
         if hi < lo:
             raise ValueError(f"box for variable {i} is empty at P={P}")
-        out.append(range(lo, hi + 1) if spec.smooth_R is None else spec.members(budget))
-        if not out[i]:
-            raise ValueError(f"smooth restriction empties the box of variable {i}")
+        out.append(range(lo, hi + 1))
     return out
 
 
 def count_solutions(
     sys: DiagonalSystem,
     bounds: Union[int, tuple],
-    restriction: str = "none",
-    R: Optional[int] = None,
     budget: int = DEFAULT_LEDGER_BUDGET,
     witness_limit: int = 10,
 ) -> SolutionCount:
@@ -348,15 +309,13 @@ def count_solutions(
 
     bounds is either an integer B (count |x_i| <= B, zero tuple included)
     or a pair (P, theta) for the boxes (theta_i P/2, 2 theta_i P].
-    Restrictions: "smooth-y" intersects the pure-cubic block with the
-    R-smooth set, "smooth-xl" restricts the last shared variable.
-    `budget` caps the count's generators, key pairs and smooth tables and
-    the witness scan's nodes; witness_limit = 0 skips the witness scan,
-    and so does a count that the zero tuple alone makes up.
+    `budget` caps the count's generators and key pairs and the witness
+    scan's nodes; witness_limit = 0 skips the witness scan, and so does a
+    count that the zero tuple alone makes up.
     """
     if witness_limit < 0:
         raise ValueError("witness_limit must be >= 0")
-    ranges = _build_ranges(sys, bounds, restriction, R, budget)
+    ranges = _build_ranges(sys, bounds)
     count, pairs = _count_via_ledgers(sys, ranges, budget)
     nonzero = count - all(0 in r for r in ranges)  # the zero tuple counts when every range holds 0
     if witness_limit == 0 or nonzero == 0:
@@ -397,15 +356,18 @@ def predict_and_compare(
 ) -> dict:
     """Compare exact box counts R(P) against the predicted C * S(Q) * P^(s-5).
 
-    `budget` caps the singular series rows, every exact count and the
-    witness scan.  With eta given, also forms the smooth-restricted
-    predictions: the smooth-y count carries one Dickman factor per
-    pure-cubic variable and the smooth-x_l count a single factor; these
-    variants report counts only, so they skip the witness scan.
+    `budget` caps the singular series rows, every exact count, the smooth
+    table and the witness scan.  With eta given, also forms the
+    smooth-restricted predictions at R = max(2, floor(P^eta)): the smooth-y
+    count keeps the R-smooth values of every pure-cubic variable and carries
+    one Dickman factor per variable, and the smooth-xl count keeps those of
+    the last shared variable and carries a single factor.  Both filter the
+    box ranges through one smooth table and report counts only, so they
+    skip the witness scan.
     """
     from .archimedean import volume_constant
     from .local import singular_series
-    from .smooth import c_eta
+    from .smooth import c_eta, smooth_mask
 
     if not 0 < P < math.inf:
         raise ValueError("P must be finite and positive")
@@ -433,13 +395,16 @@ def predict_and_compare(
     if eta is not None:
         R = max(2, math.floor(P**eta))
         ce = c_eta(eta)
-        factors = {"smooth-y": ce**sys.m, "smooth-xl": ce} if sys.l > 0 else {"smooth-y": ce**sys.m}
-        report["variants"] = {
-            name: {
-                "count": count_solutions(anchor.system, box, name, R=R, budget=budget, witness_limit=0).count,
-                "prediction": factor * prediction,
-                "R": R,
-            }
-            for name, factor in factors.items()
-        }
+        restricted = {"smooth-y": (range(sys.l, sys.l + sys.m), ce**sys.m)}
+        if sys.l > 0:
+            restricted["smooth-xl"] = ([sys.l - 1], ce)
+        ranges = _build_ranges(anchor.system, box)
+        mask = smooth_mask(max(ranges[i][-1] for idx, _ in restricted.values() for i in idx), R, budget)
+        report["variants"] = {}
+        for name, (idx, factor) in restricted.items():
+            kept = [[x for x in r if mask[x]] if i in idx else r for i, r in enumerate(ranges)]
+            if empty := [i for i in idx if not kept[i]]:
+                raise ValueError(f"smooth restriction empties the box of variable {empty[0]}")
+            count = _count_via_ledgers(anchor.system, kept, budget)[0]
+            report["variants"][name] = {"count": count, "prediction": factor * prediction, "R": R}
     return report

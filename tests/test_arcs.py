@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diagpair.arcs import (
     ArcFamily,
@@ -107,12 +107,19 @@ def test_dirichlet_matches_fraction_walk(alpha, N):
     assert (approx.a, approx.q, approx.error) == fraction_dirichlet(alpha, N)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_dirichlet_refuses_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        dirichlet_approx(alpha, 5)
+
+
 def test_dirichlet_pi_tail():
     approx = dirichlet_approx(math.pi - 3, 10)
     assert (approx.a, approx.q) == (1, 7)
 
 
 @given(st.fractions(0, 1, max_denominator=60), st.integers(60, 500))
+@example(Fraction(10**400 + 1, 3), 60)  # exact, though too large for a float
 def test_dirichlet_recovers_exact_rationals(frac, N):
     approx = dirichlet_approx(frac, N)
     assert Fraction(approx.a, approx.q) == frac

@@ -299,7 +299,6 @@ def test_arcs_transfer_report(tmp_path, capsys):
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "4",
          "--volume", "--mc-samples", "0"),
         # float flags that overflow where they are rounded to an integer
-        ("arcs", "--dirichlet", "inf,5"),
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "inf"),
         ("moments", "--kind", "mixed", "--p", "inf", "--factor", "0.3:1:1:2"),
         # J and W are densities only at a finite positive P and theta
@@ -318,6 +317,8 @@ def test_arcs_transfer_report(tmp_path, capsys):
         ("arch", "--builtin", "ladder6", "--theta", "0.3,0.3,0.25,0.25,0.35,0.35", "--q", "nan"),
         ("arcs", "--member", "0.1,0.2", "--q", "nan"),
         ("arcs", "--member", "0.1,0.2", "--p", "inf"),
+        ("arcs", "--dirichlet", "inf,5"),
+        ("arcs", "--dirichlet", "nan,5"),
         ("smooth", "--rho", "nan"),
         ("smooth", "--c-eta", "nan"),
         ("smooth", "--c-eta", "inf"),
@@ -325,16 +326,17 @@ def test_arcs_transfer_report(tmp_path, capsys):
         ("solve", "--builtin", "ladder6", "--predict", "inf"),
         ("solve", "--builtin", "ladder6", "--predict", "10", "--eta", "inf"),
     ],
-    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "dirichlet-inf", "arch-q-inf", "mixed-p-inf",
+    ids=["missing-spec", "solve-anchor", "arch-anchor", "mc-samples", "arch-q-inf", "mixed-p-inf",
          "arch-p-negative", "arch-p-zero", "arch-p-nan", "arch-theta-negative", "lam-z-inf", "lam-alpha-nan",
-         "eta-without-predict", "series-q-without-predict", "arch-q-nan", "member-q-nan", "member-p-inf", "rho-nan",
+         "eta-without-predict", "series-q-without-predict", "arch-q-nan", "member-q-nan", "member-p-inf",
+         "dirichlet-inf", "dirichlet-nan", "rho-nan",
          "c-eta-nan", "c-eta-inf", "mixed-theta-nan", "predict-inf", "eta-inf"],
 )
 def test_config_error_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error") and err.count("\n") == 1
-    assert "cannot convert float" not in err
+    assert "cannot convert" not in err
 
 
 def test_non_finite_predict_is_refused_before_the_anchor_search(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from diagpair import ledger, solver
 from diagpair.acceptance import LADDER6_THETA
 from diagpair.budget import DEFAULT_LEDGER_BUDGET, BudgetError
+from diagpair.expsums import BoxSumSpec
 from diagpair.oracles import brute_count_box_solutions, brute_count_solutions
 from diagpair.smooth import c_eta
 from diagpair.solver import (
@@ -130,6 +131,22 @@ def test_count_past_int64_with_int64_folds():
             want += _signed_digit_sums(30, x2**3 - x1**3) * math.comb(30, f) * 2**f
     assert want == 2195324002100019976344814621
     assert count_solutions(wide, 1, witness_limit=0).count == want
+
+
+def test_pair_sum_object_route(monkeypatch):
+    # the pair sum runs on Python ints once max(_CHUNK_PAIRS, |B|) times the
+    # product of the ledgers' largest counts reaches 2^62; a raised
+    # _CHUNK_PAIRS takes that route on a box whose terms are small
+    system = DiagonalSystem(a=(1, 1), b=(1, -1), c=(1, -1), d=(1, -1))
+    anchor = find_real_anchor(system, rng=np.random.default_rng(0))
+    box = (16.0, anchor.theta)
+    dtypes, dtype_for = [], solver.dtype_for
+    monkeypatch.setattr(solver, "dtype_for", lambda *sizes: dtypes.append(dtype_for(*sizes)) or dtypes[-1])
+    counts = [count_solutions(anchor.system, box, witness_limit=0).count]
+    monkeypatch.setattr(ledger, "_CHUNK_PAIRS", 2**62)
+    counts.append(count_solutions(anchor.system, box, witness_limit=0).count)
+    assert dtypes == [np.int64, object]
+    assert counts == [brute_count_box_solutions(anchor.system, solver._build_ranges(anchor.system, box))] * 2
 
 
 @pytest.mark.parametrize("name, B", [("balanced11", 10**7), ("sample5", 10**4)])
@@ -301,26 +318,47 @@ def test_balanced11_box_pins(balanced11, P, want, monkeypatch):
         assert all(th * P / 2 < x <= 2 * th * P for x, th in zip(w, anchor.theta))
 
 
-def test_smooth_restriction_shrinks(ladder6):
-    theta = LADDER6_THETA
-    plain = count_solutions(ladder6, (30.0, theta))
-    smooth = count_solutions(ladder6, (30.0, theta), restriction="smooth-y", R=3)
-    assert 0 < smooth.count <= plain.count
+def _three_smooth(x: int) -> bool:
+    for p in (2, 3):
+        while x % p == 0:
+            x //= p
+    return x == 1
 
 
-def test_smooth_restriction_table_obeys_budget(balanced11):
-    # the y-block's smooth table, 13 cells at 2 theta P = 12, is checked
-    # against the count's budget before it is built
-    with pytest.raises(BudgetError) as info:
-        count_solutions(balanced11, (20.0, (0.3,) * 11), restriction="smooth-y", R=3, budget=12)
-    assert (info.value.what, info.value.estimate, info.value.cap) == ("smooth table cells", 13, 12)
+def test_smooth_variants_shrink_and_match_brute(ladder6):
+    # ladder6 at P = 30 with R = floor(30^0.35) = 3; it has no shared
+    # variable, so only the pure-cubic block is restricted
+    rep = predict_and_compare(ladder6, 30.0, Q=10, eta=0.35, rng=np.random.default_rng(0), mc_samples=20_000)
+    assert list(rep["variants"]) == ["smooth-y"]
+    assert 0 < rep["variants"]["smooth-y"]["count"] < rep["count"]
+    # an s = 6 system at P = 16 with R = floor(16^0.4) = 3: each variant
+    # against the brute count over the box ranges with the R-smooth values
+    # of its variables kept
+    system = DiagonalSystem(a=(1, 1), b=(1, -1), c=(1, -1), d=(1, -1))
+    rep = predict_and_compare(system, 16.0, Q=10, eta=0.4, rng=np.random.default_rng(0), mc_samples=20_000)
+    anchor = find_real_anchor(system, rng=np.random.default_rng(0))
+    boxes = [range(math.floor(t * 16.0 / 2) + 1, math.floor(2 * t * 16.0) + 1) for t in anchor.theta]
+    assert rep["count"] == brute_count_box_solutions(anchor.system, boxes) == 341
+    for name, restricted in (("smooth-y", {2, 3}), ("smooth-xl", {1})):
+        ranges = [[x for x in r if _three_smooth(x)] if i in restricted else r
+                  for i, r in enumerate(boxes)]
+        assert rep["variants"][name]["R"] == 3
+        assert 0 < rep["variants"][name]["count"] == brute_count_box_solutions(anchor.system, ranges) < 341
 
 
-def test_smooth_restriction_needs_box(sample5):
-    with pytest.raises(ValueError):
-        count_solutions(sample5, 5, restriction="smooth-y", R=5)
-    with pytest.raises(ValueError):
-        count_solutions(sample5, (10.0, (0.3,) * 5), restriction="smooth-y")
+def test_smooth_variants_table_gets_the_prediction_budget(balanced11, monkeypatch):
+    # one smooth table, up to the largest restricted endpoint, checked
+    # against the prediction's budget
+    from diagpair import smooth
+
+    tables = []
+    mask = smooth.smooth_mask
+    monkeypatch.setattr(smooth, "smooth_mask", lambda *args: tables.append(args) or mask(*args))
+    predict_and_compare(balanced11, 10.0, Q=10, eta=0.5, rng=np.random.default_rng(1234), mc_samples=20_000,
+                        budget=10**7)
+    anchor = find_real_anchor(balanced11, rng=np.random.default_rng(1234))
+    hi = max(math.floor(2 * anchor.theta[i] * 10.0) for i in (5, 6, 7, 8))
+    assert tables == [(hi, 3, 10**7)]
 
 
 def test_witnesses_verify_and_exclude_zero(sample5):
@@ -426,10 +464,14 @@ def test_predict_variants_skip_the_witness_scan(balanced11, monkeypatch):
     rep = predict_and_compare(balanced11, 10.0, Q=10, eta=0.5, rng=np.random.default_rng(1234), mc_samples=20_000)
     assert len(scans) == 1
     anchor = find_real_anchor(balanced11, rng=np.random.default_rng(1234))
-    for name, factor in (("smooth-y", c_eta(0.5) ** 3), ("smooth-xl", c_eta(0.5))):
+    for name, factor, restricted in (("smooth-y", c_eta(0.5) ** 3, {6, 7, 8}), ("smooth-xl", c_eta(0.5), {5})):
         variant = rep["variants"][name]
         assert variant["R"] == 3
-        assert variant["count"] == count_solutions(anchor.system, (10.0, anchor.theta), name, R=3).count
+        # the smooth values read from each variable's own box sum, not from the variants' table
+        ranges = [BoxSumSpec(th, 10.0, cubic=A3, quad=A2, smooth_R=3 if i in restricted else None).members()
+                  for i, (A3, A2, th) in enumerate(zip(anchor.system.cubic_coeffs(), anchor.system.quad_coeffs(),
+                                                       anchor.theta))]
+        assert variant["count"] == solver._count_via_ledgers(anchor.system, ranges, DEFAULT_LEDGER_BUDGET)[0]
         assert variant["prediction"] == pytest.approx(factor * rep["prediction"], rel=1e-15)
 
 
