@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{'Q':>6}  {'max |f|/norm':>13}  {'rejected':>9}")
     Q = 2.0
     while Q <= args.p**0.7:
-        rep = minor_arc_weyl_check(spec, Q, args.p, args.samples, rng=rng, eps=args.eps)
+        rep = minor_arc_weyl_check(spec, Q, args.samples, rng=rng, eps=args.eps)
         print(f"{Q:>6.1f}  {rep['max_normalized']:>13.4f}  {rep['rejected_inside']:>9}")
         Q *= 2
 

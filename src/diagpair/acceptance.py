@@ -244,11 +244,16 @@ def criterion_7(desk: bool) -> tuple[bool, str]:
                     return False, f"|S({p}, r2={r2}; 0, {dk})| = {row[r2]:.8f} != sqrt({p})"
     rng = np.random.default_rng(3)
     key = [(1, -2), (3, 0), (0, -1)]
+    cells, r3s = [], {}
     for _ in range(200):
         q = int(rng.integers(1, 60))
         r2, r3 = int(rng.integers(0, q + 1)), int(rng.integers(0, q + 1))
-        sums = _component_rows(q, np.array(key) % q, np.array([r3]))[:, 0, r2 % q]
-        for (A3, A2), S in zip(key, sums):
+        cells.append((q, r2))
+        r3s.setdefault(q, []).append(r3)
+    # one call per q, its rows the r3 drawn at that q, read back in draw order
+    rows = {q: iter(_component_rows(q, np.array(key) % q, np.array(r)).transpose(1, 0, 2)) for q, r in r3s.items()}
+    for q, r2 in cells:
+        for (A3, A2), S in zip(key, next(rows[q])[:, r2 % q]):
             if abs(S) > q + 1e-9:
                 return False, f"|S({q}; {A3}, {A2})| above trivial bound"
     q_top = 200 if desk else 100

@@ -18,8 +18,8 @@ and (gamma, reference node), not one per entry, and equals the direct table
 up to rounding.  The first pass sizes each grid so a panel sees at most a
 fixed number of turns of the local phase; every later pass doubles the panel
 count of every grid exactly, and the refinement stops at the first pass that
-agrees with the one before it to the requested tolerance.  That difference is
-the reported error estimate.
+agrees with the one before it to its tolerance (`_V_RTOL`, `_W_RTOL`).  That
+difference is the reported error estimate.
 Before it builds anything, each W(Q) pass checks its (b2 x b3) grid points
 against the caller's budget, and each v pass its nodes against the default
 budget, so a refinement that cannot converge in budget is refused by
@@ -77,7 +77,9 @@ _GL_W = np.array([
 # converges to rounding level within a few doublings from there
 _V_START_TURNS = 1.0
 _W_START_TURNS = 8.0
-# W(Q) stops when two passes agree to this fraction of |W|
+# v stops when two passes agree to this fraction of max(1, |v|), W(Q) to
+# this fraction of |W|
+_V_RTOL = 1e-9
 _W_RTOL = 1e-13
 # complex entries in one live phase or factor chunk of the W(Q) quadrature
 _CHUNK_ENTRIES = 1_500_000
@@ -163,13 +165,12 @@ def oscillatory_v(
     beta3: float,
     P: float,
     theta_i: float,
-    tol: float = 1e-9,
 ) -> tuple[complex, float]:
     """Integral v of e(A3 beta3 g^3 + A2 beta2 g^2) over (theta_i P/2, 2 theta_i P): (v, error_estimate).
 
     (A3, A2) is one variable's (cubic, quadratic) coefficient pair.  Panel
     count doubles until two successive passes agree within
-    tol * max(1, |v|); the disagreement is reported as the error estimate.
+    `_V_RTOL` * max(1, |v|); the disagreement is reported as the error estimate.
     """
     lo, hi = theta_i * P / 2.0, 2.0 * theta_i * P
     if hi <= lo:
@@ -186,7 +187,7 @@ def oscillatory_v(
         phase = TWO_PI * (c3 * nodes**3 + c2 * nodes * nodes)
         return complex(np.dot(grid.weights, np.exp(1j * phase)))
 
-    value, err, _ = _refine(integrate, tol, 1.0)
+    value, err, _ = _refine(integrate, _V_RTOL, 1.0)
     return value, err
 
 
@@ -347,7 +348,6 @@ def unit_singular_integral(
     diag = {
         "error_estimate": err,
         "imag_residue": W.imag,
-        "Q": Q,
         "passes": passes,
         "nodes_b2": n2 * m * _GL_NODES,
         "nodes_b3": n3 * m * _GL_NODES,
@@ -418,7 +418,6 @@ def singular_integral(
         "tails": tails,
         "tail_ratios": ratios,
         "imag_residue": imag_residue,
-        "theta": tuple(float(t) for t in theta),
     }
     return P ** (sys.s - 5) * W_Q, diagnostics
 
@@ -522,7 +521,6 @@ def star_approx(
     alpha3: float,
     fam: ArcFamily,
     theta: Sequence[float],
-    tol: float = 1e-9,
 ) -> StarApprox:
     """Major-arc model q^-1 S(q, r) v(alpha - r/q) for one component; 0 off the arcs.
 
@@ -534,6 +532,6 @@ def star_approx(
     q, r2, r3 = witness
     check_budget(q, DEFAULT_LEDGER_BUDGET, what="complete sum modulus")
     A3, A2 = sys.cubic_coeffs()[index], sys.quad_coeffs()[index]
-    v, _ = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]), tol=tol)
+    v, _ = oscillatory_v(A3, A2, alpha2 - r2 / q, alpha3 - r3 / q, fam.P, float(theta[index]))
     S = complex(_component_rows(q, np.array([(A3 % q, A2 % q)]), np.array([r3 % q]))[0, 0, r2 % q])
     return StarApprox(witness, S * v / q)

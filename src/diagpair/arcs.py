@@ -13,7 +13,7 @@ just particular choices of Q at this scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -132,61 +132,50 @@ def transfer_lambda(alpha, b: int, r: int, Z):
 _R_MAX = 20
 _R = np.arange(1, _R_MAX + 1)[:, None]
 _B_OFFSETS = np.arange(-2, 3)
+# a base past (1 + _NEAR_LEAST) times a sample's least one gives a ratio at
+# least 5e-13 below that base's: rounding cannot close the gap
+_NEAR_LEAST = 1e-12
 
 
-def transfer_bound_check(
-    samples: Sequence[tuple[float, float]],
-    X: float,
-    Y: float,
-    Z: float,
-    theta: float,
-) -> dict:
-    """Empirical check of the approximation-transfer bound.
+def transfer_bound_check(samples: Sequence[tuple[float, float]], H: int, Y: int) -> dict:
+    """Empirical check of the approximation-transfer bound at theta = 1/2.
 
-    Fits the hypothesis constant C1 from each sample's own continued
-    fraction approximant (a convergent with q <= sqrt(Z) satisfies the
+    The bound is measured against X = H Y and Z = H Y^2.  Fits the
+    hypothesis constant C1 from each sample's own continued fraction
+    approximant (a convergent with q <= sqrt(Z) satisfies the
     |alpha - a/q| <= q^-2 hypothesis), then measures the worst constant C2
     needed for the transferred bound over nearby coprime (b, r).  Report
     only; the interesting output is C2 and its ratio to C1.
 
-    The pairs of all samples are one array in (sample, r, b) order, alpha
-    read as a float; each sample's first maximum is the pair a strict >
-    scan keeps.  The power is Python's float ** per pair, which numpy's
-    vectorized power need not match bit for bit.
+    The bases 1/lambda + 1/Y + lambda/Z of all samples are one array in
+    (sample, r, b) order, alpha read as a float.  The ratio
+    mag / (X base^(1/2)) falls as the base grows, so a sample's first
+    maximum is among the bases near its least one: only those take Python's
+    float ** 0.5 (numpy's vectorized power need not match it bit for bit),
+    in scan order under a strict >.
     """
     if not samples:
         raise ValueError("need at least one sample")
+    X, Y, Z = float(H * Y), float(Y), float(H * Y * Y)
     N = max(1, math.isqrt(int(Z)))
     alphas = np.array([float(alpha) for alpha, _ in samples])[:, None, None]
     b = np.rint(_R * alphas).astype(np.int64) + _B_OFFSETS
-    coprime = np.gcd(b, _R) == 1
     lam = _R + Z * np.abs(_R * alphas - b)
-    base = (1 / lam + 1 / Y + lam / Z)[coprime]
-    bound = np.full(b.shape, np.inf)
-    bound[coprime] = X * np.array([v**theta for v in base.tolist()])
-    b, lam, bound = (a.reshape(len(samples), -1) for a in (b, lam, bound))
-    ratio = np.array([mag for _, mag in samples], dtype=float)[:, None] / bound
-    first = ratio.argmax(axis=1).tolist()
-    c1 = 0.0
-    c2 = 0.0
+    base = np.where(np.gcd(b, _R) == 1, 1 / lam + 1 / Y + lam / Z, np.inf)
+    b, lam, base = (a.reshape(len(samples), -1) for a in (b, lam, base))
+    c1 = c2 = 0.0
     worst = None
-    for k, ((alpha, mag), i) in enumerate(zip(samples, first)):
+    for alpha, mag in samples:
         q = dirichlet_approx(alpha, N).q
-        c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** theta))
-        if ratio[k, i] > c2:
-            c2 = float(ratio[k, i])
+        c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** 0.5))
+    near = base <= base.min(axis=1, keepdims=True) * (1 + _NEAR_LEAST)
+    for (k, i), v in zip(np.argwhere(near).tolist(), base[near].tolist()):
+        alpha, mag = samples[k]
+        ratio = mag / (X * v**0.5)
+        if ratio > c2:
+            c2 = ratio
             worst = {"alpha": alpha, "b": int(b[k, i]), "r": i // len(_B_OFFSETS) + 1, "lambda": float(lam[k, i])}
-    return {
-        "samples": len(samples),
-        "X": X,
-        "Y": Y,
-        "Z": Z,
-        "theta": theta,
-        "C1_fitted": c1,
-        "C2_observed": c2,
-        "amplification": c2 / c1 if c1 > 0 else math.inf,
-        "worst": worst,
-    }
+    return {"C1_fitted": c1, "C2_observed": c2, "amplification": c2 / c1 if c1 > 0 else math.inf, "worst": worst}
 
 
 def transfer_grid(
@@ -196,53 +185,46 @@ def transfer_grid(
 
     Each cell takes 24 samples with a1 and a2 uniform on [0, 1): 16 with a3
     uniform and 8 with a3 = b/r + N(0, 1e-3) noise, r uniform in [1, 8] and
-    b uniform in [0, r].  All 24 are drawn first, then their block sums come
-    from one `block_sums` call within `budget`.  The block sum is measured
-    against X = H Y and Z = H Y^2 at theta = 1/2.
+    b uniform in [0, r].  The 16 uniform (a3, a1, a2) triples are one
+    (16 x 3) draw; all 24 are drawn first, then their block sums come from
+    one `block_sums` call within `budget`.
     """
     grid = {}
     for H, Y in cells:
-        coeffs = []
-        for k in range(24):
-            if k < 16:
-                a3 = float(rng.random())
-            else:
-                r = int(rng.integers(1, 9))
-                a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
+        coeffs = [(a1, a2, a3) for a3, a1, a2 in rng.random((16, 3)).tolist()]
+        for _ in range(8):
+            r = int(rng.integers(1, 9))
+            a3 = int(rng.integers(0, r + 1)) / r + float(rng.normal(0, 1e-3))
             a1, a2 = float(rng.random()), float(rng.random())
             coeffs.append((a1, a2, a3))
         sums = block_sums(coeffs, Y, H, budget)
         samples = [(a3, abs(s)) for (_, _, a3), s in zip(coeffs, sums)]
-        grid[(H, Y)] = transfer_bound_check(
-            samples, X=float(H * Y), Y=float(Y), Z=float(H * Y * Y), theta=0.5
-        )
+        grid[(H, Y)] = transfer_bound_check(samples, H, Y)
     return grid
 
 
 def minor_arc_weyl_check(
     spec: BoxSumSpec,
     Q: float,
-    P: float,
     samples: int,
     rng: Optional[np.random.Generator] = None,
     eps: float = 0.05,
 ) -> dict:
-    """Sample minor-arc points and normalize |f_i| by P^(1+eps) Q^(-1/3).
+    """Sample minor-arc points and normalize |f_i| by P^(1+eps) Q^(-1/3), P = spec.P.
 
     Points are drawn uniformly on the torus and kept only when membership
-    in the height-Q homogeneous family rejects them.  Reports the maximum
-    normalized magnitude.
+    in the height-Q homogeneous family rejects them.  Reports the points
+    rejected and the maximum normalized magnitude over `samples` kept ones.
     """
+    P = spec.P
     if Q > P ** 0.75:
         raise ValueError("minor-arc check needs Q <= P^(3/4)")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = rng if rng is not None else np.random.default_rng(0)
-    spec = replace(spec, P=P)
     t = max(1, abs(spec.cubic), abs(spec.quad))
     fam = ArcFamily(Q=Q, P=P, t=t)
-    kept = 0
-    rejected = 0
+    kept = rejected = 0
     max_norm = 0.0
     norm = P ** (1 + eps) * Q ** (-1 / 3)
     while kept < samples:
@@ -253,11 +235,4 @@ def minor_arc_weyl_check(
         kept += 1
         mag = abs(box_sum(spec, a2, a3))
         max_norm = max(max_norm, mag / norm)
-    return {
-        "Q": Q,
-        "P": P,
-        "eps": eps,
-        "samples_used": kept,
-        "rejected_inside": rejected,
-        "max_normalized": max_norm,
-    }
+    return {"rejected_inside": rejected, "max_normalized": max_norm}

@@ -163,7 +163,7 @@ def _cmd_moments(args):
             raise ValueError("mixed needs at least one --factor")
         result = mixed_moment(factors, exps, budget=args.budget)
     # the deterministic work counters of a sum of squares' top step
-    counters = {k: result.params[k] for k in ("top_pairs", "top_bands") if k in result.params}
+    counters = {k: getattr(result, k) for k in ("top_pairs", "top_bands") if getattr(result, k) is not None}
     return {"kind": kind, "value": result.value, **counters}, False
 
 
@@ -177,7 +177,7 @@ def _cmd_local(args):
     if args.series is not None:
         res = singular_series(sysd, args.series, budget=args.budget)
         out["series"] = {
-            "Q": res.Q,
+            "Q": args.series,
             "value": res.value,
             "imag": res.imag,
             "A": {str(q): v for q, v in sorted(res.A.items())},
@@ -221,11 +221,11 @@ def _cmd_arch(args):
         "tail_ratios": diag["tail_ratios"],
         "quadrature_work": {str(k): v for k, v in sorted(diag["quadrature_work"].items())},
         "imag_residue": diag["imag_residue"],
-        "theta": diag["theta"],
+        "theta": theta,
     }
     if args.volume:
         rng = np.random.default_rng(args.seed)
-        c, sigma = volume_constant(sysd, diag["theta"], rng=rng, samples=args.mc_samples)
+        c, sigma = volume_constant(sysd, theta, rng=rng, samples=args.mc_samples)
         out["volume"] = {"C": c, "stderr": sigma}
     return out, False
 

@@ -53,17 +53,19 @@ def _component_rows(q: int, key: np.ndarray, r3: np.ndarray) -> np.ndarray:
     `key` holds one (A3 mod q, A2 mod q) pair per row.  Row r3 of a
     component is sum_j w_j e(j r2/q), where w_j sums e(A3 r3 u^3/q) over
     the u with A2 u^2 = j: one length-q inverse DFT per component and row.
+    The cos and sin of 2 pi j / q are taken once per call, for j < q, and
+    read at each phase j.
     """
     u = np.arange(q, dtype=np.int64)
     u2 = u * u % q
     u3 = u2 * u % q
     c3, c2 = key[:, 0, None, None], key[:, 1, None, None]
     # w_j of component i in row r is bin (i * rows + r) * q + j of one histogram
-    phase = c3 * r3[:, None] % q * u3 % q
+    phase = (c3 * r3[:, None] % q * u3 % q).ravel()
     slot = (np.arange(len(key) * len(r3)).reshape(len(key), len(r3), 1) * q + c2 * u2 % q).ravel()
-    ang = (2.0 * math.pi * phase / q).ravel()
+    ang = 2.0 * math.pi * u / q
     size = len(key) * len(r3) * q
-    w = np.bincount(slot, np.cos(ang), size) + 1j * np.bincount(slot, np.sin(ang), size)
+    w = np.bincount(slot, np.cos(ang)[phase], size) + 1j * np.bincount(slot, np.sin(ang)[phase], size)
     return q * np.fft.ifft(w.reshape(len(key), len(r3), q), axis=-1)
 
 
@@ -174,7 +176,6 @@ def _prime_part(q: int, spf: list[int]) -> int:
 
 @dataclass
 class LocalFactor:
-    Q: int
     value: float  # real part of the height-Q partial series
     imag: float  # residual imaginary part, conjugate symmetry makes it ~0
     A: dict = field(default_factory=dict)  # q -> sum of |T| over primitive r
@@ -217,7 +218,6 @@ def singular_series(sys: DiagonalSystem, Q: int, budget: int = DEFAULT_LEDGER_BU
         total += B[q]
         running[q - 1] = total.real
     return LocalFactor(
-        Q=Q,
         value=total.real,
         imag=total.imag,
         A=A,

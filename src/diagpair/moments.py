@@ -29,15 +29,13 @@ from .ledger import Ledger, SquareSum, exact_dot, form_values
 @dataclass(frozen=True)
 class MomentResult:
     value: int
-    params: dict
+    # key pairs and bands of the top step's sum of squares; None on
+    # `moment_T_shifted`'s window route, which forms no sum of squares
+    top_pairs: Optional[int] = None
+    top_bands: Optional[int] = None
 
     def __int__(self) -> int:
         return self.value
-
-
-def _top_counters(top: SquareSum) -> dict:
-    """The key pairs and bands of a sum of squares' top step, for `MomentResult.params`."""
-    return {"top_pairs": top.pairs, "top_bands": top.bands}
 
 
 def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResult:
@@ -46,13 +44,13 @@ def moment_T(s: int, X: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
     Equals the 2s-th power mean of the cubic-quadratic Weyl sum.  Computed
     as sum_k c_s(k)^2 where c_s is the s-fold convolution of the
     single-variable ledger over keys (x^2, x^3), summed band by band
-    without building c_s (`Ledger.fold_sum_of_squares`).  The params carry
+    without building c_s (`Ledger.fold_sum_of_squares`).  The result carries
     the key pairs and bands of that top step (`top_pairs`, `top_bands`).
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
     top = Ledger.fold_sum_of_squares([(X, ((x * x, x**3) for x in range(1, X + 1)), s)], budget)
-    return MomentResult(top.value, {"s": s, "X": X, **_top_counters(top)})
+    return MomentResult(top.value, top.pairs, top.bands)
 
 
 def moment_T_shifted(
@@ -65,8 +63,8 @@ def moment_T_shifted(
     h_max >= s*(X-1) the linear slot is redundant and the count equals
     moment_T(s, X); with h_max = 0 all three equations bind and the count
     equals moment_J(s, X).  A window of 0 counts equal keys only, so that
-    count is a sum of squares taken band by band, and its params carry
-    `top_pairs` and `top_bands` as `moment_T`'s do.
+    count is a sum of squares taken band by band, with `top_pairs` and
+    `top_bands` as in `moment_T`; a wider window leaves both None.
     """
     if s < 1 or X < 1:
         raise ValueError("s and X must be >= 1")
@@ -75,19 +73,18 @@ def moment_T_shifted(
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
     parts = [(X, ((x, x * x, x**3) for x in range(1, X + 1)), s)]
-    params = {"s": s, "X": X, "h_max": h_max}
     # The linear field has stride 1 and spans at most s(X-1) inside one
     # (quadratic, cubic) group, while keys of different groups lie more than
     # s(X-1) apart, so a key window of half-width h never leaves its group.
     h = min(h_max, s * (X - 1))
     if h == 0:
         top = Ledger.fold_sum_of_squares(parts, budget)
-        return MomentResult(top.value, {**params, **_top_counters(top)})
+        return MomentResult(top.value, top.pairs, top.bands)
     c_s = Ledger.fold(parts, budget)
     csum = np.concatenate(([0], np.cumsum(c_s.counts)))
     lo = np.searchsorted(c_s.keys, c_s.keys - h, side="left")
     hi = np.searchsorted(c_s.keys, c_s.keys + h, side="right")
-    return MomentResult(exact_dot(c_s.counts, csum[hi] - csum[lo]), params)
+    return MomentResult(exact_dot(c_s.counts, csum[hi] - csum[lo]))
 
 
 def _block_generators(Y: int, H: int):
@@ -101,12 +98,12 @@ def moment_I(s: int, Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> Mom
     by h, so the count is sum_k n_s(k) n_s(-k) over the s-fold ledger n_s.
     h -> -h negates the generator (h, h y, h y^2), so n_s(-k) = n_s(k) and
     the count is sum_k n_s(k)^2, taken band by band with `top_pairs` and
-    `top_bands` in the params, as in `moment_T`.
+    `top_bands`, as in `moment_T`.
     """
     if s < 1 or Y < 1 or H < 1:
         raise ValueError("s, Y, H must be >= 1")
     top = Ledger.fold_sum_of_squares([(2 * H * Y, _block_generators(Y, H), s)], budget)
-    return MomentResult(top.value, {"s": s, "Y": Y, "H": H, **_top_counters(top)})
+    return MomentResult(top.value, top.pairs, top.bands)
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def count_J1(Y: int, H: int, budget: int = DEFAULT_LEDGER_BUDGET) -> MomentResul
         raise ValueError("Y and H must be >= 1")
     pairs = ((h, h * y) for h in range(-H, H + 1) if h != 0 for y in range(1, Y + 1))
     top = Ledger.fold_sum_of_squares([(2 * H * Y, pairs, 2)], budget)
-    return MomentResult(top.value, {"Y": Y, "H": H, **_top_counters(top)})
+    return MomentResult(top.value, top.pairs, top.bands)
 
 
 def mixed_moment(
@@ -198,9 +195,8 @@ def mixed_moment(
     drawn from the factor boxes (smoothness per spec) solving the
     coefficient-weighted pair of equations; computed as sum_k L(k)^2 where
     L folds e_i plus-generators per factor over keys (quadratic, cubic)
-    contribution, summed band by band without building L; the params carry
-    `top_pairs` and `top_bands` as `moment_T`'s do.  An empty product
-    integrates to 1.
+    contribution, summed band by band without building L, with `top_pairs`
+    and `top_bands` as in `moment_T`.  An empty product integrates to 1.
     """
     if len(factors) != len(exponents):
         raise ValueError("factors and exponents length mismatch")
@@ -214,10 +210,10 @@ def mixed_moment(
         check_budget(hi - lo + 1, budget, what="ledger generators")
         xs = spec.members(budget)
         if not xs:
-            return MomentResult(0, {"exponents": list(exponents), "top_pairs": 0, "top_bands": 0})
+            return MomentResult(0, 0, 0)
         parts.append((len(xs), form_values(xs, [(spec.quad, 2), (spec.cubic, 3)]), exp // 2))
     top = Ledger.fold_sum_of_squares(parts, budget) if parts else SquareSum(1, 0, 0)
-    return MomentResult(top.value, {"exponents": list(exponents), **_top_counters(top)})
+    return MomentResult(top.value, top.pairs, top.bands)
 
 
 def fit_exponent(series) -> tuple[float, float]:

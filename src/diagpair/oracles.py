@@ -28,7 +28,7 @@ sum_i (|c_i| max|v|^3 + |d_i| max v^2) < 2^62, which bounds every partial
 sum, and object arrays of Python ints otherwise.
 
 `direct_series_term` and `t_factor` sum every complete sum term by term,
-one q-term `math.fsum` per residue pair and variable, from an e(j/q)
+one q-term `math.fsum` per distinct phase pair of the call, from an e(j/q)
 table built per call; `local` evaluates the same sums only as DFT rows.
 """
 
@@ -203,18 +203,23 @@ def brute_count_congruences(sys: DiagonalSystem, q: int) -> int:
 def _t_values(sys: DiagonalSystem, q: int, r2: np.ndarray, r3: np.ndarray) -> list[complex]:
     """T(q, r) at each pair (r2[i], r3[i]): q^(-s) times the product of direct complete sums.
 
-    A variable's sum is one `math.fsum` per part over its q terms, read
-    from an e(j/q) table; its phase indices at every pair are one array.
+    A variable's sum depends only on its phase pair (A3 r3, A2 r2) mod q, so
+    each distinct pair of the call is one `math.fsum` per part over its q
+    terms, read from an e(j/q) table.
     """
-    r2, r3 = r2[:, None] % q, r3[:, None] % q
+    r2, r3 = r2 % q, r3 % q
     u = np.arange(1, q + 1, dtype=np.int64)
     u2, u3 = u * u % q, u**3 % q
     ang = 2.0 * math.pi * np.arange(q) / q
     cos, sin = np.cos(ang), np.sin(ang)
+    sums: dict = {}  # (A3 r3 mod q, A2 r2 mod q) -> the variable's complete sum
     terms = [complex(1.0)] * len(r2)
     for A3, A2 in zip(sys.cubic_coeffs(), sys.quad_coeffs()):
-        idx = ((A3 % q) * r3 % q * u3 + (A2 % q) * r2 % q * u2) % q
-        terms = [t * complex(math.fsum(re.tolist()), math.fsum(im.tolist())) for t, re, im in zip(terms, cos[idx], sin[idx])]
+        pairs = list(zip(((A3 % q) * r3 % q).tolist(), ((A2 % q) * r2 % q).tolist()))
+        for c3, c2 in set(pairs) - sums.keys():
+            idx = (c3 * u3 + c2 * u2) % q
+            sums[c3, c2] = complex(math.fsum(cos[idx].tolist()), math.fsum(sin[idx].tolist()))
+        terms = [t * sums[pair] for t, pair in zip(terms, pairs)]
     return [t * float(q) ** (-sys.s) for t in terms]
 
 

@@ -194,8 +194,8 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
     bound = len(half_a.keys) * len(half_b.keys)
     check_budget(bound, budget, what="count key pairs")
     (theta_a, phi_a), (theta_b, phi_b) = half_a.fields(), half_b.fields()
-    # Folds pick their own dtypes.  A chunk forms at most max(_CHUNK_PAIRS, |B|)
-    # pairs, each term at most the product of the four ledgers' largest counts.
+    # Folds pick their own dtypes.  A chunk's two products add at most max(_CHUNK_PAIRS, |B|)
+    # nonnegative pair terms, each at most the product of the four ledgers' largest counts.
     largest = math.prod(int(r.counts.max()) for r in (half_a, half_b, r_y, r_z))
     dtype = dtype_for(largest * max(ledger._CHUNK_PAIRS, len(phi_b)))
     n_a, n_b = half_a.counts.astype(dtype, copy=False), half_b.counts.astype(dtype, copy=False)
@@ -216,7 +216,7 @@ def _count_via_ledgers(sys: DiagonalSystem, ranges: _WitnessRanges, budget: int)
             continue
         end = min(run_end, i + max(1, ledger._CHUNK_PAIRS // nz.size))
         weight = w_y(theta_a[i:end, None] + theta_b[nz])
-        total += int((weight * n_a[i:end, None] * (n_b[nz] * wz[nz])).sum())
+        total += int(n_a[i:end] @ (weight @ (n_b[nz] * wz[nz])))
         pairs += (end - i) * nz.size
         i = end
     return total, pairs

@@ -101,7 +101,6 @@ def test_unit_integral_regression(ladder6):
     assert W == pytest.approx(LADDER6_W8, abs=1e-10)
     assert abs(diag["imag_residue"]) <= 1e-12
     assert diag["error_estimate"] <= 1e-6
-    assert diag["Q"] == 8.0
     assert diag["passes"] >= 2
     assert diag["nodes_b2"] > 0 and diag["nodes_b3"] > 0
 

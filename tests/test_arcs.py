@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagpair.arcs import (
     ArcFamily,
@@ -15,7 +15,7 @@ from diagpair.arcs import (
     transfer_lambda,
     _witnesses_at_q,
 )
-from diagpair.expsums import _SCALE, TWO_PI, BoxSumSpec, scaled_coeff
+from diagpair.expsums import _SCALE, TWO_PI, BoxSumSpec, box_sum, scaled_coeff
 
 FAM = ArcFamily(Q=6.0, P=200.0, t=2)
 
@@ -150,46 +150,65 @@ def test_transfer_lambda_grows_with_distance():
 
 def test_transfer_report_fields():
     samples = [(0.21, 4.0), (0.52, 3.0), (Fraction(1, 3), 5.0)]
-    rep = transfer_bound_check(samples, X=40.0, Y=10.0, Z=160.0, theta=0.5)
-    assert rep["samples"] == 3
+    rep = transfer_bound_check(samples, 4, 10)
+    assert set(rep) == {"C1_fitted", "C2_observed", "amplification", "worst"}
     assert rep["C1_fitted"] > 0
     assert rep["C2_observed"] >= 0
     assert math.isfinite(rep["amplification"])
     assert rep["worst"] is None or set(rep["worst"]) == {"alpha", "b", "r", "lambda"}
     with pytest.raises(ValueError):
-        transfer_bound_check([], X=1.0, Y=1.0, Z=1.0, theta=0.5)
+        transfer_bound_check([], 1, 1)
 
 
 def test_minor_arc_check_smoke(rng):
-    spec = BoxSumSpec(theta=0.4, P=1.0, cubic=1, quad=1)
-    rep = minor_arc_weyl_check(spec, Q=4.0, P=80.0, samples=25, rng=rng)
-    assert rep["samples_used"] == 25
+    spec = BoxSumSpec(theta=0.4, P=80.0, cubic=1, quad=1)
+    rep = minor_arc_weyl_check(spec, Q=4.0, samples=25, rng=rng)
+    assert set(rep) == {"rejected_inside", "max_normalized"}
     assert rep["max_normalized"] > 0
 
 
 def test_minor_arc_check_height_cap():
-    spec = BoxSumSpec(theta=0.4, P=1.0, cubic=1)
+    spec = BoxSumSpec(theta=0.4, P=100.0, cubic=1)
     with pytest.raises(ValueError):
-        minor_arc_weyl_check(spec, Q=50.0, P=100.0, samples=5)
+        minor_arc_weyl_check(spec, Q=50.0, samples=5)
 
 
-def scalar_transfer_bound_check(samples, X, Y, Z, theta):
-    # the (b, r) pairs scanned one at a time with a strict >
+@pytest.mark.parametrize("P", [80.0, 120.0])
+def test_minor_arc_check_reads_P_from_spec(P):
+    # the same draws replayed by hand: the arcs, the box and the norm all use spec.P
+    spec = BoxSumSpec(theta=0.4, P=P, cubic=1, quad=1)
+    rep = minor_arc_weyl_check(spec, Q=8.0, samples=6, rng=np.random.default_rng(5), eps=0.1)
+    rng, fam = np.random.default_rng(5), ArcFamily(Q=8.0, P=P, t=1)
+    kept, rejected, best = 0, 0, 0.0
+    while kept < 6:
+        a2, a3 = rng.random(), rng.random()
+        if membership(a2, a3, fam) is not None:
+            rejected += 1
+            continue
+        kept += 1
+        best = max(best, abs(box_sum(spec, a2, a3)) / (P**1.1 * 8.0 ** (-1 / 3)))
+    assert rep == {"rejected_inside": rejected, "max_normalized": best}
+    # the height cap is Q <= P^(3/4) of the spec: 50 fits P = 200, not P = 100
+    minor_arc_weyl_check(BoxSumSpec(theta=0.4, P=200.0, cubic=1), Q=50.0, samples=1)
+
+
+def scalar_transfer_bound_check(samples, H, Y):
+    # the (b, r) pairs scanned one at a time with a strict >, every pair powered
+    X, Y, Z = float(H * Y), float(Y), float(H * Y * Y)
     c1 = c2 = 0.0
     worst = None
     for alpha, mag in samples:
         q = dirichlet_approx(alpha, max(1, math.isqrt(int(Z)))).q
-        c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** theta))
+        c1 = max(c1, mag / (X * (1 / q + 1 / Y + q / Z) ** 0.5))
         for r in range(1, 21):
             center = round(r * alpha)
             for b in range(center - 2, center + 3):
                 if math.gcd(b, r) == 1:
                     lam = transfer_lambda(alpha, b, r, Z)
-                    ratio = mag / (X * (1 / lam + 1 / Y + lam / Z) ** theta)
+                    ratio = mag / (X * (1 / lam + 1 / Y + lam / Z) ** 0.5)
                     if ratio > c2:
                         c2, worst = ratio, {"alpha": alpha, "b": b, "r": r, "lambda": lam}
-    return {"samples": len(samples), "X": X, "Y": Y, "Z": Z, "theta": theta, "C1_fitted": c1,
-            "C2_observed": c2, "amplification": c2 / c1 if c1 > 0 else math.inf, "worst": worst}
+    return {"C1_fitted": c1, "C2_observed": c2, "amplification": c2 / c1 if c1 > 0 else math.inf, "worst": worst}
 
 
 def scalar_transfer_grid(cells, rng):
@@ -208,7 +227,7 @@ def scalar_transfer_grid(cells, rng):
             phases = [(h * A1 + h * y * A2 + h * y * y * A3) % _SCALE for h in range(-H, H + 1) if h for y in range(1, Y + 1)]
             angles = TWO_PI * np.array([p / _SCALE for p in phases])
             samples.append((a3, math.hypot(math.fsum(np.cos(angles)), math.fsum(np.sin(angles)))))
-        grid[(H, Y)] = scalar_transfer_bound_check(samples, float(H * Y), float(Y), float(H * Y * Y), 0.5)
+        grid[(H, Y)] = scalar_transfer_bound_check(samples, H, Y)
     return grid
 
 
@@ -223,6 +242,18 @@ def test_transfer_report_keeps_first_maximum():
     # at Z = 1 the pairs b = 0, 1 (r = 1) tie at lambda 1.5 for alpha = 1/2, and
     # b = -1, 0 tie at the same ratio for alpha = -1/2: the first of all four wins
     samples = [(0.5, 1.0), (-0.5, 1.0)]
-    rep = transfer_bound_check(samples, X=1.0, Y=1.0, Z=1.0, theta=0.5)
+    rep = transfer_bound_check(samples, 1, 1)
     assert rep["worst"] == {"alpha": 0.5, "b": 0, "r": 1, "lambda": 1.5}
-    assert rep == scalar_transfer_bound_check(samples, 1.0, 1.0, 1.0, 0.5)
+    assert rep == scalar_transfer_bound_check(samples, 1, 1)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False), st.floats(0.0, 1e3, allow_nan=False)), min_size=1, max_size=6),
+    st.integers(1, 30),
+    st.integers(1, 30),
+)
+@example([(0.5, 1.0), (0.25, 0.0), (-0.5, 1.0)], 1, 1)
+@settings(max_examples=60, deadline=None)
+def test_transfer_report_matches_scalar_route(samples, H, Y):
+    # only the bases near each sample's least one are powered; every float agrees
+    assert transfer_bound_check(samples, H, Y) == scalar_transfer_bound_check(samples, H, Y)

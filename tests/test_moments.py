@@ -228,11 +228,11 @@ def test_mixed_moment_zero_exponent_skips_factor():
     assert mixed_moment([g1, h1], [2, 0]).value == mixed_moment([g1], [2]).value
 
 
-def test_mixed_moment_empty_box_keeps_the_params_schema():
+def test_mixed_moment_empty_box_keeps_the_counter_fields():
     # theta P / 2 = 0.15 and 2 theta P = 0.6 leave no integer in the box
     res = mixed_moment([BoxSumSpec(0.3, 1.0, 1, 1)], [2])
     assert res.value == 0
-    assert res.params == {"exponents": [2], "top_pairs": 0, "top_bands": 0}
+    assert (res.top_pairs, res.top_bands) == (0, 0)
 
 
 def test_mixed_moment_empty_product():
@@ -290,19 +290,20 @@ def test_top_counters_repeat_exactly():
     for count in (lambda: moment_T(4, 80), lambda: moment_J(3, 40), lambda: mixed_moment([f, g], [4, 2]),
                   lambda: moment_I(2, 8, 8), lambda: count_J1(20, 20)):
         first, again = count(), count()
-        assert first.params == again.params and first.value == again.value
-        assert first.params["top_pairs"] >= first.params["top_bands"] >= 1
+        assert first == again
+        assert first.top_pairs >= first.top_bands >= 1
     # I and J1 end in the square of their 2HY distinct generators, one
     # band of C(2HY + 1, 2) pairs
     for count, pairs in ((moment_I(2, 8, 8), 8_256), (count_J1(20, 20), 320_400), (count_J1(6, 4), 1_176)):
-        assert (count.params["top_pairs"], count.params["top_bands"]) == (pairs, 1)
+        assert (count.top_pairs, count.top_bands) == (pairs, 1)
     # T_4 at X = 80 ends in the multiset step: each multiset of 4 of the 80
     # generators is one pair, cut into two bands of at most 2^20
-    top = moment_T(4, 80).params
-    assert (top["top_pairs"], top["top_bands"]) == (math.comb(83, 4), 2) == (1_837_620, 2)
+    top = moment_T(4, 80)
+    assert (top.top_pairs, top.top_bands) == (math.comb(83, 4), 2) == (1_837_620, 2)
     # one generator tuple forms no pair; a window past 0 builds its ledger
-    assert {k: moment_T(1, 9).params[k] for k in ("top_pairs", "top_bands")} == {"top_pairs": 0, "top_bands": 0}
-    assert "top_pairs" not in moment_T_shifted(3, 10, 2).params
+    assert (moment_T(1, 9).top_pairs, moment_T(1, 9).top_bands) == (0, 0)
+    shifted = moment_T_shifted(3, 10, 2)
+    assert (shifted.top_pairs, shifted.top_bands) == (None, None)
 
 
 def test_T5_peaks_below_its_top_ledger():

@@ -228,6 +228,31 @@ def test_oracle_rejects_wrong_arity(sample5):
         brute_count_box_solutions(sample5, [range(2)] * 4)
 
 
+def per_pair_t_values(system, q, r2, r3):
+    # one q-term fsum per pair and variable, nothing shared between pairs
+    u = np.arange(1, q + 1, dtype=np.int64)
+    u2, u3 = u * u % q, u**3 % q
+    ang = 2.0 * math.pi * np.arange(q) / q
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = []
+    for a2, a3 in zip(r2.tolist(), r3.tolist()):
+        t = complex(1.0)
+        for A3, A2 in zip(system.cubic_coeffs(), system.quad_coeffs()):
+            idx = ((A3 % q) * (a3 % q) % q * u3 + (A2 % q) * (a2 % q) % q * u2) % q
+            t *= complex(math.fsum(cos[idx].tolist()), math.fsum(sin[idx].tolist()))
+        out.append(t * float(q) ** (-system.s))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sample5", "ladder6", "balanced11"])
+def test_t_values_match_per_pair_loop(name, request):
+    # one sum per distinct phase pair gives every T(q, r) bit for bit
+    system = request.getfixturevalue(name)
+    for q in range(1, 22):
+        r2, r3 = np.divmod(np.arange(q * q), q)
+        assert oracles._t_values(system, q, r2, r3) == per_pair_t_values(system, q, r2, r3)
+
+
 @pytest.mark.parametrize("name", ["tiny2", "sample5", "balanced11"])
 def test_direct_series_term_matches_t_factor_loop(name, request):
     # the batched complete sums against one `t_factor` per primitive pair, in the same order
